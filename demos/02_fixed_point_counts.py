@@ -2,14 +2,15 @@
 
 For each finite quotient Z/n the number of points fixed by the congruence
 subgroup is |det| of right multiplication by f on the quotient group ring:
-an n x n integer matrix.  For abelian quotients there is a second, totally
-different route: the product of f evaluated at all n-th roots of unity,
-computed exactly inside prime fields and reassembled by CRT.  The two must
-agree, including sign.
+an n x n integer matrix.  Splitting that representation into characters
+gives the route fix_count takes: the product of f evaluated at all n-th
+roots of unity, computed exactly inside prime fields and reassembled by CRT.
+The dense determinant and the character product must agree, including sign.
 """
 
 from padic_entropy import (
     ZdQuotient,
+    det_exact,
     fix_count,
     fix_count_char_crt,
     parse_poly,
@@ -25,11 +26,12 @@ print("the 2x2 regular representation at n = 2:")
 print("  ", rho_matrix(reduce_to_quotient(f, ZdQuotient((2,)))))
 print()
 
-print(f"{'n':>3} {'|Fix|':>14} {'character product':>18} {'agree':>6}")
+print(f"{'n':>3} {'|Fix|':>14} {'character product':>18} {'dense det':>18} {'agree':>6}")
 for n in range(1, 13):
     rec = fix_count(f, ZdQuotient((n,)), p=2, prec=8)
     signed = fix_count_char_crt(f, (n,))
-    print(f"{n:>3} {rec.fix_count:>14} {signed:>18} {str(abs(signed) == rec.fix_count):>6}")
+    dense = det_exact(rho_matrix(reduce_to_quotient(f, ZdQuotient((n,)))))
+    print(f"{n:>3} {rec.fix_count:>14} {signed:>18} {dense:>18} {str(signed == dense):>6}")
 
 print()
 print("growth is exponential (topological entropy log 2), but 2-adically")

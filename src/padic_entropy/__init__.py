@@ -22,7 +22,7 @@ from .detlog import (
     logdet_unit,
     tr_log_one_unit,
 )
-from .fixcount import FixCountRecord, det_exact, fix_count, fix_count_char_crt
+from .fixcount import FixCountRecord, det_exact, fix_count, fix_count_char_crt, quotient_det
 from .groupring import (
     Cyclic,
     FiniteGroup,
@@ -81,6 +81,7 @@ __all__ = [
     "padic_sqrt",
     "parse_poly",
     "print_poly",
+    "quotient_det",
     "reduce_to_quotient",
     "rho_matrix",
     "series_guard",

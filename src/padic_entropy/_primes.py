@@ -4,6 +4,8 @@ Deterministic Miller-Rabin: the base set below is known to be exact for all
 n < 3.3 * 10^24, far beyond anything we test.
 """
 
+import itertools
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -36,34 +38,41 @@ def is_prime(n: int) -> bool:
 _WORD_PRIMES: list[int] = []
 
 
-def word_primes(k: int) -> list[int]:
-    """First k primes just below 2^31 (descending), cached.
+def word_primes():
+    """Yield the primes just below 2^31 in descending order, cached.
 
     Residue arithmetic modulo these fits comfortably in int64: products of
     two residues stay below 2^62.
     """
-    cand = _WORD_PRIMES[-1] - 2 if _WORD_PRIMES else (1 << 31) - 1
-    while len(_WORD_PRIMES) < k:
-        if is_prime(cand):
+    for i in itertools.count():
+        if i == len(_WORD_PRIMES):
+            cand = _WORD_PRIMES[-1] - 2 if _WORD_PRIMES else (1 << 31) - 1
+            while not is_prime(cand):
+                cand -= 2
             _WORD_PRIMES.append(cand)
-        cand -= 2
-    return _WORD_PRIMES[:k]
+        yield _WORD_PRIMES[i]
 
 
-def primes_one_mod(modulus: int, start_k: int | None = None):
-    """Yield primes q = k*modulus + 1, deterministically ascending in k.
+_ONE_MOD_PRIMES: dict[int, list[int]] = {}
+
+
+def primes_one_mod(modulus: int):
+    """Yield the primes q = k*modulus + 1 with k >= 2^59 // modulus,
+    ascending in k, cached per modulus.
 
     Used to evaluate polynomials at roots of unity inside prime fields:
-    F_q contains the full group of modulus-th roots of unity.
+    F_q contains the full group of modulus-th roots of unity.  Finding a
+    prime costs a dozen Miller-Rabin rounds, about as much as evaluating a
+    small quotient's blocks, so each modulus keeps the primes found so far.
     """
-    if start_k is None:
-        start_k = max(1, (1 << 59) // modulus)
-    k = start_k
-    while True:
-        q = k * modulus + 1
-        if is_prime(q):
-            yield q
-        k += 1
+    found = _ONE_MOD_PRIMES.setdefault(modulus, [])
+    for i in itertools.count():
+        if i == len(found):
+            k = (found[-1] - 1) // modulus + 1 if found else max(1, (1 << 59) // modulus)
+            while not is_prime(k * modulus + 1):
+                k += 1
+            found.append(k * modulus + 1)
+        yield found[i]
 
 
 def factorize_small(n: int) -> dict[int, int]:

@@ -1,10 +1,6 @@
-"""Shared plumbing: valuations and the optional worker pool."""
+"""Shared plumbing: p-adic valuations of integers and fractions."""
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-
-THREADS_ENV = "PADIC_ENTROPY_THREADS"
 
 
 def vp_int(n: int, p: int) -> int:
@@ -23,26 +19,3 @@ def vp_fraction(x, p: int) -> int:
     if isinstance(x, Fraction):
         return vp_int(x.numerator, p) - vp_int(x.denominator, p)
     return vp_int(x, p)
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; threads only if PADIC_ENTROPY_THREADS > 1.
-
-    Results are collected in submission order, so output is deterministic
-    regardless of scheduling.
-    """
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

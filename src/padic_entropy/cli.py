@@ -15,11 +15,12 @@ import math
 import sys
 from dataclasses import dataclass
 
+from ._primes import is_prime
 from .detlog import c0_unit_normalize, det_laurent_matrix, logdet_unit
 from .entropy import entropy_sequence
-from .errors import PadicEntropyError, UsageError
-from .fixcount import fix_count, fix_count_char_crt
-from .groupring import HeisenbergQuotient, RingMatrix, ZdQuotient
+from .errors import InvalidQuotient, NotPrime, PadicEntropyError, TooFewRecords, UsageError
+from .fixcount import det_exact, fix_count
+from .groupring import HeisenbergQuotient, RingMatrix, ZdQuotient, reduce_to_quotient, rho_matrix
 from .mahler import mahler_1d, newton_polygon
 from .poly_io import parse_poly, print_poly
 from .selftest import run_selftest
@@ -47,6 +48,10 @@ class JobConfig:
             raise UsageError(f"precision must lie in [1, {MAX_PREC}]")
         if self.output not in ("table", "json", "csv"):
             raise UsageError(f"unknown output format {self.output!r}")
+        if self.command != "selftest" and not is_prime(self.p):
+            raise NotPrime(f"p = {self.p} is not prime")
+        if self.tail < 2:
+            raise TooFewRecords(f"--tail {self.tail}: the verdict window needs at least two records")
 
 
 def parse_family(text: str, p: int, d: int):
@@ -93,9 +98,12 @@ def default_family(p: int, d: int):
 
 def parse_quotient(text: str, d: int):
     text = text.strip()
-    if text.startswith("heis:"):
-        return HeisenbergQuotient(int(text[len("heis:"):]))
-    parts = [int(x) for x in text.split(",") if x.strip()]
+    try:
+        if text.startswith("heis:"):
+            return HeisenbergQuotient(int(text[len("heis:"):]))
+        parts = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError as ex:
+        raise InvalidQuotient(f"bad quotient {text!r}") from ex
     if len(parts) == 1 and d > 1:
         parts = parts * d
     if len(parts) != d:
@@ -192,12 +200,13 @@ def _cmd_fixcount(cfg: JobConfig) -> str:
         f"  normalized log = {rec.normalized}",
     ]
     if cfg.crosscheck and isinstance(q, ZdQuotient):
-        signed = fix_count_char_crt(f, q)
+        # the record came from the character product; the dense determinant
+        # of the regular representation is the independent route
+        signed = rec.det_sign * rec.fix_count
+        ok = abs(det_exact(rho_matrix(reduce_to_quotient(f, q)))) == rec.fix_count
         doc["character_product"] = str(signed)
-        doc["crosscheck_ok"] = abs(signed) == rec.fix_count
-        lines.append(
-            f"  character product: {signed} (|.| matches: {abs(signed) == rec.fix_count})"
-        )
+        doc["crosscheck_ok"] = ok
+        lines.append(f"  character product: {signed} (|.| matches: {ok})")
     return _emit(doc, cfg, lines)
 
 

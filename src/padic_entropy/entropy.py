@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._util import parallel_map
 from .errors import DomainMismatch, InvalidQuotient, ModulusNotCoprimeToP, TooFewRecords
 from .fixcount import DEFAULT_PREC, FixCountRecord, fix_count
 from .groupring import LaurentPoly, RingMatrix, ZdQuotient
@@ -86,6 +85,8 @@ def convergence_report(
     """
     if len(records) < 2:
         raise TooFewRecords("need at least two records to compare")
+    if tail < 2:
+        raise TooFewRecords(f"tail {tail}: the verdict window needs at least two records")
     records = sorted(records, key=lambda r: r.index)
     rep = ConvergenceReport(records=records, p=p, target=target, tail=tail)
     n = len(records)
@@ -105,10 +106,7 @@ def convergence_report(
         if v is None:
             v = min(_abs_prec(a.normalized), _abs_prec(b.normalized))
         bounds.append(v)
-    if bounds:
-        rep.stable_digits = min(bounds)
-    else:
-        rep.stable_digits = _abs_prec(records[-1].normalized)
+    rep.stable_digits = min(bounds)
     rep.stabilized_value = records[-1].normalized.truncate_abs(rep.stable_digits)
     if len(window) >= tail and rep.stable_digits >= target:
         rep.verdict = "converged"
@@ -141,7 +139,7 @@ def entropy_sequence(
     for a, b in zip(family, family[1:]):
         if b.index <= a.index:
             raise InvalidQuotient("family indices must be strictly increasing")
-    records = parallel_map(lambda q: fix_count(f, q, p, prec), family)
+    records = [fix_count(f, q, p, prec) for q in family]
     return convergence_report(records, p, target if target is not None else prec, tail)
 
 

@@ -1,13 +1,33 @@
 """Fixed-point counts of principal algebraic actions over finite quotients.
 
-The count for a quotient is |det| of the regular-representation matrix of
-the reduced element; a vanishing determinant means the fixed-point set is
-infinite.  For abelian quotients of Z^d an independent route evaluates the
-element at roots of unity inside prime fields and reassembles the integer
-by CRT -- the two routes must agree exactly.
+The count for a quotient G is |det rho(f)|, where rho is the regular
+representation of the reduced element; a vanishing determinant means the
+fixed-point set is infinite.  rho splits over irreducible representations,
+so ``quotient_det`` takes the determinant as a product of small blocks read
+straight from the Laurent exponents -- no group table, no |G| x |G| matrix:
 
-Exact integer determinants: fraction-free (Bareiss) elimination below size
-64, Hadamard bound + word-sized prime residues + CRT above.
+* Z^d / (n_1, ..., n_d): one r x r block f(zeta^j) per character tuple j
+  (the character product of Lind-Schmidt-Ward);
+* the Heisenberg group mod n: A = {(0, b, c)} is an abelian normal subgroup
+  with cyclic quotient, so rho is the sum over the n^2 characters chi of A
+  of the induced representations Ind chi, each of degree n (Clifford
+  theory): n^2 blocks of size rn.
+
+The blocks have entries in Z[zeta_L], L = lcm(n_i) or n.  They are evaluated
+in prime fields F_q with q = 1 mod L (primes just above 2^59), where zeta_L
+is an element of exact order L, and the signed integer is rebuilt by CRT
+from enough primes to exceed twice the bound prod_s (sum_t ||f_st||_1)^|G|.
+That bound is the product of the l1 norms of the rows of the dense rho
+matrix, so it holds for any group.
+
+DEFAULT_SIZE_CAP bounds r * |G|, the size of the dense rho matrix.  The
+block route never builds that matrix, but the cap still bounds the exponent
+of the CRT bound (so the number of primes) and the size of the dense
+cross-check that the CLI and the tests run against it.
+
+``det_exact`` (fraction-free Bareiss below size 64, Hadamard bound +
+word-sized primes + CRT above) stays as that dense oracle and serves the
+finite-group formula in ``detlog``.
 """
 
 from __future__ import annotations
@@ -18,20 +38,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._primes import factorize_small, primes_one_mod, word_primes
-from ._util import parallel_map, vp_int
+from ._primes import factorize_small, is_prime, primes_one_mod, word_primes
+from ._util import vp_int
 from .errors import (
     DomainMismatch,
     InfiniteFixedPointSet,
+    InvalidQuotient,
     NonAbelianQuotient,
+    NotPrime,
 )
 from .groupring import (
     HeisenbergQuotient,
     LaurentPoly,
     RingMatrix,
     ZdQuotient,
-    reduce_to_quotient,
-    rho_matrix,
 )
 from .padic import Padic, padic_log
 
@@ -92,14 +112,23 @@ def _det_mod_prime(a64: np.ndarray, q: int) -> int:
     return det * sign % q
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    t = (r2 - r1) * pow(m1, -1, m2) % m2
-    return r1 + m1 * t, m1 * m2
+def _crt_signed(primes, bound: int, residue_fn) -> int:
+    """The integer x with |x| <= bound and x = residue_fn(q) mod q.
+
+    Takes primes from the iterable until their product exceeds 2 * bound,
+    combines the residues by CRT and lifts to the symmetric range.
+    """
+    primes = iter(primes)
+    r, mod = 0, 1
+    while mod <= 2 * bound:
+        q = next(primes)
+        t = (residue_fn(q) - r) * pow(mod, -1, q) % q
+        r, mod = r + mod * t, mod * q
+    return r - mod if r > mod // 2 else r
 
 
 def _det_crt(m) -> int:
     rows = [[int(x) for x in row] for row in m]
-    n = len(rows)
     # Hadamard: det^2 <= prod of row square-sums
     bound_sq = 1
     for row in rows:
@@ -107,32 +136,9 @@ def _det_crt(m) -> int:
         if s == 0:
             return 0
         bound_sq *= s
-    need_sq = 4 * bound_sq  # modulus^2 must exceed (2*bound)^2
-    primes: list[int] = []
-    k, acc_sq = 8, 1
-    while acc_sq <= need_sq:
-        primes = word_primes(k)
-        acc_sq = 1
-        for q in primes:
-            acc_sq *= q * q
-            if acc_sq > need_sq:
-                break
-        k *= 2
-    chosen = []
-    acc_sq = 1
-    for q in primes:
-        chosen.append(q)
-        acc_sq *= q * q
-        if acc_sq > need_sq:
-            break
     a64 = np.array(rows, dtype=object)
-    residues = parallel_map(lambda q: _det_mod_prime(a64, q), chosen)
-    r, mod = 0, 1
-    for q, res in zip(chosen, residues):
-        r, mod = _crt_pair(r, mod, res, q)
-    if r > mod // 2:
-        r -= mod
-    return r
+    bound = math.isqrt(bound_sq - 1) + 1
+    return _crt_signed(word_primes(), bound, lambda q: _det_mod_prime(a64, q))
 
 
 def det_exact(m) -> int:
@@ -147,6 +153,129 @@ def det_exact(m) -> int:
     if n < _BAREISS_MAX:
         return _det_bareiss(m)
     return _det_crt(m)
+
+
+def _det_mod(m, q: int) -> int:
+    """Determinant of a small square matrix of integers modulo the prime q."""
+    a = [[x % q for x in row] for row in m]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        for r in range(c, n):
+            if a[r][c]:
+                break
+        else:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        prow = a[c]
+        det = det * prow[c] % q
+        if c + 1 == n:
+            break
+        inv = pow(prow[c], -1, q)
+        tail = prow[c + 1 :]
+        for row in a[c + 1 :]:
+            if row[c]:
+                k = row[c] * inv % q
+                row[c + 1 :] = [(x - k * y) % q for x, y in zip(row[c + 1 :], tail)]
+    return det % q
+
+
+def _roots_of_unity(q: int, n: int) -> int:
+    """Element of exact multiplicative order n in F_q (needs n | q-1)."""
+    facs = list(factorize_small(n))
+    for g in itertools.count(2):
+        z = pow(g, (q - 1) // n, q)
+        if all(pow(z, n // ell, q) != 1 for ell in facs):
+            return z
+    raise AssertionError("unreachable")
+
+
+def _character_blocks(F: RingMatrix, q):
+    """(L, blocks) with det rho(F) = prod over blocks of det(block at zeta_L).
+
+    A block is (size, cells); a cell (i, j, k, c) adds c * zeta_L^k to entry
+    (i, j).  Nothing here depends on the prime the blocks are evaluated in.
+    """
+    if not isinstance(F.entries[0][0], LaurentPoly):
+        raise DomainMismatch("can only reduce Laurent data")
+    cells = [
+        (s, t, e, c)
+        for s, row in enumerate(F.entries)
+        for t, entry in enumerate(row)
+        for e, c in entry.terms.items()
+    ]
+    d, r = F.entries[0][0].d, F.r
+    if isinstance(q, ZdQuotient):
+        if q.d != d:
+            raise InvalidQuotient(f"quotient is for Z^{q.d}, polynomial has d={d}")
+        L = math.lcm(*q.moduli)
+        steps = [L // n for n in q.moduli]
+        weighted = [(s, t, [x * w for x, w in zip(e, steps)], c) for s, t, e, c in cells]
+        blocks = [
+            (r, [(s, t, sum(x * j for x, j in zip(w, jvec)) % L, c) for s, t, w, c in weighted])
+            for jvec in itertools.product(*(range(n) for n in q.moduli))
+        ]
+        return L, blocks
+    if isinstance(q, HeisenbergQuotient):
+        if d > 3:
+            raise InvalidQuotient("Heisenberg reduction needs d <= 3")
+        n = q.n
+        words = [(s, t, *(tuple(e) + (0, 0))[:3], c) for s, t, e, c in cells]
+        # x^a y^b z^c is the group element (a, b, ab + c); on the basis
+        # x^k (x) v of Ind chi_{beta,gamma} it sends x^k to x^(a+k) times the
+        # element (0, b, c - kb) of A.
+        blocks = [
+            (
+                r * n,
+                [
+                    (s * n + (a + k) % n, t * n + k, (beta * b + gamma * (cz - k * b)) % n, c)
+                    for s, t, a, b, cz, c in words
+                    for k in range(n)
+                ],
+            )
+            for beta in range(n)
+            for gamma in range(n)
+        ]
+        return n, blocks
+    raise InvalidQuotient(f"unknown quotient spec {q!r}")
+
+
+def _l1_bound(F: RingMatrix, order: int) -> int:
+    """prod_s (sum_t ||F_st||_1)^order: bounds |det rho(F)| for |G| = order."""
+    per_point = 1
+    for row in F.entries:
+        per_point *= max(sum(abs(c) for e in row for c in e.terms.values()), 1)
+    return max(per_point, 2) ** order
+
+
+def quotient_det(f, q) -> int:
+    """Signed integer det rho(f) for a ZdQuotient or a HeisenbergQuotient.
+
+    Read from the Laurent exponents block by block (character tuples for
+    Z^d, induced characters for Heisenberg), modulo primes q = 1 mod L, and
+    rebuilt by CRT; it equals the dense det_exact(rho_matrix(...)) of the
+    reduced element, sign included.
+    """
+    F = RingMatrix.wrap(f)
+    _require_integer_coeffs(F)
+    L, blocks = _character_blocks(F, q)
+
+    def residue(prime: int) -> int:
+        z = _roots_of_unity(prime, L)
+        zpow = [1] * L
+        for k in range(1, L):
+            zpow[k] = zpow[k - 1] * z % prime
+        total = 1
+        for size, block in blocks:
+            m = [[0] * size for _ in range(size)]
+            for i, j, k, c in block:
+                m[i][j] += c * zpow[k]
+            total = total * _det_mod(m, prime) % prime
+        return total
+
+    return _crt_signed(primes_one_mod(L), _l1_bound(F, q.index), residue)
 
 
 @dataclass
@@ -210,13 +339,13 @@ def fix_count(f, q, p: int, prec: int = DEFAULT_PREC, size_cap: int = DEFAULT_SI
     infinite for that quotient).  The record carries v_p, the unit residue,
     log_p of the unit part, and the normalized value unit_log / index.
     """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     F = RingMatrix.wrap(f)
-    _require_integer_coeffs(F)
     idx = q.index
     if F.r * idx > size_cap:
         raise DomainMismatch(f"rho matrix of size {F.r * idx} exceeds cap {size_cap}")
-    ftilde = reduce_to_quotient(F, q)
-    det = det_exact(rho_matrix(ftilde))
+    det = quotient_det(F, q)
     if det == 0:
         raise InfiniteFixedPointSet(
             f"det rho = 0 on {q.label()}: infinite fixed-point set", quotient=q
@@ -241,44 +370,12 @@ def fix_count(f, q, p: int, prec: int = DEFAULT_PREC, size_cap: int = DEFAULT_SI
     )
 
 
-def _roots_of_unity(q: int, n: int) -> int:
-    """Element of exact multiplicative order n in F_q (needs n | q-1)."""
-    facs = list(factorize_small(n))
-    for g in itertools.count(2):
-        z = pow(g, (q - 1) // n, q)
-        if all(pow(z, n // ell, q) != 1 for ell in facs):
-            return z
-    raise AssertionError("unreachable")
-
-
-def _det_small_mod(vals, r: int, q: int) -> int:
-    """Leibniz determinant of a small r x r matrix of residues."""
-    if r == 1:
-        return vals[0][0] % q
-    if r == 2:
-        return (vals[0][0] * vals[1][1] - vals[0][1] * vals[1][0]) % q
-    acc = 0
-    for perm in itertools.permutations(range(r)):
-        sign = 1
-        seen = list(perm)
-        for i in range(r):
-            for j in range(i + 1, r):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = sign
-        for i in range(r):
-            term = term * vals[i][perm[i]] % q
-        acc = (acc + term) % q
-    return acc
-
-
 def fix_count_char_crt(f, moduli, size_hint: int = 0) -> int:
     """Signed integer prod over all character tuples of det f(zeta).
 
-    Characters of (Z/n_1) x ... x (Z/n_d) are evaluated at roots of unity in
-    prime fields F_q with q = 1 mod lcm(n_i); enough primes are used to cover
-    a Hadamard-style bound, then the signed integer is rebuilt by CRT.  Its
-    absolute value must equal the regular-representation fix count.
+    The Z^d case of ``quotient_det``: characters of (Z/n_1) x ... x (Z/n_d)
+    are evaluated at roots of unity in prime fields and the signed integer is
+    rebuilt by CRT.  Its absolute value is the fix count.
     """
     if isinstance(moduli, HeisenbergQuotient):
         raise NonAbelianQuotient("character products need an abelian quotient")
@@ -288,57 +385,7 @@ def fix_count_char_crt(f, moduli, size_hint: int = 0) -> int:
     if any(n < 1 for n in moduli):
         raise NonAbelianQuotient("moduli must be >= 1")
     F = RingMatrix.wrap(f)
-    _require_integer_coeffs(F)
     d = F.entries[0][0].d
     if len(moduli) != d:
         raise DomainMismatch(f"need {d} moduli for a d={d} polynomial")
-    r = F.r
-    # |det f(zeta)| <= prod_i sum_j (sum |coeffs of entry ij|)
-    per_point = 1
-    for i in range(r):
-        s = 0
-        for j in range(r):
-            s += sum(abs(c) for c in F.entries[i][j].terms.values())
-        per_point *= max(s, 1)
-    npoints = math.prod(moduli)
-    bound = max(per_point, 2) ** npoints
-    lcm = math.lcm(*moduli)
-    qs: list[int] = []
-    acc = 1
-    gen = primes_one_mod(lcm)
-    while acc <= 2 * bound:
-        q = next(gen)
-        qs.append(q)
-        acc *= q
-
-    entries = [
-        [sorted(F.entries[i][j].terms.items()) for j in range(r)] for i in range(r)
-    ]
-
-    def residue(q: int) -> int:
-        zetas = [_roots_of_unity(q, n) for n in moduli]
-        pows = [[pow(z, k, q) for k in range(n)] for z, n in zip(zetas, moduli)]
-        total = 1
-        for jvec in itertools.product(*(range(n) for n in moduli)):
-            vals = []
-            for i in range(r):
-                rowv = []
-                for j in range(r):
-                    acc_e = 0
-                    for e, c in entries[i][j]:
-                        w = c % q
-                        for axis in range(d):
-                            w = w * pows[axis][(e[axis] * jvec[axis]) % moduli[axis]] % q
-                        acc_e = (acc_e + w) % q
-                    rowv.append(acc_e)
-                vals.append(rowv)
-            total = total * _det_small_mod(vals, r, q) % q
-        return total
-
-    residues = parallel_map(residue, qs)
-    rres, mod = 0, 1
-    for q, res in zip(qs, residues):
-        rres, mod = _crt_pair(rres, mod, res, q)
-    if rres > mod // 2:
-        rres -= mod
-    return rres
+    return quotient_det(F, ZdQuotient(moduli))

@@ -18,10 +18,11 @@ from .detlog import (
     tr_log_one_unit,
 )
 from .entropy import entropy_sequence, snirelman_mahler
-from .fixcount import _det_bareiss, _det_crt, fix_count, fix_count_char_crt
+from .fixcount import _det_bareiss, _det_crt, det_exact, fix_count_char_crt, quotient_det
 from .groupring import (
     FiniteGroupRingElem,
     Heisenberg,
+    HeisenbergQuotient,
     LaurentPoly,
     RingMatrix,
     ZdQuotient,
@@ -146,16 +147,16 @@ def check_det_routes(rng):
 
 
 def check_char_crt(rng):
+    """Character and Clifford blocks against the dense regular representation."""
     for _ in range(6):
         f = _rand_poly(rng, 1, span=2, cmax=5)
         n = rng.randint(1, 6)
-        try:
-            rec = fix_count(f, ZdQuotient((n,)), p=3, prec=6)
-        except Exception:
-            continue
-        signed = fix_count_char_crt(f, (n,))
-        assert abs(signed) == rec.fix_count
-        assert signed == rec.det_sign * rec.fix_count
+        dense = det_exact(rho_matrix(reduce_to_quotient(f, ZdQuotient((n,)))))
+        assert fix_count_char_crt(f, (n,)) == dense
+    for n in (2, 3):
+        f = _rand_poly(rng, 3, span=2, cmax=5)
+        q = HeisenbergQuotient(n)
+        assert quotient_det(f, q) == det_exact(rho_matrix(reduce_to_quotient(f, q)))
 
 
 def check_trlog_homomorphism(rng):

@@ -15,6 +15,7 @@ from padic_entropy import (
     Padic,
     RingMatrix,
     build_quotient_group,
+    det_exact,
     det_laurent_matrix,
     diagonal_family,
     entropy_sequence,
@@ -26,6 +27,8 @@ from padic_entropy import (
     mahler_1d,
     padic_log,
     padic_sqrt,
+    reduce_to_quotient,
+    rho_matrix,
     snirelman_mahler,
     tr_log_one_unit,
     ZdQuotient,
@@ -86,6 +89,8 @@ def test_criterion_2_fixed_point_counts():
             assert rec.fix_count == want, (n, rec.fix_count)
             assert abs(signed) == want, (n, signed)
             assert signed == rec.det_sign * rec.fix_count
+            # the dense regular representation, sign included
+            assert signed == det_exact(rho_matrix(reduce_to_quotient(F_GOLD, ZdQuotient((n,)))))
             # independent resultant oracle
             cyc = [-1] + [0] * (n - 1) + [1]
             assert abs(int(helpers.sylvester_resultant(cyc, [2, -1, 2]))) == want

@@ -18,7 +18,9 @@ from padic_entropy.cli import (
 )
 from padic_entropy.errors import (
     DimensionInconsistent,
+    InvalidQuotient,
     PolySyntaxError,
+    TooFewRecords,
     UsageError,
 )
 from padic_entropy.groupring import HeisenbergQuotient, ZdQuotient
@@ -118,6 +120,12 @@ def test_quotient_grammar():
     assert parse_quotient("3,5", 2) == ZdQuotient((3, 5))
     assert parse_quotient("4", 2) == ZdQuotient((4, 4))
     assert parse_quotient("heis:2", 3) == HeisenbergQuotient(2)
+
+
+@pytest.mark.parametrize("text", ["heis:x", "3,x", "heis:", "heis:0", "0"])
+def test_quotient_grammar_refuses_malformed(text):
+    with pytest.raises(InvalidQuotient):
+        parse_quotient(text, 2)
 
 
 # -- command dispatch -----------------------------------------------------------------
@@ -277,3 +285,45 @@ def test_selftest_command_deterministic():
     assert len(payload["checks"]) >= 12
     _, doc2 = _run(["selftest", "--seed", "3", "--output", "json"])
     assert doc == doc2
+
+
+@pytest.mark.parametrize("tail", [1, 0, -1])
+def test_tail_below_two_refused(tail, capsys):
+    # --tail 1 used to certify 25*2^2 + O(2^8) here; the golden value is 41*2^2
+    from padic_entropy.cli import main
+
+    args = ["entropy", "--p", "2", "--poly", "2*t^2-t+2", "--family", "1,3,5", "--tail", str(tail)]
+    with pytest.raises(TooFewRecords):
+        config_from_args(build_argparser().parse_args(args)).validate()
+    assert main(args) == 1
+    assert "error[TOO_FEW_RECORDS]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fixcount", "--p", "0", "--poly", "2*t^2-t+2", "--quotient", "3"],
+        ["fixcount", "--p", "1", "--poly", "2*t^2-t+2", "--quotient", "3"],
+        ["mahler", "--p", "9", "--poly", "t-3"],
+    ],
+    ids=["p0-fixcount", "p1-fixcount", "p9-mahler"],
+)
+def test_non_prime_p_refused_before_arithmetic(args):
+    # a subprocess with a timeout, so that a hang (p = 1 once looped in vp_int)
+    # fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "padic_entropy.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "error[NOT_PRIME]" in proc.stderr
+
+
+def test_malformed_quotient_exit_1(capsys):
+    from padic_entropy.cli import main
+
+    args = ["fixcount", "--p", "3", "--poly", "1+3*x", "--quotient", "heis:x"]
+    assert main(args) == 1
+    assert "error[INVALID_QUOTIENT]" in capsys.readouterr().out

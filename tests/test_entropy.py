@@ -72,6 +72,13 @@ def test_report_needs_two_records():
         convergence_report([_dummy_record(1, Padic.one(3, 4))], 3, target=2)
 
 
+@pytest.mark.parametrize("tail", [1, 0, -1])
+def test_report_refuses_tail_below_two(tail):
+    recs = [_dummy_record(i, Padic.one(3, 4)) for i in (1, 2, 3)]
+    with pytest.raises(TooFewRecords):
+        convergence_report(recs, 3, target=2, tail=tail)
+
+
 def test_report_pairwise_distances():
     a = Padic.from_rational(1, 1, 2, 6)
     b = Padic.from_rational(5, 1, 2, 6)  # diff 4: valuation 2

@@ -1,18 +1,28 @@
 import random
+import sys
 
 import pytest
 
 from padic_entropy import (
     LaurentPoly,
+    RingMatrix,
     ZdQuotient,
     det_exact,
     fix_count,
     fix_count_char_crt,
     FixCountRecord,
     HeisenbergQuotient,
+    quotient_det,
+    reduce_to_quotient,
+    rho_matrix,
 )
 from padic_entropy.fixcount import _det_bareiss, _det_crt
-from padic_entropy.errors import InfiniteFixedPointSet, NonAbelianQuotient
+from padic_entropy.errors import (
+    InfiniteFixedPointSet,
+    InvalidQuotient,
+    NonAbelianQuotient,
+    NotPrime,
+)
 
 import helpers
 
@@ -157,6 +167,99 @@ def test_char_crt_matrix_input():
 def test_char_crt_rejects_nonabelian():
     with pytest.raises(NonAbelianQuotient):
         fix_count_char_crt(F_EXAMPLE, HeisenbergQuotient(2))
+
+
+# -- character and Clifford blocks against the dense regular representation -----
+
+
+def _dense_det(f, q):
+    return det_exact(rho_matrix(reduce_to_quotient(f, q)))
+
+
+def _random_entry(rng, d):
+    """Random integer Laurent polynomial with a negative exponent, and with a
+    z-term when d = 3."""
+    f = helpers.random_laurent(rng, d, span=2, cmax=4)
+    e = (-1,) + tuple(rng.choice((-2, -1, 1, 2)) for _ in range(d - 1))
+    return f + LaurentPoly(d, {e: rng.choice((-3, -1, 2))})
+
+
+def _random_input(rng, r, d):
+    if r == 1:
+        return _random_entry(rng, d)
+    return RingMatrix([[_random_entry(rng, d) for _ in range(r)] for _ in range(r)])
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("moduli", [(6,), (3, 3), (2, 2, 2), (3, 4), (2, 3, 5)])
+def test_quotient_det_matches_dense_zd(r, moduli):
+    rng = random.Random(f"zd:{r}:{moduli}")
+    q = ZdQuotient(moduli)
+    for _ in range(3):
+        f = _random_input(rng, r, len(moduli))
+        assert quotient_det(f, q) == _dense_det(f, q)
+
+
+@pytest.mark.parametrize("r, n", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3)])
+def test_quotient_det_matches_dense_heisenberg(r, n):
+    rng = random.Random(f"heis:{r}:{n}")
+    q = HeisenbergQuotient(n)
+    for _ in range(3):
+        f = _random_input(rng, r, 3)
+        assert quotient_det(f, q) == _dense_det(f, q)
+
+
+X = LaurentPoly.monomial((1, 0))
+Y = LaurentPoly.monomial((0, 1))
+X3 = LaurentPoly.monomial((1, 0, 0))
+Z3 = LaurentPoly.monomial((0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "f, q",
+    [
+        (X - Y, ZdQuotient((3, 3))),
+        (1 - X * Y**2, ZdQuotient((3, 4))),
+        (RingMatrix([[1 + X, 1 - Y], [1 - X, 1 + Y]]), ZdQuotient((2, 2))),
+        (1 - X3, HeisenbergQuotient(3)),
+        (Z3 - 1, HeisenbergQuotient(2)),
+        (RingMatrix([[1 + X3, 1 + X3], [Z3, Z3]]), HeisenbergQuotient(2)),
+    ],
+    ids=["x-y", "1-xy2", "zd-matrix", "heis-1-x", "heis-z-1", "heis-matrix"],
+)
+def test_vanishing_determinant_is_infinite_fixed_point_set(f, q):
+    assert quotient_det(f, q) == 0 == _dense_det(f, q)
+    with pytest.raises(InfiniteFixedPointSet):
+        fix_count(f, q, p=3, prec=4)
+
+
+@pytest.mark.parametrize("route", [quotient_det, reduce_to_quotient])
+def test_quotient_dimension_checks(route):
+    with pytest.raises(InvalidQuotient):
+        route(X, ZdQuotient((3,)))
+    with pytest.raises(InvalidQuotient):
+        route(LaurentPoly.monomial((1, 0, 0, 1)), HeisenbergQuotient(2))
+
+
+def test_fix_count_builds_no_group_table_or_rho_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense route ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("padic_entropy"):
+            for fn in ("rho_matrix", "build_quotient_group"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+    f = 1 + 3 * X + 3 * Y + 3 * LaurentPoly.monomial((-1, -1))
+    for q in (HeisenbergQuotient(6), ZdQuotient((12, 12))):
+        rec = fix_count(f, q, p=3, prec=4)
+        assert rec.fix_count > 1
+
+
+@pytest.mark.parametrize("p", [0, 4, 9])
+def test_fix_count_refuses_non_prime_p(p):
+    with pytest.raises(NotPrime):
+        fix_count(F_EXAMPLE, ZdQuotient((3,)), p=p, prec=4)
 
 
 # -- serialization ----------------------------------------------------------------------
