@@ -1,4 +1,4 @@
-"""Shared plumbing: p-adic valuations of integers and fractions."""
+"""Shared plumbing: p-adic valuations of integers and fractions, exact coefficients."""
 
 from fractions import Fraction
 
@@ -19,3 +19,10 @@ def vp_fraction(x, p: int) -> int:
     if isinstance(x, Fraction):
         return vp_int(x.numerator, p) - vp_int(x.denominator, p)
     return vp_int(x, p)
+
+
+def exactify(x):
+    """A Fraction with denominator 1 as an int; anything else unchanged."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x

@@ -18,8 +18,15 @@ from dataclasses import dataclass
 from ._primes import is_prime
 from .detlog import c0_unit_normalize, det_laurent_matrix, logdet_unit
 from .entropy import entropy_sequence
-from .errors import InvalidQuotient, NotPrime, PadicEntropyError, TooFewRecords, UsageError
-from .fixcount import det_exact, fix_count
+from .errors import (
+    InvalidQuotient,
+    NotPrime,
+    PadicEntropyError,
+    TooFewRecords,
+    UnreadableFile,
+    UsageError,
+)
+from .fixcount import DEFAULT_SIZE_CAP, det_exact, fix_count
 from .groupring import HeisenbergQuotient, RingMatrix, ZdQuotient, reduce_to_quotient, rho_matrix
 from .mahler import mahler_1d, newton_polygon
 from .poly_io import parse_poly, print_poly
@@ -67,23 +74,35 @@ def parse_family(text: str, p: int, d: int):
             selector = sel
             text = text[len(sel) + 1:]
             break
+
+    def keep(n):
+        if selector == "odd":
+            return n % 2 == 1
+        if selector == "coprime":
+            return math.gcd(n, p) == 1
+        return True
+
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError as ex:
             raise UsageError(f"bad family range {text!r}") from ex
-        ns = list(range(lo, hi + 1))
+        # A member whose index alone exceeds the size cap is refused before
+        # any count is computed, so the range stops after the first one
+        # (keeping two members, so that the refusal is still the size cap).
+        ns = []
+        for n in range(max(lo, 1), hi + 1):
+            if keep(n):
+                ns.append(n)
+                if (n**3 if heis else n**d) > DEFAULT_SIZE_CAP and len(ns) >= 2:
+                    break
     else:
         try:
             ns = [int(x) for x in text.split(",") if x.strip()]
         except ValueError as ex:
             raise UsageError(f"bad family list {text!r}") from ex
-    if selector == "odd":
-        ns = [n for n in ns if n % 2 == 1]
-    elif selector == "coprime":
-        ns = [n for n in ns if math.gcd(n, p) == 1]
-    ns = [n for n in ns if n >= 1]
+        ns = [n for n in ns if keep(n) and n >= 1]
     if not ns:
         raise UsageError("family is empty")
     if heis:
@@ -350,8 +369,11 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         if text and path:
             raise UsageError("give either --poly or --poly-file, not both")
         if path:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as ex:
+                raise UnreadableFile(f"cannot read --poly-file {path!r}: {ex}") from ex
         cfg.poly_text = text or ""
     cfg.family = getattr(args, "family", "") or ""
     cfg.quotient = getattr(args, "quotient", "") or ""

@@ -5,7 +5,13 @@
 finite group ring): the value is  sum_nu -(1/nu) * [identity coefficient of
 the matrix trace of (1-F)^nu],  truncated once every dropped term provably
 vanishes at the working precision.  On 1-units this map is a homomorphism
-and is invariant under conjugation.
+and is invariant under conjugation.  Only identity coefficients are needed,
+and for matrices over Z^d
+
+    const tr X^(a+b) = <X^a, X^b>,  <A, B> = sum_{s,u} sum_e A[s][u][e] * B[u][s][-e],
+
+so the sparse kernel takes the even power 2j from <X^j, X^j> and the odd
+power 2j+1 from <X^j, X^(j+1)>, and builds only the powers up to cap/2.
 
 ``c0_unit_normalize`` factors an integral Laurent element that is a unit of
 the convolution algebra as p^a * c * t^nu * (1 + p*g); ``logdet_unit``
@@ -23,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import vp_fraction, vp_int
+from ._util import exactify, vp_fraction, vp_int
 from .errors import (
     DomainMismatch,
     IndistinguishableAtPrecision,
@@ -39,7 +45,7 @@ from .groupring import (
     rho_matrix,
     sup_norm,
 )
-from .padic import Padic, padic_log, series_guard
+from .padic import Padic, _ilog, _neg_sum_over_nu, padic_log, series_guard
 
 _DENSE_CELL_CAP = 4_000_000
 
@@ -165,44 +171,78 @@ def _kernel_zd_dense(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
     return consts
 
 
-def _kernel_zd_sparse(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
-    zero_exp = (0,) * d
+def _sparse_step(power, xmat, r: int, pw: int):
+    """One multiplication power * X over packed-key dicts.
 
-    def conv(a: dict, b):
-        out: dict[tuple, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % pw
+    ``xmat[u][t]`` lists (offset, c) with offset = key(e) - key(0), so a
+    product's key is a sum of ints; each entry is reduced mod pw once.
+    """
+    out = []
+    for row_in in power:
+        row = []
+        for t in range(r):
+            acc: dict[int, int] = {}
+            get = acc.get
+            for u in range(r):
+                src = row_in[u]
+                for off, c2 in xmat[u][t]:
+                    for k, c1 in src.items():
+                        k += off
+                        acc[k] = get(k, 0) + c1 * c2
+            entry = {}
+            for k, v in acc.items():
+                v %= pw
                 if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return out
+                    entry[k] = v
+            row.append(entry)
+        out.append(row)
+    return out
 
-    power = [
-        [dict(supports[s][t]) for t in range(r)]
+
+def _pair_const(a, b, r: int, two_zero: int, pw: int) -> int:
+    """Identity coefficient of tr(A B): sum over s, u, e of A[s][u][e] * B[u][s][-e]."""
+    total = 0
+    for s in range(r):
+        for u in range(r):
+            x, y = a[s][u], b[u][s]
+            if len(x) > len(y):
+                x, y = y, x
+            get = y.get
+            for k, c in x.items():
+                c2 = get(two_zero - k)
+                if c2:
+                    total += c * c2
+    return total % pw
+
+
+def _kernel_zd_sparse(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
+    """Sparse kernel for any p^w: pairs powers, so only X^1 .. X^ceil(cap/2) are built.
+
+    An exponent e is packed into the int key(e) = sum_a (e_a + R) * B^a with
+    B = 2R + 1, where R bounds every exponent of the powers built; adding
+    exponents is adding offsets, and key(-e) = 2 key(0) - key(e).  Only two
+    consecutive powers are alive at once.
+    """
+    half = (cap + 1) // 2
+    rad = max([abs(x) for row in supports for sup in row for e, _ in sup for x in e] or [0])
+    bound = rad * half
+    weights = [(2 * bound + 1) ** a for a in range(d)]
+    zero = bound * sum(weights)
+    xmat = [
+        [[(sum(x * w for x, w in zip(e, weights)), c) for e, c in supports[s][t]] for t in range(r)]
         for s in range(r)
     ]
-    consts = []
-    for step in range(cap):
-        consts.append(sum(power[s][s].get(zero_exp, 0) for s in range(r)) % pw)
-        if step == cap - 1:
+    power = [[{zero + off: c for off, c in xmat[s][t]} for t in range(r)] for s in range(r)]
+    consts = [sum(power[s][s].get(zero, 0) for s in range(r)) % pw]
+    for j in range(1, half + 1):
+        # const tr X^(2j) = <X^j, X^j>, const tr X^(2j+1) = <X^j, X^(j+1)>
+        if 2 * j > cap:
             break
-        nxt = []
-        for s in range(r):
-            row = []
-            for t in range(r):
-                acc: dict[tuple, int] = {}
-                for u in range(r):
-                    for e, c in conv(power[s][u], supports[u][t]).items():
-                        v = (acc.get(e, 0) + c) % pw
-                        if v:
-                            acc[e] = v
-                        elif e in acc:
-                            del acc[e]
-                row.append(acc)
-            nxt.append(row)
+        consts.append(_pair_const(power, power, r, 2 * zero, pw))
+        if 2 * j + 1 > cap:
+            break
+        nxt = _sparse_step(power, xmat, r, pw)
+        consts.append(_pair_const(power, nxt, r, 2 * zero, pw))
         power = nxt
     return consts
 
@@ -212,9 +252,13 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
 
     Powers of 1 - F are accumulated with coefficients reduced modulo
     p^(prec+guard); terms beyond the cutoff -- and whole powers once the
-    valuation passes the working precision -- provably vanish there.  For
-    p = 2 a unit that is only 1 mod 2 is squared first (the value is half
-    the value at the square, which lies in 1 + 4A).
+    valuation passes the working precision -- provably vanish there.  Over
+    Z^d the sparse kernel reads const tr X^(2j) = <X^j, X^j> and
+    const tr X^(2j+1) = <X^j, X^(j+1)> (pairing in the module docstring), so
+    it multiplies about cap/2 times.  The constants c_nu are divided by nu
+    and summed in integers (``padic._neg_sum_over_nu``).  For p = 2 a unit
+    that is only 1 mod 2 is squared first (the value is half the value at
+    the square, which lies in 1 + 4A).
     """
     F = RingMatrix.wrap(f)
     ident = RingMatrix.identity_like(F)
@@ -270,12 +314,8 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     else:
         raise DomainMismatch("unsupported ring for the trace-log series")
 
-    acc = Padic.zero(p, None)
-    for nu, c in enumerate(consts, start=1):
-        if c % pw == 0:
-            continue
-        acc = acc - Padic.from_int_mod(c, p, w) / nu
-    return acc.truncate_abs(prec)
+    # c_nu is divisible by p^nu and v_p(nu) <= floor(log_p cap) <= w - prec
+    return _neg_sum_over_nu(enumerate(consts, start=1), p, prec, _ilog(cap, p))
 
 
 # -- unit normalization on Z^d ------------------------------------------------
@@ -318,7 +358,7 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
             raise DomainMismatch("normalization needs exact integer or rational coefficients")
     a = min(vp_fraction(c, p) for c in f.terms.values())
     scale = Fraction(1, p**a) if a >= 0 else Fraction(p**-a)
-    f1 = f.map_coefficients(lambda c: _exactify(c * scale))
+    f1 = f.map_coefficients(lambda c: exactify(c * scale))
     w = prec + 1
     residues = {
         e: _coeff_int_mod(c, p, 1) for e, c in f1.terms.items()
@@ -354,12 +394,6 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
         p=p,
         prec=prec,
     )
-
-
-def _exactify(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 def logdet_unit(f: LaurentPoly, p: int, prec: int) -> Padic:

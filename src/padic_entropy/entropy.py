@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainMismatch, InvalidQuotient, ModulusNotCoprimeToP, TooFewRecords
-from .fixcount import DEFAULT_PREC, FixCountRecord, fix_count
+from .fixcount import DEFAULT_PREC, FixCountRecord, check_quotient, fix_count
 from .groupring import LaurentPoly, RingMatrix, ZdQuotient
 from .padic import Padic
 
@@ -130,8 +130,11 @@ def entropy_sequence(
 
     The family must have strictly increasing indices; quotients whose index
     is divisible by p are allowed (the unit-log is divided by the index with
-    the precision loss tracked explicitly).  A vanishing determinant
-    propagates as InfiniteFixedPointSet naming the offending quotient.
+    the precision loss tracked explicitly).  Every quotient passes the
+    checks of ``fix_count`` (size cap, dimensions, coefficients) before the
+    first count is computed, so a family that reaches past the size cap is
+    refused at once.  A vanishing determinant propagates afterwards as
+    InfiniteFixedPointSet naming the offending quotient.
     """
     family = list(family)
     if len(family) < 2:
@@ -139,6 +142,8 @@ def entropy_sequence(
     for a, b in zip(family, family[1:]):
         if b.index <= a.index:
             raise InvalidQuotient("family indices must be strictly increasing")
+    for q in family:
+        check_quotient(f, q, p)
     records = [fix_count(f, q, p, prec) for q in family]
     return convergence_report(records, p, target if target is not None else prec, tail)
 

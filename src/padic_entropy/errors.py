@@ -64,6 +64,10 @@ class TooFewRecords(UsageError):
     code = "TOO_FEW_RECORDS"
 
 
+class UnreadableFile(UsageError):
+    code = "UNREADABLE_FILE"
+
+
 class PolySyntaxError(UsageError):
     code = "SYNTAX"
 

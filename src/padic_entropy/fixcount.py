@@ -198,18 +198,15 @@ def _character_blocks(F: RingMatrix, q):
     A block is (size, cells); a cell (i, j, k, c) adds c * zeta_L^k to entry
     (i, j).  Nothing here depends on the prime the blocks are evaluated in.
     """
-    if not isinstance(F.entries[0][0], LaurentPoly):
-        raise DomainMismatch("can only reduce Laurent data")
+    _check_quotient_kind(F, q)
     cells = [
         (s, t, e, c)
         for s, row in enumerate(F.entries)
         for t, entry in enumerate(row)
         for e, c in entry.terms.items()
     ]
-    d, r = F.entries[0][0].d, F.r
+    r = F.r
     if isinstance(q, ZdQuotient):
-        if q.d != d:
-            raise InvalidQuotient(f"quotient is for Z^{q.d}, polynomial has d={d}")
         L = math.lcm(*q.moduli)
         steps = [L // n for n in q.moduli]
         weighted = [(s, t, [x * w for x, w in zip(e, steps)], c) for s, t, e, c in cells]
@@ -218,28 +215,39 @@ def _character_blocks(F: RingMatrix, q):
             for jvec in itertools.product(*(range(n) for n in q.moduli))
         ]
         return L, blocks
-    if isinstance(q, HeisenbergQuotient):
+    n = q.n
+    words = [(s, t, *(tuple(e) + (0, 0))[:3], c) for s, t, e, c in cells]
+    # x^a y^b z^c is the group element (a, b, ab + c); on the basis
+    # x^k (x) v of Ind chi_{beta,gamma} it sends x^k to x^(a+k) times the
+    # element (0, b, c - kb) of A.
+    blocks = [
+        (
+            r * n,
+            [
+                (s * n + (a + k) % n, t * n + k, (beta * b + gamma * (cz - k * b)) % n, c)
+                for s, t, a, b, cz, c in words
+                for k in range(n)
+            ],
+        )
+        for beta in range(n)
+        for gamma in range(n)
+    ]
+    return n, blocks
+
+
+def _check_quotient_kind(F: RingMatrix, q):
+    """The refusals of ``_character_blocks``, before any block is built."""
+    if not isinstance(F.entries[0][0], LaurentPoly):
+        raise DomainMismatch("can only reduce Laurent data")
+    d = F.entries[0][0].d
+    if isinstance(q, ZdQuotient):
+        if q.d != d:
+            raise InvalidQuotient(f"quotient is for Z^{q.d}, polynomial has d={d}")
+    elif isinstance(q, HeisenbergQuotient):
         if d > 3:
             raise InvalidQuotient("Heisenberg reduction needs d <= 3")
-        n = q.n
-        words = [(s, t, *(tuple(e) + (0, 0))[:3], c) for s, t, e, c in cells]
-        # x^a y^b z^c is the group element (a, b, ab + c); on the basis
-        # x^k (x) v of Ind chi_{beta,gamma} it sends x^k to x^(a+k) times the
-        # element (0, b, c - kb) of A.
-        blocks = [
-            (
-                r * n,
-                [
-                    (s * n + (a + k) % n, t * n + k, (beta * b + gamma * (cz - k * b)) % n, c)
-                    for s, t, a, b, cz, c in words
-                    for k in range(n)
-                ],
-            )
-            for beta in range(n)
-            for gamma in range(n)
-        ]
-        return n, blocks
-    raise InvalidQuotient(f"unknown quotient spec {q!r}")
+    else:
+        raise InvalidQuotient(f"unknown quotient spec {q!r}")
 
 
 def _l1_bound(F: RingMatrix, order: int) -> int:
@@ -332,6 +340,22 @@ def _require_integer_coeffs(f: RingMatrix):
                     raise DomainMismatch("fixed-point counts need integer coefficients")
 
 
+def check_quotient(f, q, p: int, size_cap: int = DEFAULT_SIZE_CAP) -> RingMatrix:
+    """Raise what ``fix_count(f, q, p)`` raises before any determinant work.
+
+    That is a non-prime p, the size cap on r * |G|, non-integer coefficients
+    and a quotient that does not fit f.  Returns f as a RingMatrix.
+    """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    F = RingMatrix.wrap(f)
+    if F.r * q.index > size_cap:
+        raise DomainMismatch(f"rho matrix of size {F.r * q.index} exceeds cap {size_cap}")
+    _require_integer_coeffs(F)
+    _check_quotient_kind(F, q)
+    return F
+
+
 def fix_count(f, q, p: int, prec: int = DEFAULT_PREC, size_cap: int = DEFAULT_SIZE_CAP) -> FixCountRecord:
     """Exact |Fix| for the quotient q, as |det| of the regular representation.
 
@@ -339,12 +363,8 @@ def fix_count(f, q, p: int, prec: int = DEFAULT_PREC, size_cap: int = DEFAULT_SI
     infinite for that quotient).  The record carries v_p, the unit residue,
     log_p of the unit part, and the normalized value unit_log / index.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    F = RingMatrix.wrap(f)
+    F = check_quotient(f, q, p, size_cap)
     idx = q.index
-    if F.r * idx > size_cap:
-        raise DomainMismatch(f"rho matrix of size {F.r * idx} exceeds cap {size_cap}")
     det = quotient_det(F, q)
     if det == 0:
         raise InfiniteFixedPointSet(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import vp_fraction
+from ._util import exactify, vp_fraction
 from .errors import (
     DomainMismatch,
     NotPrimitive,
@@ -253,7 +253,7 @@ def mahler_1d(f, p: int, prec: int) -> Padic:
     content = min(vp_fraction(c, p) for c in coeffs if c != 0)
     if content:
         scale = Fraction(1, p**content) if content > 0 else Fraction(p**-content)
-        coeffs = [_exactify(c * scale) for c in coeffs]
+        coeffs = [exactify(c * scale) for c in coeffs]
     # working precision: logs of a_m, a_r and of root products must survive
     slack = abs(vp_fraction(a_r, p) - content) + abs(vp_fraction(a_m, p) - content) + 2
     w = prec + slack
@@ -270,9 +270,3 @@ def mahler_1d(f, p: int, prec: int) -> Padic:
     if not val1.eq_mod(val2, prec):
         raise ArithmeticError("the two defining expressions disagree")
     return val1.truncate_abs(prec)
-
-
-def _exactify(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x

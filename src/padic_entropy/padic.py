@@ -418,22 +418,54 @@ def teichmuller(a: Padic) -> Padic:
     return Padic._nonzero(p, 0, x, prec)
 
 
+def _neg_sum_over_nu(terms, p: int, digits: int, g: int) -> Padic:
+    """-sum_nu t_nu / nu modulo p^digits, summed in plain integers.
+
+    ``terms`` yields pairs (nu, t_nu) with v_p(nu) <= g and t_nu an integer
+    divisible by p^v_p(nu), whose quotient t_nu / p^v_p(nu) is known modulo
+    p^digits.  With nu = p^k * m, the term t_nu / nu scaled by p^g is
+    t_nu * p^(g-k) * m^-1 modulo p^(digits+g); every scaled term, hence the
+    sum, is divisible by p^g, and one exact division at the end gives the
+    sum modulo p^digits as a canonical Padic.
+    """
+    mod = p ** (digits + g)
+    acc = 0
+    for nu, t in terms:
+        k, m = 0, nu
+        while m % p == 0:
+            m //= p
+            k += 1
+        acc -= t * p ** (g - k) * pow(m, -1, mod)
+    return Padic.from_int_mod(acc % mod // p**g, p, digits)
+
+
 def _log_one_unit_int(x_int: int, p: int, abs_prec: int) -> Padic:
-    """log(1 - x) summed as -sum x^nu / nu for x = x_int known mod p^abs_prec,
-    v_p(x) >= 1.  Precision is tracked through Padic arithmetic, so the result
-    carries exactly what the input proves."""
-    x = Padic.from_int_mod(x_int, p, abs_prec)
-    if x.is_zero:
+    """log(1 - x) = -sum x^nu / nu for x = x_int known mod p^abs_prec, v_p(x) >= 1.
+
+    The terms up to the series cutoff are summed in integers modulo
+    p^(abs_prec + g), g = floor(log_p cutoff) (see ``_neg_sum_over_nu``).
+    This is exact: v_p(x^nu / nu) >= nu - v_p(nu) > 0.  Every term is known
+    to at least abs_prec digits, because x^nu is known modulo
+    p^(abs_prec + (nu-1) v_p(x)) and (nu-1) v_p(x) >= v_p(nu); so the result
+    is exactly what the input proves, the canonical value mod p^abs_prec.
+    The powers stop early once x^nu vanishes modulo p^(abs_prec + g).
+    """
+    x = x_int % p**abs_prec
+    if x == 0:
         return Padic.zero(p, abs_prec)
     cutoff = log_series_cutoff(p, abs_prec)
-    acc = Padic.zero(p, None)
-    power = x
-    for nu in range(1, cutoff + 1):
-        if power.is_zero and power.abs_prec >= abs_prec:
-            break
-        acc = acc - power / nu
-        power = power * x
-    return acc.truncate_abs(abs_prec)
+    g = _ilog(cutoff, p)
+    mod = p ** (abs_prec + g)
+
+    def powers():
+        power = x
+        for nu in range(1, cutoff + 1):
+            yield nu, power
+            power = power * x % mod
+            if not power:
+                return
+
+    return _neg_sum_over_nu(powers(), p, abs_prec, g)
 
 
 def padic_log(a: Padic) -> Padic:

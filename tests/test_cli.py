@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_entropy import LaurentPoly, RingMatrix, parse_poly, print_poly
 from padic_entropy.cli import (
@@ -14,6 +18,7 @@ from padic_entropy.cli import (
     default_family,
     parse_family,
     parse_quotient,
+    main,
     run_command,
 )
 from padic_entropy.errors import (
@@ -104,6 +109,17 @@ def test_family_grammar():
     assert [q.n for q in fam] == [2, 3, 4]
 
 
+def test_family_range_stops_past_the_size_cap():
+    # 65^2 and 17^3 are the first indices above 4096
+    assert [q.moduli[0] for q in parse_family("1..100000000", p=3, d=2)] == list(range(1, 66))
+    assert [q.n for q in parse_family("heis:1..100000000", p=3, d=2)] == list(range(1, 18))
+    fam = parse_family("odd:4000..100000000", p=3, d=1)
+    assert [q.moduli[0] for q in fam] == [n for n in range(4001, 4098, 2)]
+    # two members are kept even when the first is already past the cap
+    assert [q.moduli[0] for q in parse_family("100..200", p=3, d=2)] == [100, 101]
+    assert [q.moduli[0] for q in parse_family("-100000000..3", p=3, d=1)] == [1, 2, 3]
+
+
 def test_family_empty_is_usage_error():
     with pytest.raises(UsageError):
         parse_family("odd:2..2", p=3, d=1)
@@ -135,6 +151,16 @@ def _run(args):
     ap = build_argparser()
     cfg = config_from_args(ap.parse_args(args))
     return run_command(cfg)
+
+
+def _cli(args, timeout=60):
+    """The CLI in a subprocess with a timeout, so that a hang fails the test."""
+    return subprocess.run(
+        [sys.executable, "-m", "padic_entropy.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 def test_unit_check_refusal_exit_2():
@@ -309,14 +335,7 @@ def test_tail_below_two_refused(tail, capsys):
     ids=["p0-fixcount", "p1-fixcount", "p9-mahler"],
 )
 def test_non_prime_p_refused_before_arithmetic(args):
-    # a subprocess with a timeout, so that a hang (p = 1 once looped in vp_int)
-    # fails the test
-    proc = subprocess.run(
-        [sys.executable, "-m", "padic_entropy.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _cli(args)  # p = 1 once looped in vp_int
     assert proc.returncode == 1
     assert "error[NOT_PRIME]" in proc.stderr
 
@@ -327,3 +346,87 @@ def test_malformed_quotient_exit_1(capsys):
     args = ["fixcount", "--p", "3", "--poly", "1+3*x", "--quotient", "heis:x"]
     assert main(args) == 1
     assert "error[INVALID_QUOTIENT]" in capsys.readouterr().out
+
+
+def test_unreadable_poly_file_is_a_usage_error(tmp_path, capsys):
+    proc = _cli(["mahler", "--p", "2", "--poly-file", str(tmp_path / "missing.txt")])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error[UNREADABLE_FILE]: cannot read --poly-file")
+    assert "Traceback" not in proc.stderr
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"1+3*t\xff")
+    for path in (bad, tmp_path):  # not UTF-8, and a directory
+        assert main(["mahler", "--p", "2", "--poly-file", str(path)]) == 1
+        assert "error[UNREADABLE_FILE]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "poly, family, size",
+    [
+        ("1+3*x", "1..100000000", 4097),
+        ("1+3*x", "odd:1..100000000", 4097),
+        ("1+3*x+3*y", "heis:1..100000000", 4913),
+        ("1+3*x+3*y^-1", "100..200", 10000),
+    ],
+)
+def test_family_past_the_size_cap_refused_at_once(poly, family, size):
+    # a subprocess with a timeout: the unbounded ranges once ran for minutes
+    proc = _cli(["entropy", "--p", "3", "--poly", poly, "--family", family], timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == f"error[DOMAIN_MISMATCH]: rho matrix of size {size} exceeds cap 4096\n"
+
+
+_COMMANDS = ["unit-check", "fixcount", "entropy", "mahler", "detlog", "bogus"]
+_POLYS = [
+    "--poly=1+3*x", "--poly=1+3*x+3*y^-1", "--poly=2*t^2-t+2", "--poly=t-4",
+    "--poly=[[1+3*t, 3],[0, 1]]", "--poly=1+x", "--poly=x+", "--poly=0", "--poly=",
+    "--poly-file=/nonexistent",
+]
+_OPTIONS = {
+    "--p": ["2", "3", "5", "4", "0", "-1", "x"],
+    "--prec": ["1", "6", "0", "300", "x"],
+    "--family": ["1..4", "odd:1..5", "heis:2..3", "1..100000000", "7..3", "1,x", "2"],
+    "--quotient": ["3", "heis:2", "2,3", "heis:x", "0"],
+    "--tail": ["2", "1", "x"],
+    "--output": ["json", "csv", "xml"],
+}
+_COMMAND_OPTIONS = {
+    "fixcount": ["--quotient"],
+    "entropy": ["--family", "--tail"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command, usually --p and a polynomial, then option-value pairs
+    (mostly ones the command takes) and now and then a stray token."""
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command]
+    if draw(st.integers(0, 4)):
+        argv += ["--p", draw(st.sampled_from(_OPTIONS["--p"]))]
+    if draw(st.integers(0, 4)):
+        argv.append(draw(st.sampled_from(_POLYS)))
+    own = ["--prec", "--output", *_COMMAND_OPTIONS.get(command, [])]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 7)):
+            opt = draw(st.sampled_from(own if draw(st.integers(0, 4)) else sorted(_OPTIONS)))
+            argv += [opt, draw(st.sampled_from(_OPTIONS[opt]))]
+        else:
+            argv.append(draw(st.sampled_from(sorted(_OPTIONS) + _OPTIONS["--family"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True)
+@given(_argv())
+def test_argv_fuzz_ends_in_a_coded_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as ex:  # argparse rejects the argv before the program runs
+            status = ex.code
+            assert status == 2 and "error:" in err.getvalue()
+    assert status in (0, 1, 2)
+    if status and not err.getvalue().startswith("usage:"):
+        text = out.getvalue() + err.getvalue()
+        assert "error[" in text or '"code": "' in text  # table or json

@@ -19,6 +19,7 @@ from padic_entropy import (
     padic_sqrt,
     tr_log_one_unit,
 )
+from padic_entropy import detlog
 from padic_entropy.detlog import _kernel_zd_dense, _kernel_zd_sparse
 from padic_entropy.errors import NotACZeroUnit, NotAOneUnit, SingularRho
 
@@ -190,6 +191,90 @@ def test_kernel_dense_sparse_agree():
         dense = _kernel_zd_dense(supp, 2, 1, pw, cap)
         sparse = _kernel_zd_sparse(supp, 2, 1, pw, cap)
         assert dense == sparse
+
+
+def _every_power_reference(supports, d, r, pw, cap):
+    """Identity coefficient of tr X^nu for nu = 1..cap, building every power."""
+    x = [[dict(supports[s][t]) for t in range(r)] for s in range(r)]
+    power, out = x, []
+    for _ in range(cap):
+        out.append(sum(power[s][s].get((0,) * d, 0) for s in range(r)) % pw)
+        nxt = [[{} for _ in range(r)] for _ in range(r)]
+        for s in range(r):
+            for t in range(r):
+                for u in range(r):
+                    for e1, c1 in power[s][u].items():
+                        for e2, c2 in x[u][t].items():
+                            e = tuple(a + b for a, b in zip(e1, e2))
+                            nxt[s][t][e] = (nxt[s][t].get(e, 0) + c1 * c2) % pw
+        power = nxt
+    return out
+
+
+def _random_supports(rng, r, d, p, pw, span=2):
+    """X = 1 - F data: entries divisible by p, some empty, negative exponents."""
+    supports = []
+    for _ in range(r):
+        row = []
+        for _ in range(r):
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                e = tuple(rng.randint(-span, span) for _ in range(d))
+                c = p * rng.randint(1, pw) % pw
+                if c:
+                    terms[e] = c
+            row.append(sorted(terms.items()))
+        supports.append(row)
+    return supports
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sparse_kernel_matches_dense_and_every_power(r, d):
+    rng = random.Random(100 * r + d)
+    for cap in (1, 2, 3, 4, 7, 8) if r * d < 9 else (1, 2, 5, 6):
+        p = rng.choice((2, 3, 5))
+        pw = p ** rng.randint(2, 9)
+        supports = _random_supports(rng, r, d, p, pw, span=1 if d == 3 else 2)
+        want = _every_power_reference(supports, d, r, pw, cap)
+        assert _kernel_zd_sparse(supports, d, r, pw, cap) == want
+        assert _kernel_zd_dense(supports, d, r, pw, cap) == want
+
+
+def test_sparse_kernel_edge_supports():
+    pw = 3**6
+    empty = [[[], []], [[], []]]
+    assert _kernel_zd_sparse(empty, 2, 2, pw, 5) == [0] * 5
+    # only the constant term: the packed radius is zero
+    const = [[[((0, 0), 3)]]]
+    assert _kernel_zd_sparse(const, 2, 1, pw, 6) == [3**k % pw for k in range(1, 7)]
+    # exponents -2 and 2 only: the identity recurs at every even power
+    swing = [[[((-2,), 3), ((2,), 6)]]]
+    assert _kernel_zd_sparse(swing, 1, 1, pw, 5) == _every_power_reference(swing, 1, 1, pw, 5)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 10, 11, 40])
+def test_sparse_kernel_builds_half_the_powers(cap, monkeypatch):
+    steps = []
+    step = detlog._sparse_step
+
+    def counting(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(detlog, "_sparse_step", counting)
+    supports = [[[((1, 0), 3), ((0, 1), 6), ((-1, -1), 3)]]]
+    _kernel_zd_sparse(supports, 2, 1, 3**45, cap)
+    assert len(steps) == (cap - 1) // 2  # at most ceil(cap/2); all powers need cap - 1
+
+
+def test_trlog_sparse_path_matches_dense_path(monkeypatch):
+    rng = random.Random(31)
+    cases = [(helpers.random_one_unit(rng, 2, 3), 3, 7), (helpers.random_one_unit(rng, 1, 2), 2, 9)]
+    cases.append((helpers.random_one_unit_matrix(rng, 2, 2, 3), 3, 4))
+    dense = [tr_log_one_unit(f, p, prec) for f, p, prec in cases]
+    monkeypatch.setattr(detlog, "_DENSE_CELL_CAP", -1)
+    assert [tr_log_one_unit(f, p, prec) for f, p, prec in cases] == dense
 
 
 def test_trlog_high_precision_takes_sparse_path():

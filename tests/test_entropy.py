@@ -17,7 +17,9 @@ from padic_entropy import (
     snirelman_mahler,
     tr_log_one_unit,
 )
+from padic_entropy import entropy as entropy_mod
 from padic_entropy.errors import (
+    DomainMismatch,
     InfiniteFixedPointSet,
     InvalidQuotient,
     ModulusNotCoprimeToP,
@@ -127,6 +129,20 @@ def test_entropy_propagates_infinite_fixed_sets():
     with pytest.raises(InfiniteFixedPointSet) as exc:
         entropy_sequence(T - 1, diagonal_family(1, [1, 2, 3]), 2, prec=6)
     assert exc.value.quotient is not None
+
+
+def test_entropy_refuses_past_the_size_cap_before_any_count(monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("fix_count ran before the size cap was checked")
+
+    monkeypatch.setattr(entropy_mod, "fix_count", no_count)
+    f = 1 + 3 * LaurentPoly.monomial((1, 0)) + 3 * LaurentPoly.monomial((0, -1))
+    with pytest.raises(DomainMismatch, match=r"^rho matrix of size 4225 exceeds cap 4096$"):
+        entropy_sequence(f, diagonal_family(2, range(60, 71)), 3)
+    # the size cap is a property of the request: it is refused before a
+    # determinant of an earlier quotient (T - 1 vanishes on every quotient)
+    with pytest.raises(DomainMismatch):
+        entropy_sequence(T - 1, diagonal_family(1, [2, 5000]), 2)
 
 
 def test_entropy_two_families_same_limit():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_entropy import Padic, padic_log, padic_sqrt, teichmuller
+from padic_entropy.padic import _log_one_unit_int, log_series_cutoff
 from padic_entropy.errors import (
     IndistinguishableAtPrecision,
     NotASquare,
@@ -152,6 +154,34 @@ def test_log_ignores_valuation(p, x, k):
     a = padic_of(x, p)
     shifted = a * Padic.from_rational(p**k, 1, p, 12)
     assert padic_log(shifted).eq_mod(padic_log(a), 9)
+
+
+def _log_one_unit_padic(x_int, p, abs_prec):
+    """-sum x^nu / nu summed term by term in Padic arithmetic (precision tracked)."""
+    x = Padic.from_int_mod(x_int, p, abs_prec)
+    if x.is_zero:
+        return Padic.zero(p, abs_prec)
+    acc, power = Padic.zero(p, None), x
+    for nu in range(1, log_series_cutoff(p, abs_prec) + 1):
+        acc = acc - power / nu
+        power = power * x
+    return acc.truncate_abs(abs_prec)
+
+
+def test_integer_log_series_matches_padic_summation():
+    rng = random.Random(41)
+    cases = [(p, a, 0) for p in (2, 3, 5, 7) for a in (1, 9)]  # x = 0
+    cases += [(p, a, p**a * 5) for p in (2, 3, 5, 7) for a in (1, 7, 40)]  # v(x) >= A
+    cases += [(p, 300, p * rng.randrange(p**300)) for p in (2, 3, 5, 7)]
+    cases += [(p, 120, p**30 + p**119) for p in (2, 3, 5, 7)]
+    for _ in range(60):
+        p, a = rng.choice((2, 3, 5, 7)), rng.choice((1, 2, 3, rng.randint(4, 60)))
+        v = rng.choice((1, 1, 2, 3, rng.randint(1, a + 1)))
+        cases.append((p, a, p**v * rng.randrange(p**a)))
+    for p, a, x in cases:
+        got = _log_one_unit_int(x, p, a)
+        assert got == _log_one_unit_padic(x, p, a), (p, a, x)
+        assert got.abs_prec == a
 
 
 # -- square roots -----------------------------------------------------------------
