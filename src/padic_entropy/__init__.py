@@ -24,13 +24,10 @@ from .detlog import (
 )
 from .fixcount import FixCountRecord, det_exact, fix_count, fix_count_char_crt, quotient_det
 from .groupring import (
-    Cyclic,
     FiniteGroup,
     FiniteGroupRingElem,
-    Heisenberg,
     HeisenbergQuotient,
     LaurentPoly,
-    Product,
     RingMatrix,
     ZdQuotient,
     build_quotient_group,
@@ -49,16 +46,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceReport",
-    "Cyclic",
     "FiniteGroup",
     "FiniteGroupRingElem",
     "FixCountRecord",
-    "Heisenberg",
     "HeisenbergQuotient",
     "LaurentPoly",
     "NewtonPolygon",
     "Padic",
-    "Product",
     "RingMatrix",
     "UnitDecomposition",
     "ZdQuotient",

@@ -26,8 +26,17 @@ from .errors import (
     UnreadableFile,
     UsageError,
 )
-from .fixcount import DEFAULT_SIZE_CAP, det_exact, fix_count
-from .groupring import HeisenbergQuotient, RingMatrix, ZdQuotient, reduce_to_quotient, rho_matrix
+from .fixcount import det_exact, fix_count
+from .groupring import (
+    DEFAULT_SIZE_CAP,
+    HeisenbergQuotient,
+    RingMatrix,
+    ZdQuotient,
+    diagonal_family,
+    heisenberg_family,
+    reduce_to_quotient,
+    rho_matrix,
+)
 from .mahler import mahler_1d, newton_polygon
 from .poly_io import parse_poly, print_poly
 from .selftest import run_selftest
@@ -75,6 +84,9 @@ def parse_family(text: str, p: int, d: int):
             text = text[len(sel) + 1:]
             break
 
+    def family(ns):
+        return heisenberg_family(ns) if heis else diagonal_family(d, ns)
+
     def keep(n):
         if selector == "odd":
             return n % 2 == 1
@@ -95,7 +107,7 @@ def parse_family(text: str, p: int, d: int):
         for n in range(max(lo, 1), hi + 1):
             if keep(n):
                 ns.append(n)
-                if (n**3 if heis else n**d) > DEFAULT_SIZE_CAP and len(ns) >= 2:
+                if len(ns) >= 2 and family([n])[0].index > DEFAULT_SIZE_CAP:
                     break
     else:
         try:
@@ -105,14 +117,12 @@ def parse_family(text: str, p: int, d: int):
         ns = [n for n in ns if keep(n) and n >= 1]
     if not ns:
         raise UsageError("family is empty")
-    if heis:
-        return [HeisenbergQuotient(n) for n in ns]
-    return [ZdQuotient((n,) * d) for n in ns]
+    return family(ns)
 
 
 def default_family(p: int, d: int):
     ns = [n for n in range(1, 40) if math.gcd(n, p) == 1][:8]
-    return [ZdQuotient((n,) * d) for n in ns]
+    return diagonal_family(d, ns)
 
 
 def parse_quotient(text: str, d: int):
@@ -392,10 +402,8 @@ def main(argv=None) -> int:
     except PadicEntropyError as ex:
         sys.stderr.write(f"error[{ex.code}]: {ex}\n")
         return ex.exit_status
-    if status == 0:
-        sys.stdout.write(doc)
-    else:
-        sys.stdout.write(doc)
+    sys.stdout.write(doc)
+    if status != 0:
         sys.stderr.write("refused or failed; see output above\n")
     return status
 

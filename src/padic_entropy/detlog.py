@@ -48,6 +48,10 @@ from .groupring import (
 from .padic import Padic, _ilog, _neg_sum_over_nu, padic_log, series_guard
 
 _DENSE_CELL_CAP = 4_000_000
+# Bounds r * cells, where cells is the exponent box the powers of 1 - F over
+# Z^d can fill (``tr_log_one_unit``).  A d = 3 simplex at prec 128 has about
+# 1.9e7 cells and takes seconds; prec 256 there ran for more than 40 s.
+SERIES_CELL_CAP = 20_000_000
 
 
 def _coeff_int_mod(c, p: int, w: int) -> int:
@@ -307,6 +311,10 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
                 [abs(e[a]) for row in supports for sup in row for e, _ in sup] or [1]
             )
             cells *= 2 * max(1, rad) * cap + 1
+        if r * cells > SERIES_CELL_CAP:
+            raise DomainMismatch(
+                f"trace-log series over {r * cells} cells exceeds cap {SERIES_CELL_CAP}"
+            )
         if pw < (1 << 31) and cells <= _DENSE_CELL_CAP:
             consts = _kernel_zd_dense(supports, d, r, pw, cap)
         else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainMismatch, InvalidQuotient, ModulusNotCoprimeToP, TooFewRecords
 from .fixcount import DEFAULT_PREC, FixCountRecord, check_quotient, fix_count
-from .groupring import LaurentPoly, RingMatrix, ZdQuotient
+from .groupring import LaurentPoly, RingMatrix, diagonal_family
 from .padic import Padic
 
 DEFAULT_TAIL = 3
@@ -168,5 +168,5 @@ def snirelman_mahler(
     for n in moduli:
         if n % p == 0:
             raise ModulusNotCoprimeToP(f"N = {n} shares a factor with p = {p}")
-    family = [ZdQuotient((n,) * f.d) for n in moduli]
+    family = diagonal_family(f.d, moduli)
     return entropy_sequence(f, family, p, prec, target, tail)

@@ -20,10 +20,10 @@ from enough primes to exceed twice the bound prod_s (sum_t ||f_st||_1)^|G|.
 That bound is the product of the l1 norms of the rows of the dense rho
 matrix, so it holds for any group.
 
-DEFAULT_SIZE_CAP bounds r * |G|, the size of the dense rho matrix.  The
-block route never builds that matrix, but the cap still bounds the exponent
-of the CRT bound (so the number of primes) and the size of the dense
-cross-check that the CLI and the tests run against it.
+DEFAULT_SIZE_CAP (from ``groupring``) bounds r * |G|, the size of the dense
+rho matrix.  The block route never builds that matrix, but the cap still
+bounds the exponent of the CRT bound (so the number of primes) and the size
+of the dense cross-check that the CLI and the tests run against it.
 
 ``det_exact`` (fraction-free Bareiss below size 64, Hadamard bound +
 word-sized primes + CRT above) stays as that dense oracle and serves the
@@ -43,20 +43,21 @@ from ._util import vp_int
 from .errors import (
     DomainMismatch,
     InfiniteFixedPointSet,
-    InvalidQuotient,
     NonAbelianQuotient,
     NotPrime,
 )
 from .groupring import (
+    DEFAULT_SIZE_CAP,
     HeisenbergQuotient,
     LaurentPoly,
     RingMatrix,
     ZdQuotient,
+    as_quotient,
+    check_fits,
 )
 from .padic import Padic, padic_log
 
 DEFAULT_PREC = 8
-DEFAULT_SIZE_CAP = 4096
 _BAREISS_MAX = 64
 
 
@@ -198,7 +199,7 @@ def _character_blocks(F: RingMatrix, q):
     A block is (size, cells); a cell (i, j, k, c) adds c * zeta_L^k to entry
     (i, j).  Nothing here depends on the prime the blocks are evaluated in.
     """
-    _check_quotient_kind(F, q)
+    check_fits(q, _laurent_dim(F))
     cells = [
         (s, t, e, c)
         for s, row in enumerate(F.entries)
@@ -235,19 +236,10 @@ def _character_blocks(F: RingMatrix, q):
     return n, blocks
 
 
-def _check_quotient_kind(F: RingMatrix, q):
-    """The refusals of ``_character_blocks``, before any block is built."""
+def _laurent_dim(F: RingMatrix) -> int:
     if not isinstance(F.entries[0][0], LaurentPoly):
         raise DomainMismatch("can only reduce Laurent data")
-    d = F.entries[0][0].d
-    if isinstance(q, ZdQuotient):
-        if q.d != d:
-            raise InvalidQuotient(f"quotient is for Z^{q.d}, polynomial has d={d}")
-    elif isinstance(q, HeisenbergQuotient):
-        if d > 3:
-            raise InvalidQuotient("Heisenberg reduction needs d <= 3")
-    else:
-        raise InvalidQuotient(f"unknown quotient spec {q!r}")
+    return F.entries[0][0].d
 
 
 def _l1_bound(F: RingMatrix, order: int) -> int:
@@ -340,7 +332,7 @@ def _require_integer_coeffs(f: RingMatrix):
                     raise DomainMismatch("fixed-point counts need integer coefficients")
 
 
-def check_quotient(f, q, p: int, size_cap: int = DEFAULT_SIZE_CAP) -> RingMatrix:
+def check_quotient(f, q, p: int) -> RingMatrix:
     """Raise what ``fix_count(f, q, p)`` raises before any determinant work.
 
     That is a non-prime p, the size cap on r * |G|, non-integer coefficients
@@ -349,21 +341,22 @@ def check_quotient(f, q, p: int, size_cap: int = DEFAULT_SIZE_CAP) -> RingMatrix
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     F = RingMatrix.wrap(f)
-    if F.r * q.index > size_cap:
-        raise DomainMismatch(f"rho matrix of size {F.r * q.index} exceeds cap {size_cap}")
+    size = F.r * as_quotient(q).index
+    if size > DEFAULT_SIZE_CAP:
+        raise DomainMismatch(f"rho matrix of size {size} exceeds cap {DEFAULT_SIZE_CAP}")
     _require_integer_coeffs(F)
-    _check_quotient_kind(F, q)
+    check_fits(q, _laurent_dim(F))
     return F
 
 
-def fix_count(f, q, p: int, prec: int = DEFAULT_PREC, size_cap: int = DEFAULT_SIZE_CAP) -> FixCountRecord:
+def fix_count(f, q, p: int, prec: int = DEFAULT_PREC) -> FixCountRecord:
     """Exact |Fix| for the quotient q, as |det| of the regular representation.
 
     det = 0 raises InfiniteFixedPointSet (the fixed-point set really is
     infinite for that quotient).  The record carries v_p, the unit residue,
     log_p of the unit part, and the normalized value unit_log / index.
     """
-    F = check_quotient(f, q, p, size_cap)
+    F = check_quotient(f, q, p)
     idx = q.index
     det = quotient_det(F, q)
     if det == 0:

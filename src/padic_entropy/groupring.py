@@ -10,6 +10,8 @@ map and sums coefficients landing in the same coset.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +26,10 @@ from .errors import (
 )
 from .padic import Padic
 
-DEFAULT_ORDER_CAP = 100_000
+# Bounds r * |G|: the order of a group table and the size of a dense rho matrix.
+DEFAULT_SIZE_CAP = 4096
+# Distinct quotients whose tables are kept; a family or a selftest run uses fewer.
+GROUP_CACHE_SIZE = 32
 
 
 def _is_scalar(x) -> bool:
@@ -185,7 +190,7 @@ class FiniteGroup:
     by 10^4 random triples above that.
     """
 
-    def __init__(self, mul: np.ndarray, elements, descriptor: dict, check: bool = True):
+    def __init__(self, mul: np.ndarray, elements, descriptor: dict):
         self.mul = np.asarray(mul, dtype=np.int64)
         self.m = self.mul.shape[0]
         self.elements = list(elements)
@@ -194,8 +199,7 @@ class FiniteGroup:
             raise InvalidQuotient("multiplication table is not square")
         self.identity = self._find_identity()
         self.inv = self._build_inverse()
-        if check:
-            self._verify()
+        self._verify()
 
     def _find_identity(self) -> int:
         idx = np.arange(self.m)
@@ -235,116 +239,11 @@ class FiniteGroup:
         return f"FiniteGroup({self.descriptor}, order={self.m})"
 
 
-# -- group construction specs ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cyclic:
-    n: int
-
-    @property
-    def order(self) -> int:
-        return self.n
-
-    def descriptor(self) -> dict:
-        return {"kind": "cyclic", "n": self.n}
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.order
-        return out
-
-    def descriptor(self) -> dict:
-        return {"kind": "product", "factors": [f.descriptor() for f in self.factors]}
-
-
-@dataclass(frozen=True)
-class Heisenberg:
-    """Upper unitriangular 3x3 matrices over Z/n; order n^3."""
-
-    n: int
-
-    @property
-    def order(self) -> int:
-        return self.n**3
-
-    def descriptor(self) -> dict:
-        return {"kind": "heisenberg", "n": self.n}
-
-
-_GROUP_CACHE: dict = {}
-
-
-def build_quotient_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build (and verify) the finite group described by spec.
-
-    spec is Cyclic(n), Product((...,)) or Heisenberg(n).  Results are cached
-    by descriptor; the cap guards against accidentally huge tables.
-    """
-    key = (repr(spec), order_cap)
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
-    if spec.order > order_cap:
-        raise OrderOverflow(f"group order {spec.order} exceeds cap {order_cap}")
-    if isinstance(spec, Cyclic):
-        n = spec.n
-        if n < 1:
-            raise InvalidQuotient("cyclic order must be >= 1")
-        idx = np.arange(n, dtype=np.int64)
-        mul = (idx[:, None] + idx[None, :]) % n
-        g = FiniteGroup(mul, [(i,) for i in range(n)], spec.descriptor())
-    elif isinstance(spec, Product):
-        if len(spec.factors) == 0:
-            raise InvalidQuotient("empty product")
-        g = build_quotient_group(spec.factors[0], order_cap)
-        for f in spec.factors[1:]:
-            g = _product_group(g, build_quotient_group(f, order_cap))
-        g = FiniteGroup(g.mul, g.elements, spec.descriptor(), check=False)
-    elif isinstance(spec, Heisenberg):
-        g = _heisenberg_group(spec.n)
-    else:
-        raise InvalidQuotient(f"unknown group spec {spec!r}")
-    _GROUP_CACHE[key] = g
-    return g
-
-
-def _product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    m1, m2 = g1.m, g2.m
-    idx = np.arange(m1 * m2, dtype=np.int64)
-    a1, a2 = idx // m2, idx % m2
-    mul = g1.mul[a1[:, None], a1[None, :]] * m2 + g2.mul[a2[:, None], a2[None, :]]
-    elements = [g1.elements[i] + g2.elements[j] for i in range(m1) for j in range(m2)]
-    desc = {"kind": "product", "factors": [g1.descriptor, g2.descriptor]}
-    return FiniteGroup(mul, elements, desc)
-
-
-def _heisenberg_group(n: int) -> FiniteGroup:
-    """(a,b,c) <-> [[1,a,c],[0,1,b],[0,0,1]] over Z/n, row-major index."""
-    if n < 1:
-        raise InvalidQuotient("heisenberg modulus must be >= 1")
-    m = n**3
-    idx = np.arange(m, dtype=np.int64)
-    a, rem = idx // (n * n), idx % (n * n)
-    b, c = rem // n, rem % n
-    A1, A2 = a[:, None], a[None, :]
-    B1, B2 = b[:, None], b[None, :]
-    C1, C2 = c[:, None], c[None, :]
-    aa = (A1 + A2) % n
-    bb = (B1 + B2) % n
-    cc = (C1 + C2 + A1 * B2) % n
-    mul = (aa * n + bb) * n + cc
-    elements = [(int(x), int(y), int(z)) for x in range(n) for y in range(n) for z in range(n)]
-    return FiniteGroup(mul, elements, {"kind": "heisenberg", "n": n})
-
-
-# -- quotient specs for reduction ---------------------------------------------
+# -- finite quotients ---------------------------------------------------------
+#
+# A quotient knows its index, its fit rule (which Laurent dimensions it
+# reduces), the projection of exponents to element indices and its own
+# multiplication table in that same element order.
 
 
 @dataclass(frozen=True)
@@ -354,6 +253,7 @@ class ZdQuotient:
     moduli: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "moduli", tuple(self.moduli))
         if not self.moduli or any(n < 1 for n in self.moduli):
             raise InvalidQuotient("all moduli must be >= 1")
 
@@ -368,16 +268,31 @@ class ZdQuotient:
             out *= n
         return out
 
-    def group(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-        return build_quotient_group(
-            Product(tuple(Cyclic(n) for n in self.moduli)), order_cap
-        )
+    def check_fits(self, d: int):
+        if self.d != d:
+            raise InvalidQuotient(f"quotient is for Z^{self.d}, polynomial has d={d}")
 
     def project(self, exp) -> int:
         idx = 0
         for e, n in zip(exp, self.moduli):
             idx = idx * n + (e % n)
         return idx
+
+    def multiplication_table(self):
+        """Mixed-radix addition table in the row-major order of ``project``."""
+        m = self.index
+        idx = np.arange(m, dtype=np.int64)
+        mul = np.zeros((m, m), dtype=np.int64)
+        term = np.empty_like(mul)
+        stride = 1
+        for n in reversed(self.moduli):
+            digit = idx // stride % n
+            np.add.outer(digit, digit, out=term)
+            term %= n
+            term *= stride
+            mul += term
+            stride *= n
+        return mul, list(itertools.product(*(range(n) for n in self.moduli)))
 
     def label(self) -> str:
         return "x".join(f"Z/{n}" for n in self.moduli)
@@ -404,22 +319,65 @@ class HeisenbergQuotient:
     def index(self) -> int:
         return self.n**3
 
-    def group(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-        return build_quotient_group(Heisenberg(self.n), order_cap)
+    def check_fits(self, d: int):
+        if d > 3:
+            raise InvalidQuotient("Heisenberg reduction needs d <= 3")
 
     def project(self, exp) -> int:
-        if len(exp) > 3:
-            raise InvalidQuotient("Heisenberg exponents use at most 3 coordinates")
         a, b, c = (list(exp) + [0, 0, 0])[:3]
         n = self.n
         aa, bb, cc = a % n, b % n, (a * b + c) % n
         return (aa * n + bb) * n + cc
+
+    def multiplication_table(self):
+        """(a,b,c) <-> [[1,a,c],[0,1,b],[0,0,1]] over Z/n, row-major index."""
+        n = self.n
+        idx = np.arange(n**3, dtype=np.int64)
+        a, rem = idx // (n * n), idx % (n * n)
+        b, c = rem // n, rem % n
+        A1, A2 = a[:, None], a[None, :]
+        B1, B2 = b[:, None], b[None, :]
+        C1, C2 = c[:, None], c[None, :]
+        aa = (A1 + A2) % n
+        bb = (B1 + B2) % n
+        cc = (C1 + C2 + A1 * B2) % n
+        mul = (aa * n + bb) * n + cc
+        return mul, [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
 
     def label(self) -> str:
         return f"heis({self.n})"
 
     def descriptor(self) -> dict:
         return {"kind": "heisenberg", "n": self.n}
+
+
+def as_quotient(q):
+    """q itself if it is a finite quotient; anything else is refused."""
+    if not isinstance(q, (ZdQuotient, HeisenbergQuotient)):
+        raise InvalidQuotient(f"unknown quotient spec {q!r}")
+    return q
+
+
+def check_fits(q, d: int):
+    """Refuse q unless it is a finite quotient that reduces dimension d."""
+    as_quotient(q).check_fits(d)
+
+
+def build_quotient_group(q) -> FiniteGroup:
+    """The verified multiplication table of the quotient q, as a FiniteGroup.
+
+    Orders above DEFAULT_SIZE_CAP are refused before any table is built.
+    The last GROUP_CACHE_SIZE groups are cached by quotient.
+    """
+    if as_quotient(q).index > DEFAULT_SIZE_CAP:
+        raise OrderOverflow(f"group order {q.index} exceeds cap {DEFAULT_SIZE_CAP}")
+    return _cached_group(q)
+
+
+@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _cached_group(q) -> FiniteGroup:
+    mul, elements = q.multiplication_table()
+    return FiniteGroup(mul, elements, q.descriptor())
 
 
 def diagonal_family(d: int, ns) -> list[ZdQuotient]:
@@ -708,15 +666,8 @@ def reduce_to_quotient(f, q):
         return f.map_entries(lambda e: reduce_to_quotient(e, q))
     if not isinstance(f, LaurentPoly):
         raise DomainMismatch("can only reduce Laurent data")
-    if isinstance(q, ZdQuotient):
-        if q.d != f.d:
-            raise InvalidQuotient(f"quotient is for Z^{q.d}, polynomial has d={f.d}")
-    elif isinstance(q, HeisenbergQuotient):
-        if f.d > 3:
-            raise InvalidQuotient("Heisenberg reduction needs d <= 3")
-    else:
-        raise InvalidQuotient(f"unknown quotient spec {q!r}")
-    group = q.group()
+    check_fits(q, f.d)
+    group = build_quotient_group(q)
     out = [0] * group.m
     for e, c in f.terms.items():
         i = q.project(e)

@@ -21,7 +21,6 @@ from .entropy import entropy_sequence, snirelman_mahler
 from .fixcount import _det_bareiss, _det_crt, det_exact, fix_count_char_crt, quotient_det
 from .groupring import (
     FiniteGroupRingElem,
-    Heisenberg,
     HeisenbergQuotient,
     LaurentPoly,
     RingMatrix,
@@ -128,7 +127,7 @@ def check_reduction_homomorphism(rng):
 
 
 def check_rho_multiplicative(rng):
-    grp = build_quotient_group(Heisenberg(2))
+    grp = build_quotient_group(HeisenbergQuotient(2))
     for _ in range(8):
         a = FiniteGroupRingElem(grp, [rng.randint(-3, 3) for _ in range(grp.m)])
         b = FiniteGroupRingElem(grp, [rng.randint(-3, 3) for _ in range(grp.m)])
@@ -170,7 +169,7 @@ def check_trlog_homomorphism(rng):
 
 
 def check_finite_formula(rng):
-    grp = build_quotient_group(Heisenberg(2))
+    grp = build_quotient_group(HeisenbergQuotient(2))
     for p in (2, 3, 5):
         for _ in range(4):
             f = FiniteGroupRingElem.one(grp) + p * FiniteGroupRingElem(

@@ -8,9 +8,8 @@ import random
 import time
 
 from padic_entropy import (
-    Cyclic,
     FiniteGroupRingElem,
-    Heisenberg,
+    HeisenbergQuotient,
     LaurentPoly,
     Padic,
     RingMatrix,
@@ -106,8 +105,8 @@ def test_criterion_2_fixed_point_counts():
 def test_criterion_3_homomorphism_suite():
     def body():
         rng = random.Random(20240)
-        heis2 = build_quotient_group(Heisenberg(2))
-        heis3 = build_quotient_group(Heisenberg(3))
+        heis2 = build_quotient_group(HeisenbergQuotient(2))
+        heis3 = build_quotient_group(HeisenbergQuotient(3))
         domains = [("Z1", 1, None), ("Z2", 2, None), ("heis2", None, heis2), ("heis3", None, heis3)]
         pairs = 0
         for name, d, grp in domains:
@@ -188,8 +187,8 @@ def _draw_pair(rng, d, grp, r, p):
 def test_criterion_4_finite_group_formula():
     def body():
         rng = random.Random(20241)
-        groups = [build_quotient_group(Cyclic(k)) for k in (2, 3, 4, 5, 6)]
-        groups.append(build_quotient_group(Heisenberg(2)))
+        groups = [build_quotient_group(ZdQuotient((k,))) for k in (2, 3, 4, 5, 6)]
+        groups.append(build_quotient_group(HeisenbergQuotient(2)))
         checked = 0
         while checked < 50:
             grp = groups[checked % len(groups)]
@@ -293,7 +292,7 @@ def test_criterion_8_scale_and_branch_invariances():
             v = logdet_unit(LaurentPoly.monomial((k,)), 2, 8)
             assert v.is_zero and v.zprec >= 8
         # logdet of group elements over finite quotients is exactly zero
-        grp = build_quotient_group(Heisenberg(2))
+        grp = build_quotient_group(HeisenbergQuotient(2))
         for gi in range(grp.m):
             v = logdet_finite(FiniteGroupRingElem.element(grp, gi), 3, 6)
             assert v.is_zero and v.zprec >= 6

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -267,7 +266,7 @@ def test_precision_bounds_validated():
         cfg.validate()
 
 
-def test_byte_identical_output_across_runs_and_threads():
+def test_byte_identical_output_across_runs():
     args = [
         "entropy",
         "--p",
@@ -284,13 +283,7 @@ def test_byte_identical_output_across_runs_and_threads():
     _, first = _run(args)
     _, second = _run(args)
     assert first == second
-    env = dict(os.environ, PADIC_ENTROPY_THREADS="4")
-    proc = subprocess.run(
-        [sys.executable, "-m", "padic_entropy.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = _cli(args)
     assert proc.returncode == 0
     assert proc.stdout == first
 
@@ -374,6 +367,19 @@ def test_family_past_the_size_cap_refused_at_once(poly, family, size):
     proc = _cli(["entropy", "--p", "3", "--poly", poly, "--family", family], timeout=30)
     assert proc.returncode == 1
     assert proc.stdout == f"error[DOMAIN_MISMATCH]: rho matrix of size {size} exceeds cap 4096\n"
+
+
+@pytest.mark.parametrize(
+    "p, poly",
+    [("3", "1+3*x+3*y+3*z+3*x^-1*y^-1*z^-1"), ("2", "1+2*x+2*y+2*z")],
+    ids=["d3-simplex", "p2-squared"],
+)
+def test_series_past_the_cell_cap_refused_at_once(p, poly):
+    # both ran for more than 40 s before the trace-log series had a cap
+    proc = _cli(["detlog", "--p", p, "--prec", "256", f"--poly={poly}"], timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("error[DOMAIN_MISMATCH]: trace-log series over ")
+    assert proc.stdout.endswith(" cells exceeds cap 20000000\n")
 
 
 _COMMANDS = ["unit-check", "fixcount", "entropy", "mahler", "detlog", "bogus"]

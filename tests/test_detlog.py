@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from padic_entropy import (
-    Cyclic,
     FiniteGroupRingElem,
-    Heisenberg,
+    HeisenbergQuotient,
     LaurentPoly,
     Padic,
     RingMatrix,
+    ZdQuotient,
     build_quotient_group,
     c0_unit_normalize,
     det_laurent_matrix,
@@ -109,7 +109,7 @@ def test_trlog_rejects_non_one_units():
 
 def test_trlog_homomorphism_commuting_and_not():
     rng = random.Random(21)
-    group = build_quotient_group(Heisenberg(2))
+    group = build_quotient_group(HeisenbergQuotient(2))
     for p in (2, 3, 5):
         # commuting: scalar Laurent elements commute
         for _ in range(4):
@@ -154,7 +154,7 @@ def test_trlog_conjugation_invariance():
         Einv = RingMatrix([[one, -c], [zero, one]])
         assert tr_log_one_unit(E * F * Einv, p, 5).eq_mod(base, 5)
     # conjugation by group elements in the nonabelian case
-    group = build_quotient_group(Heisenberg(2))
+    group = build_quotient_group(HeisenbergQuotient(2))
     for _ in range(5):
         f = helpers.random_fg_one_unit(rng, group, p)
         base = tr_log_one_unit(f, p, 5)
@@ -359,7 +359,7 @@ def test_det_laurent_3x3_against_cofactor():
 
 
 def test_logdet_finite_example():
-    g2 = build_quotient_group(Cyclic(2))
+    g2 = build_quotient_group(ZdQuotient((2,)))
     f = FiniteGroupRingElem(g2, [3, 2])  # 1 + 2(e + s)
     val = logdet_finite(f, 2, 8)
     half_log5 = padic_log(Padic.from_rational(5, 1, 2, 10)) / 2
@@ -368,7 +368,7 @@ def test_logdet_finite_example():
 
 
 def test_logdet_finite_identity_and_group_element():
-    g = build_quotient_group(Heisenberg(2))
+    g = build_quotient_group(HeisenbergQuotient(2))
     v = logdet_finite(FiniteGroupRingElem.one(g), 3, 6)
     assert v.is_zero
     v2 = logdet_finite(FiniteGroupRingElem.element(g, 4), 3, 6)
@@ -377,8 +377,8 @@ def test_logdet_finite_identity_and_group_element():
 
 def test_logdet_finite_matches_trlog_random():
     rng = random.Random(28)
-    groups = [build_quotient_group(Cyclic(k)) for k in (2, 3, 5, 6)]
-    groups.append(build_quotient_group(Heisenberg(2)))
+    groups = [build_quotient_group(ZdQuotient((k,))) for k in (2, 3, 5, 6)]
+    groups.append(build_quotient_group(HeisenbergQuotient(2)))
     for p in (2, 3, 5):
         for g in groups:
             for r in (1, 2):
@@ -390,7 +390,7 @@ def test_logdet_finite_matches_trlog_random():
 
 
 def test_logdet_finite_padic_coefficients():
-    g2 = build_quotient_group(Cyclic(2))
+    g2 = build_quotient_group(ZdQuotient((2,)))
     coeffs = [Padic.from_rational(3, 1, 2, 12), Padic.from_rational(2, 1, 2, 12)]
     f = FiniteGroupRingElem(g2, coeffs)
     val = logdet_finite(f, 2, 6)
@@ -398,7 +398,7 @@ def test_logdet_finite_padic_coefficients():
 
 
 def test_logdet_finite_singular():
-    g2 = build_quotient_group(Cyclic(2))
+    g2 = build_quotient_group(ZdQuotient((2,)))
     f = FiniteGroupRingElem(g2, [1, 1])  # det rho = 0
     with pytest.raises(SingularRho):
         logdet_finite(f, 2, 6)

@@ -16,7 +16,7 @@ from padic_entropy import (
     reduce_to_quotient,
     rho_matrix,
 )
-from padic_entropy.fixcount import _det_bareiss, _det_crt
+from padic_entropy.fixcount import _det_bareiss, _det_crt, check_quotient
 from padic_entropy.errors import (
     InfiniteFixedPointSet,
     InvalidQuotient,
@@ -233,12 +233,24 @@ def test_vanishing_determinant_is_infinite_fixed_point_set(f, q):
         fix_count(f, q, p=3, prec=4)
 
 
-@pytest.mark.parametrize("route", [quotient_det, reduce_to_quotient])
+def check_quotient_at_3(f, q):
+    return check_quotient(f, q, 3)
+
+
+def fix_count_at_3(f, q):
+    return fix_count(f, q, 3)
+
+
+@pytest.mark.parametrize(
+    "route", [quotient_det, reduce_to_quotient, check_quotient_at_3, fix_count_at_3]
+)
 def test_quotient_dimension_checks(route):
     with pytest.raises(InvalidQuotient):
         route(X, ZdQuotient((3,)))
     with pytest.raises(InvalidQuotient):
         route(LaurentPoly.monomial((1, 0, 0, 1)), HeisenbergQuotient(2))
+    with pytest.raises(InvalidQuotient):
+        route(X, (3, 3))
 
 
 def test_fix_count_builds_no_group_table_or_rho_matrix(monkeypatch):

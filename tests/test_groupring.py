@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,12 +6,9 @@ import numpy as np
 import pytest
 
 from padic_entropy import (
-    Cyclic,
     FiniteGroupRingElem,
-    Heisenberg,
     HeisenbergQuotient,
     LaurentPoly,
-    Product,
     RingMatrix,
     ZdQuotient,
     build_quotient_group,
@@ -19,6 +17,7 @@ from padic_entropy import (
     rho_matrix,
     sup_norm,
 )
+from padic_entropy.groupring import GROUP_CACHE_SIZE, _cached_group
 from padic_entropy.errors import (
     DimensionMismatch,
     InvalidQuotient,
@@ -127,18 +126,18 @@ def test_reduce_dimension_checks():
 
 
 def test_cyclic_group():
-    g = build_quotient_group(Cyclic(2))
+    g = build_quotient_group(ZdQuotient((2,)))
     assert g.m == 2
     assert g.mul[1][1] == 0  # s^2 = e
 
 
 def test_product_group_abelian():
-    g = build_quotient_group(Product((Cyclic(3), Cyclic(3))))
+    g = build_quotient_group(ZdQuotient((3, 3)))
     assert g.m == 9 and g.is_abelian()
 
 
 def test_heisenberg_group_structure():
-    g = build_quotient_group(Heisenberg(2))
+    g = build_quotient_group(HeisenbergQuotient(2))
     assert g.m == 8 and not g.is_abelian()
     center = [
         i
@@ -155,19 +154,47 @@ def test_heisenberg_group_structure():
 
 def test_heisenberg_orders():
     for n in (2, 3):
-        assert build_quotient_group(Heisenberg(n)).m == n**3
+        assert build_quotient_group(HeisenbergQuotient(n)).m == n**3
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
+    with pytest.raises(InvalidQuotient):
+        build_quotient_group((3, 3))
     with pytest.raises(OrderOverflow):
-        build_quotient_group(Heisenberg(100))
-    # configurable
-    with pytest.raises(OrderOverflow):
-        build_quotient_group(Cyclic(50), order_cap=10)
+        build_quotient_group(HeisenbergQuotient(100))
+
+    def no_table(self):
+        raise AssertionError("a table was built past the cap")
+
+    # order 4913 is refused before its table is built
+    monkeypatch.setattr(HeisenbergQuotient, "multiplication_table", no_table)
+    with pytest.raises(OrderOverflow, match=r"^group order 4913 exceeds cap 4096$"):
+        build_quotient_group(HeisenbergQuotient(17))
+
+
+@pytest.mark.parametrize("moduli", [(2, 3), (3, 3), (2, 2, 2)])
+def test_zd_table_matches_projection(moduli):
+    q = ZdQuotient(moduli)
+    g = build_quotient_group(q)
+    assert g.m == q.index and g.is_abelian()
+    box = list(itertools.product(*(range(-n, n + 1) for n in moduli)))
+    for a in box:
+        for b in box:
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert g.mul[q.project(a)][q.project(b)] == q.project(ab)
+    assert [q.project(e) for e in g.elements] == list(range(g.m))
+
+
+def test_group_cache_returns_one_object_and_stays_bounded():
+    assert build_quotient_group(ZdQuotient((3, 4))) is build_quotient_group(ZdQuotient((3, 4)))
+    assert build_quotient_group(ZdQuotient([5])) is build_quotient_group(ZdQuotient((5,)))
+    for n in range(1, GROUP_CACHE_SIZE + 10):
+        build_quotient_group(ZdQuotient((n,)))
+    assert _cached_group.cache_info().currsize <= GROUP_CACHE_SIZE
 
 
 def test_group_element_tuples_row_major():
-    g = build_quotient_group(Heisenberg(3))
+    g = build_quotient_group(HeisenbergQuotient(3))
     assert g.elements[0] == (0, 0, 0)
     assert g.elements[1] == (0, 0, 1)
     assert g.elements[3] == (0, 1, 0)
@@ -183,7 +210,7 @@ def test_rho_example():
 
 
 def test_rho_identity_and_group_element():
-    g = build_quotient_group(Heisenberg(2))
+    g = build_quotient_group(HeisenbergQuotient(2))
     ident = FiniteGroupRingElem.one(g)
     assert rho_matrix(ident) == [
         [1 if i == j else 0 for j in range(8)] for i in range(8)
@@ -196,7 +223,7 @@ def test_rho_identity_and_group_element():
 
 def test_rho_multiplicative_and_trace_compat():
     rng = random.Random(5)
-    g = build_quotient_group(Heisenberg(2))
+    g = build_quotient_group(HeisenbergQuotient(2))
     for r in (1, 2):
         for _ in range(6):
             if r == 1:
@@ -217,7 +244,7 @@ def test_rho_multiplicative_and_trace_compat():
 def test_star_consistent_through_rho():
     # rho of f* is the transpose of rho of f for scalar elements
     rng = random.Random(6)
-    g = build_quotient_group(Heisenberg(2))
+    g = build_quotient_group(HeisenbergQuotient(2))
     a = FiniteGroupRingElem(g, [rng.randint(-4, 4) for _ in range(g.m)])
     m = np.array(rho_matrix(a), dtype=object)
     ms = np.array(rho_matrix(a.star()), dtype=object)
@@ -227,7 +254,7 @@ def test_star_consistent_through_rho():
 def test_group_descriptor_json_round_trip():
     import json
 
-    for spec in (Cyclic(4), Product((Cyclic(2), Cyclic(3))), Heisenberg(2)):
-        g = build_quotient_group(spec)
+    for q in (ZdQuotient((4,)), ZdQuotient((2, 3)), HeisenbergQuotient(2)):
+        g = build_quotient_group(q)
         doc = json.dumps(g.descriptor)
-        assert json.loads(doc) == g.descriptor
+        assert json.loads(doc) == g.descriptor == q.descriptor()
