@@ -99,16 +99,10 @@ def convergence_report(
                 )
                 exact = False
             rep.pairwise[(i, j)] = (v, exact)
-    window = records[-min(tail, n):]
-    bounds = []
-    for a, b in zip(window, window[1:]):
-        v, _ = a.normalized.dist_valuation(b.normalized)
-        if v is None:
-            v = min(_abs_prec(a.normalized), _abs_prec(b.normalized))
-        bounds.append(v)
-    rep.stable_digits = min(bounds)
+    tail_distances = rep.consecutive_distances()[n - min(tail, n):]
+    rep.stable_digits = min(v for v, _ in tail_distances)
     rep.stabilized_value = records[-1].normalized.truncate_abs(rep.stable_digits)
-    if len(window) >= tail and rep.stable_digits >= target:
+    if n >= tail and rep.stable_digits >= target:
         rep.verdict = "converged"
     return rep
 

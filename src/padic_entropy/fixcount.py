@@ -383,7 +383,7 @@ def fix_count(f, q, p: int, prec: int = DEFAULT_PREC) -> FixCountRecord:
     )
 
 
-def fix_count_char_crt(f, moduli, size_hint: int = 0) -> int:
+def fix_count_char_crt(f, moduli) -> int:
     """Signed integer prod over all character tuples of det f(zeta).
 
     The Z^d case of ``quotient_det``: characters of (Z/n_1) x ... x (Z/n_d)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -184,22 +185,24 @@ class LaurentPoly:
 
 
 class FiniteGroup:
-    """Explicit finite group: indexed elements plus mul/inverse tables.
+    """Explicit finite group of a quotient: indexed elements plus mul/inverse
+    tables.
 
-    Group laws are verified on construction: in full for order <= 512,
-    by 10^4 random triples above that.
+    Group laws are verified exactly on construction, with Light's
+    associativity test over the quotient's generators.
     """
 
-    def __init__(self, mul: np.ndarray, elements, descriptor: dict):
+    def __init__(self, q):
+        mul, elements = q.multiplication_table()
         self.mul = np.asarray(mul, dtype=np.int64)
         self.m = self.mul.shape[0]
         self.elements = list(elements)
-        self.descriptor = descriptor
+        self.descriptor = q.descriptor()
         if self.mul.shape != (self.m, self.m):
             raise InvalidQuotient("multiplication table is not square")
         self.identity = self._find_identity()
         self.inv = self._build_inverse()
-        self._verify()
+        self._verify(np.asarray(q.generators(), dtype=np.int64))
 
     def _find_identity(self) -> int:
         idx = np.arange(self.m)
@@ -219,18 +222,29 @@ class FiniteGroup:
                 raise InvalidQuotient("left and right inverses disagree")
         return inv
 
-    def _verify(self):
+    def _verify(self, gens: np.ndarray):
+        """Light's test: (x g) y == x (g y) for all x, y and each generator g.
+
+        The elements g that pass are closed under products, so once right
+        multiplication by the generators reaches every element from the
+        identity, the whole table is associative.  Rows are checked one at a
+        time: memory stays at the table plus O(len(gens) * m).
+        """
         m, mul = self.m, self.mul
-        if m <= 512:
-            for a in range(m):
-                if not np.array_equal(mul[mul[a], :], mul[a, mul]):
-                    raise InvalidQuotient(f"associativity fails at element {a}")
-        else:
-            rng = np.random.default_rng(0)
-            for _ in range(10_000):
-                a, b, c = rng.integers(0, m, 3)
-                if mul[mul[a, b], c] != mul[a, mul[b, c]]:
-                    raise InvalidQuotient("associativity fails on sampled triple")
+        reached = np.zeros(m, dtype=bool)
+        reached[self.identity] = True
+        frontier = np.array([self.identity])
+        while frontier.size:
+            hit = np.zeros(m, dtype=bool)
+            hit[mul[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached[frontier] = True
+        if not reached.all():
+            raise InvalidQuotient("the generators do not generate the table")
+        g_rows = mul[gens]
+        for x in range(m):
+            if not np.array_equal(mul[mul[x, gens]], mul[x][g_rows]):
+                raise InvalidQuotient(f"associativity fails at element {x}")
 
     def is_abelian(self) -> bool:
         return np.array_equal(self.mul, self.mul.T)
@@ -244,6 +258,32 @@ class FiniteGroup:
 # A quotient knows its index, its fit rule (which Laurent dimensions it
 # reduces), the projection of exponents to element indices and its own
 # multiplication table in that same element order.
+
+
+def _digit_sum_table(moduli, cocycle=None):
+    """(table, element digit tuples) of digitwise sums mod ``moduli`` in mixed
+    radix, row-major.
+
+    ``cocycle = (u, v)`` adds u[i]*v[j] to the last digit of entry (i, j).
+    Built in place: the table and one reused m x m term are all it holds.
+    """
+    idx = np.arange(math.prod(moduli), dtype=np.int64)
+    mul = np.zeros((idx.size, idx.size), dtype=np.int64)
+    term = np.empty_like(mul)
+    stride = 1
+    for k, n in enumerate(reversed(moduli)):
+        digit = idx // stride % n
+        if k == 0 and cocycle is not None:
+            np.multiply.outer(*cocycle, out=term)
+            term += digit[:, None]
+            term += digit[None, :]
+        else:
+            np.add.outer(digit, digit, out=term)
+        term %= n
+        term *= stride
+        mul += term
+        stride *= n
+    return mul, list(itertools.product(*(range(n) for n in moduli)))
 
 
 @dataclass(frozen=True)
@@ -263,10 +303,7 @@ class ZdQuotient:
 
     @property
     def index(self) -> int:
-        out = 1
-        for n in self.moduli:
-            out *= n
-        return out
+        return math.prod(self.moduli)
 
     def check_fits(self, d: int):
         if self.d != d:
@@ -278,21 +315,13 @@ class ZdQuotient:
             idx = idx * n + (e % n)
         return idx
 
+    def generators(self) -> list[int]:
+        """Indices of the unit vectors."""
+        return [self.project([int(i == k) for i in range(self.d)]) for k in range(self.d)]
+
     def multiplication_table(self):
         """Mixed-radix addition table in the row-major order of ``project``."""
-        m = self.index
-        idx = np.arange(m, dtype=np.int64)
-        mul = np.zeros((m, m), dtype=np.int64)
-        term = np.empty_like(mul)
-        stride = 1
-        for n in reversed(self.moduli):
-            digit = idx // stride % n
-            np.add.outer(digit, digit, out=term)
-            term %= n
-            term *= stride
-            mul += term
-            stride *= n
-        return mul, list(itertools.product(*(range(n) for n in self.moduli)))
+        return _digit_sum_table(self.moduli)
 
     def label(self) -> str:
         return "x".join(f"Z/{n}" for n in self.moduli)
@@ -329,20 +358,19 @@ class HeisenbergQuotient:
         aa, bb, cc = a % n, b % n, (a * b + c) % n
         return (aa * n + bb) * n + cc
 
+    def generators(self) -> list[int]:
+        """Indices of x and y; their commutator is z."""
+        return [self.project((1, 0, 0)), self.project((0, 1, 0))]
+
     def multiplication_table(self):
-        """(a,b,c) <-> [[1,a,c],[0,1,b],[0,0,1]] over Z/n, row-major index."""
+        """(a,b,c) <-> [[1,a,c],[0,1,b],[0,0,1]] over Z/n, row-major index.
+
+        (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab'): the digit sums of
+        (Z/n)^3 with the cocycle ab' added to the last digit.
+        """
         n = self.n
         idx = np.arange(n**3, dtype=np.int64)
-        a, rem = idx // (n * n), idx % (n * n)
-        b, c = rem // n, rem % n
-        A1, A2 = a[:, None], a[None, :]
-        B1, B2 = b[:, None], b[None, :]
-        C1, C2 = c[:, None], c[None, :]
-        aa = (A1 + A2) % n
-        bb = (B1 + B2) % n
-        cc = (C1 + C2 + A1 * B2) % n
-        mul = (aa * n + bb) * n + cc
-        return mul, [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+        return _digit_sum_table((n, n, n), cocycle=(idx // (n * n), idx // n % n))
 
     def label(self) -> str:
         return f"heis({self.n})"
@@ -376,8 +404,7 @@ def build_quotient_group(q) -> FiniteGroup:
 
 @functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _cached_group(q) -> FiniteGroup:
-    mul, elements = q.multiplication_table()
-    return FiniteGroup(mul, elements, q.descriptor())
+    return FiniteGroup(q)
 
 
 def diagonal_family(d: int, ns) -> list[ZdQuotient]:

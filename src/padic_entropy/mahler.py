@@ -4,16 +4,19 @@ The Newton polygon (lower convex hull of coefficient valuations) separates
 roots inside and outside the p-adic unit disk; a zero-slope segment means a
 root sits on the unit circle and the measure is undefined (ZeroSlopePresent).
 Otherwise a quadratic Hensel lift splits f = g*h with g monic collecting the
-inside roots and h the outside ones.  The measure itself only ever needs the
-*products* of the inside (resp. outside) roots, which are +-g(0) and a ratio
-of coefficients of h -- rational numbers, so no extension-field arithmetic
-appears.  Both defining expressions are evaluated and must agree.
+inside roots and h the outside ones; the inverse of h modulo g is carried
+from one doubling to the next and lifted by one Newton step each time.  The
+measure itself only ever needs the *products* of the inside (resp. outside)
+roots, which are +-g(0) and a ratio of coefficients of h -- rational
+numbers, so no extension-field arithmetic appears.  Both defining
+expressions are evaluated and must agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from ._util import exactify, vp_fraction
 from .errors import (
@@ -131,21 +134,15 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _inverse_mod_g(h: list[int], g: list[int], p: int, k: int, c0inv: int) -> list[int]:
-    """Newton-iterate z <- z(2 - hz) mod (g, p^k), from the mod-p seed c0inv.
+def _sub_mod(a: list[int], b: list[int], mod: int) -> list[int]:
+    """(a - b) mod ``mod``, coefficientwise; the shorter list is padded with 0."""
+    return [(x - y) % mod for x, y in zip_longest(a, b, fillvalue=0)]
 
-    Valid because h is congruent mod (p, g) to its unit constant term.
-    """
-    mod = p
-    z = [c0inv % p]
-    while mod < p**k:
-        mod = min(mod * mod, p**k)
-        hz = _poly_divmod_monic(_poly_mul_mod(h, z, mod), g, mod)[1]
-        two_minus = [(-x) % mod for x in hz]
-        two_minus[0] = (two_minus[0] + 2) % mod
-        z = _poly_divmod_monic(_poly_mul_mod(z, two_minus, mod), g, mod)[1]
-        z = [x % mod for x in z]
-    return _trim(z)
+
+def _newton_inverse_step(z: list[int], h: list[int], g: list[int], mod: int) -> list[int]:
+    """z(2 - hz) mod (g, mod): squares the error 1 - hz modulo g."""
+    hz = _poly_divmod_monic(_poly_mul_mod(h, z, mod), g, mod)[1]
+    return _poly_divmod_monic(_poly_mul_mod(z, _sub_mod([2], hz, mod), mod), g, mod)[1]
 
 
 def slope_split(f, p: int, prec: int):
@@ -153,8 +150,12 @@ def slope_split(f, p: int, prec: int):
 
     Preconditions: f primitive (no p-content) and no zero-slope segment,
     i.e. f mod p is exactly c*T^s.  The seed factorization (T^s, f/T^s mod p)
-    is coprime and lifts quadratically, with the Bezout datum recomputed by a
-    fresh Newton inversion at each doubling step.
+    is coprime and lifts quadratically (von zur Gathen-Gerhard, Alg. 15.10).
+    The Bezout datum z = 1/h mod g is carried along: it starts as c^-1 mod p,
+    and each later doubling, from factors correct mod ``prev`` to mod
+    m <= prev^2, first lifts it by one Newton step z <- z(2 - hz) mod
+    (g, prev).  That is all the precision it needs: the error e = gh - f is
+    divisible by prev, so z*e mod (g, m) depends on z only mod (g, prev).
 
     Returns (g, h) as ascending-coefficient lists of Padic values at absolute
     precision prec (g monic of degree s with exact leading 1).
@@ -181,54 +182,28 @@ def slope_split(f, p: int, prec: int):
     else:
         g = [0] * s + [1]  # T^s
         h = [fc[s + i] % p for i in range(deg - s + 1)]  # = cbar as a constant
-        m = p
-        c0inv_seed = pow(cbar, -1, p)
-        while m < mod:
-            m = min(m * m, mod)
-            z = _inverse_mod_g(h, g, p, _exp_of(m, p), c0inv_seed)
-            # delta = f - g h, divisible by the previous modulus
-            gh = _poly_mul_mod(g, h, m)
-            delta = [
-                ((fc[i] if i < len(fc) else 0) - (gh[i] if i < len(gh) else 0)) % m
-                for i in range(max(len(fc), len(gh)))
-            ]
-            zd = _poly_mul_mod(z, delta, m)
-            qd, dg = _poly_divmod_monic(zd, g, m)
-            # h update: (delta - h*dg) is exactly divisible by the monic g
-            hdg = _poly_mul_mod(h, dg, m)
-            num = [
-                ((delta[i] if i < len(delta) else 0) - (hdg[i] if i < len(hdg) else 0)) % m
-                for i in range(max(len(delta), len(hdg)))
-            ]
-            dh, rem = _poly_divmod_monic(num, g, m)
-            if any(x % m for x in rem):
+        z = [pow(cbar, -1, p)]
+        prev = p
+        while prev < mod:
+            if prev > p:
+                z = _newton_inverse_step(z, h, g, prev)
+            m = min(prev * prev, mod)
+            e = _sub_mod(_poly_mul_mod(g, h, m), fc, m)  # divisible by prev
+            # g <- g - eg and h <- h - eh with e = g*eh + h*eg
+            eg = _poly_divmod_monic(_poly_mul_mod(z, e, m), g, m)[1]
+            eh, rem = _poly_divmod_monic(_sub_mod(e, _poly_mul_mod(h, eg, m), m), g, m)
+            if any(rem):
                 raise ArithmeticError("slope split lost exact divisibility")
-            g = _trim([(a + (dg[i] if i < len(dg) else 0)) % m for i, a in enumerate(g)])
-            h = [
-                ((h[i] if i < len(h) else 0) + (dh[i] if i < len(dh) else 0)) % m
-                for i in range(max(len(h), len(dh)))
-            ]
-            h = _trim([x % m for x in h])
+            g = _trim(_sub_mod(g, eg, m))
+            h = _trim(_sub_mod(h, eh, m))
             if len(g) != s + 1 or g[-1] != 1:
                 raise ArithmeticError("inside factor stopped being monic")
-        # re-expansion check at full precision
-        gh = _poly_mul_mod(g, h, mod)
-        for i in range(max(len(fc), len(gh))):
-            lhs = fc[i] if i < len(fc) else 0
-            rhs = gh[i] if i < len(gh) else 0
-            if (lhs - rhs) % mod:
-                raise ArithmeticError("slope split does not re-expand to f")
+            prev = m
+        if any(_sub_mod(fc, _poly_mul_mod(g, h, mod), mod)):
+            raise ArithmeticError("slope split does not re-expand to f")
     gp = [Padic.from_int_mod(c, p, prec) for c in g[:-1]] + [Padic.one(p, prec)]
     hp = [Padic.from_int_mod(c, p, prec) for c in h]
     return gp, hp
-
-
-def _exp_of(m: int, p: int) -> int:
-    e = 0
-    while m > 1:
-        m //= p
-        e += 1
-    return e
 
 
 def _lift_rational(c, p: int, mod: int) -> int:

@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from padic_entropy import (
+    FiniteGroup,
     FiniteGroupRingElem,
     HeisenbergQuotient,
     LaurentPoly,
@@ -183,6 +185,89 @@ def test_zd_table_matches_projection(moduli):
             ab = tuple(x + y for x, y in zip(a, b))
             assert g.mul[q.project(a)][q.project(b)] == q.project(ab)
     assert [q.project(e) for e in g.elements] == list(range(g.m))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_heisenberg_table_equals_matrix_product_formula(n):
+    idx = np.arange(n**3)
+    a, b, c = idx // (n * n), idx // n % n, idx % n
+    aa = (a[:, None] + a[None, :]) % n
+    bb = (b[:, None] + b[None, :]) % n
+    cc = (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % n
+    mul, elements = HeisenbergQuotient(n).multiplication_table()
+    assert np.array_equal(mul, (aa * n + bb) * n + cc)
+    assert elements == list(itertools.product(range(n), repeat=3))
+
+
+@pytest.mark.parametrize("q", [HeisenbergQuotient(10), ZdQuotient((32, 32))])
+def test_tables_are_built_in_place(q):
+    tracemalloc.start()
+    try:
+        mul, _ = q.multiplication_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * mul.nbytes
+
+
+class _SwappedPair(ZdQuotient):
+    """Z^2/(24, 24), order 576, with 1*2 and 1*3 swapped in its table."""
+
+    def multiplication_table(self):
+        mul, elements = super().multiplication_table()
+        mul[1, [2, 3]] = mul[1, [3, 2]]
+        return mul, elements
+
+
+class _OddGenerators(ZdQuotient):
+    """Z/4 with the generator set {2}, which reaches only {0, 2}."""
+
+    def generators(self):
+        return [self.project((2,))]
+
+
+class _XOnly(HeisenbergQuotient):
+    def generators(self):
+        return super().generators()[:1]
+
+
+def test_verification_is_exact_past_order_512():
+    # identity and inverses are intact; only associativity can catch it
+    with pytest.raises(InvalidQuotient, match="associativity") as err:
+        build_quotient_group(_SwappedPair((24, 24)))
+    assert err.value.code == "INVALID_QUOTIENT"
+
+
+class _LoopTimesZ2:
+    """Z/2 x L, element (a, u) at index 5a + u, with L the smallest
+    non-associative loop (order 5, every element its own inverse).
+
+    The first generator (1, e) passes Light's test; only L's fail it.
+    """
+
+    LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+    def multiplication_table(self):
+        a, u = np.arange(10) // 5, np.arange(10) % 5
+        mul = 5 * ((a[:, None] + a[None, :]) % 2) + np.array(self.LOOP)[u[:, None], u[None, :]]
+        return mul, list(range(10))
+
+    def descriptor(self):
+        return {"kind": "loop"}
+
+    def generators(self):
+        return [5, 1, 2]
+
+
+def test_verification_checks_every_generator():
+    with pytest.raises(InvalidQuotient, match="associativity"):
+        FiniteGroup(_LoopTimesZ2())
+
+
+@pytest.mark.parametrize("q", [_OddGenerators((4,)), _XOnly(3)])
+def test_verification_refuses_generators_that_do_not_generate(q):
+    with pytest.raises(InvalidQuotient, match="do not generate"):
+        FiniteGroup(q)
 
 
 def test_group_cache_returns_one_object_and_stays_bounded():

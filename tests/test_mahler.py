@@ -13,6 +13,7 @@ from padic_entropy import (
     padic_sqrt,
     slope_split,
 )
+from padic_entropy import mahler
 from padic_entropy.errors import NotPrimitive, ZeroPolynomial, ZeroSlopePresent
 
 import helpers
@@ -116,6 +117,111 @@ def test_slope_split_soundness_random():
         for got, want in zip(prod, coeffs):
             assert got.eq_mod(Padic.from_rational(want, 1, p, prec + 1), prec)
         count += 1
+
+
+# A test-local copy of the split as it was before the inverse was carried:
+# every doubling recomputes 1/h mod g by Newton iteration from mod p.
+
+
+def _ref_mul(a, b, mod):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % mod
+    return out
+
+
+def _ref_divmod(a, g, mod):
+    a = [x % mod for x in a]
+    dg = len(g) - 1
+    q = [0] * max(1, len(a) - dg)
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = a[i]
+        q[i - dg] = c
+        for j in range(dg + 1):
+            a[i - dg + j] = (a[i - dg + j] - c * g[j]) % mod
+    return q, a[:dg]
+
+
+def _ref_pad_sub(a, b, mod):
+    n = max(len(a), len(b))
+    return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % mod for i in range(n)]
+
+
+def _ref_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _reference_split(coeffs, p, prec):
+    """(g, h) as int lists mod p^prec; coeffs integral with one unit at s."""
+    mod = p**prec
+    fc = [c % mod for c in coeffs]
+    s = next(i for i, c in enumerate(coeffs) if c % p)
+    if s == 0:
+        return [1], fc
+    g = [0] * s + [1]
+    h = [c % p for c in fc[s:]]
+    seed = pow(fc[s], -1, p)
+    m = p
+    while m < mod:
+        m = min(m * m, mod)
+        z, k = [seed], p
+        while k < m:
+            k = min(k * k, m)
+            hz = _ref_divmod(_ref_mul(h, z, k), g, k)[1]
+            z = _ref_divmod(_ref_mul(z, _ref_pad_sub([2], hz, k), k), g, k)[1]
+        delta = _ref_pad_sub(fc, _ref_mul(g, h, m), m)
+        dg = _ref_divmod(_ref_mul(z, delta, m), g, m)[1]
+        dh, rem = _ref_divmod(_ref_pad_sub(delta, _ref_mul(h, dg, m), m), g, m)
+        assert not any(rem)
+        g = _ref_trim(_ref_pad_sub(g, [-x for x in dg], m))
+        h = _ref_trim(_ref_pad_sub(h, [-x for x in dh], m))
+    return g, h
+
+
+def _random_split_case(rng):
+    """(coeffs, p, prec): integral, primitive, exactly one unit coefficient."""
+    p = rng.choice([2, 3, 5, 7, 11])
+    deg = rng.randint(1, 12)
+    s = rng.randint(0, deg)
+    coeffs = [p * rng.randint(-(p**3), p**3) for _ in range(deg + 1)]
+    coeffs[s] = rng.choice([c for c in range(1, 3 * p) if c % p]) * rng.choice([1, -1])
+    if coeffs[-1] == 0:
+        coeffs[-1] = p ** rng.randint(1, 6)  # small leading terms vanish mod early moduli
+    if coeffs[0] == 0:
+        coeffs[0] = p
+    return coeffs, p, rng.randint(1, 80)
+
+
+def test_slope_split_equals_reinverting_reference():
+    # most precisions are not powers of two, so the last doubling is capped
+    rng = random.Random(34)
+    for _ in range(2000):
+        coeffs, p, prec = _random_split_case(rng)
+        g, h = slope_split(coeffs, p, prec)
+        assert ([c.lift() for c in g], [c.lift() for c in h]) == _reference_split(
+            coeffs, p, prec
+        ), (coeffs, p, prec)
+
+
+def test_slope_split_one_newton_step_per_later_doubling(monkeypatch):
+    steps = []
+    real = mahler._newton_inverse_step
+
+    def counted(z, h, g, mod):
+        steps.append(mod)
+        return real(z, h, g, mod)
+
+    monkeypatch.setattr(mahler, "_newton_inverse_step", counted)
+    for prec in (1, 2, 3, 4, 5, 8, 9, 17, 64, 65, 200):
+        steps.clear()
+        slope_split(F_COEFFS, 2, prec)
+        doublings = (prec - 1).bit_length()  # 2^D >= prec
+        assert len(steps) == max(doublings - 1, 0), prec
+        # the step before doubling k works mod the precision the factors have
+        assert steps == [2 ** (2**k) for k in range(1, doublings)]
 
 
 def test_slope_split_rejections():
