@@ -3,7 +3,8 @@
 Commands: unit-check, fixcount, entropy, mahler, detlog, selftest.
 Exit status: 0 success, 1 usage error, 2 mathematical refusal (the input is
 well formed but the requested quantity does not exist for it -- not a unit,
-zero slope, singular representation, infinite fixed-point set).  Machine
+zero slope, singular representation, infinite fixed-point set); an argv
+the argument parser rejects is a usage error with code USAGE.  Machine
 output carries the schema tag "padic-entropy/1".
 """
 
@@ -62,12 +63,17 @@ class JobConfig:
     def validate(self):
         if not 1 <= self.precision <= MAX_PREC:
             raise UsageError(f"precision must lie in [1, {MAX_PREC}]")
-        if self.output not in ("table", "json", "csv"):
-            raise UsageError(f"unknown output format {self.output!r}")
+        if self.output not in output_formats(self.command):
+            raise UsageError(f"output format {self.output!r} is not offered by {self.command}")
         if self.command != "selftest" and not is_prime(self.p):
             raise NotPrime(f"p = {self.p} is not prime")
         if self.tail < 2:
             raise TooFewRecords(f"--tail {self.tail}: the verdict window needs at least two records")
+
+
+def output_formats(command: str) -> tuple[str, ...]:
+    """The --output choices of a command; only entropy has a csv layout."""
+    return ("table", "json", "csv") if command == "entropy" else ("table", "json")
 
 
 def parse_family(text: str, p: int, d: int):
@@ -329,41 +335,59 @@ def _cmd_selftest(cfg: JobConfig) -> tuple[int, str]:
     return (0 if ok else 1), _emit(doc, cfg, lines)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with coded rejections; subparsers are built from this class too.
+
+    A rejected argv raises ``UsageError`` (exit 1, ``error[USAGE]``) instead of
+    exiting 2, which the CLI reserves for mathematical refusals.
+    """
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a value that starts with "-" (``--poly -t+4``) as an
+        # option, so such a value is joined to its flag unless it is one.
+        args = list(sys.argv[1:] if args is None else args)
+        if "--poly" in self._option_string_actions:
+            i = 0
+            while i + 1 < len(args):
+                value = args[i + 1]
+                if args[i] == "--poly" and value.split("=", 1)[0] not in self._option_string_actions:
+                    args[i : i + 2] = [f"--poly={value}"]
+                i += 1
+        return super().parse_known_args(args, namespace)
+
+
 def build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="padic-entropy",
         description="Exact p-adic entropy of principal algebraic actions.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_p=True):
-        if needs_p:
-            sp.add_argument("--p", type=int, required=True, help="the prime p")
+    def command(name, help_text):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--p", type=int, required=True, help="the prime p")
         sp.add_argument("--prec", type=int, default=8, help="precision digits [1,256]")
         sp.add_argument("--poly", help="polynomial or matrix in the text grammar")
         sp.add_argument("--poly-file", help="file containing the polynomial text")
-        sp.add_argument(
-            "--output", choices=("table", "json", "csv"), default="table"
-        )
+        sp.add_argument("--output", choices=output_formats(name), default="table")
+        return sp
 
-    sp = sub.add_parser("unit-check", help="convolution-algebra unit test + normal form")
-    common(sp)
-    sp = sub.add_parser("fixcount", help="exact fixed-point count for one quotient")
-    common(sp)
+    command("unit-check", "convolution-algebra unit test + normal form")
+    sp = command("fixcount", "exact fixed-point count for one quotient")
     sp.add_argument("--quotient", help='e.g. "4", "3,5", or "heis:2"')
     sp.add_argument("--no-crosscheck", action="store_true")
-    sp = sub.add_parser("entropy", help="normalized counts over a quotient family")
-    common(sp)
+    sp = command("entropy", "normalized counts over a quotient family")
     sp.add_argument("--family", help='e.g. "odd:1..25", "2,4,5,7", "heis:2..7"')
     sp.add_argument("--target", type=int, help="digits required for the verdict")
     sp.add_argument("--tail", type=int, default=3, help="records in the verdict window")
-    sp = sub.add_parser("mahler", help="one-variable p-adic Mahler measure")
-    common(sp)
-    sp = sub.add_parser("detlog", help="log-determinant of a unit over Z^d")
-    common(sp)
+    command("mahler", "one-variable p-adic Mahler measure")
+    command("detlog", "log-determinant of a unit over Z^d")
     sp = sub.add_parser("selftest", help="run the seeded property battery")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--output", choices=("table", "json", "csv"), default="table")
+    sp.add_argument("--output", choices=output_formats("selftest"), default="table")
     return ap
 
 

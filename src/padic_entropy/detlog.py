@@ -19,6 +19,10 @@ combines the two to evaluate the determinant on every such unit (the p^a
 and monomial factors contribute zero).  ``logdet_finite`` is the finite
 group formula (1/|G|) log det(rho), and ``det_laurent_matrix`` links the
 matrix and scalar cases over the commutative algebra.
+
+numpy is imported only by the dense ``Z^d`` kernel (small boxes while p^w
+fits a machine word) and, through group tables and ``det_exact``, by the
+finite-group route; the sparse kernel and unit normalization run without it.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from ._util import exactify, vp_fraction, vp_int
 from .errors import (
@@ -139,6 +141,8 @@ def _shift_slices(shape, exp):
 
 def _kernel_zd_dense(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
     """Dense int64 kernel; usable while p^w fits comfortably in a machine word."""
+    import numpy as np
+
     radius = [0] * d
     for s in range(r):
         for t in range(r):

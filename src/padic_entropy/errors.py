@@ -3,7 +3,8 @@
 Two families matter to callers: ``UsageError`` (bad input or bad request,
 CLI exit status 1) and ``MathematicalRefusal`` (the input is well formed but
 the mathematics does not apply, e.g. a polynomial that is not a unit of the
-convolution algebra; CLI exit status 2).
+convolution algebra; CLI exit status 2).  A plain ``UsageError``, such as an
+argv the CLI's argument parser rejects, carries the code ``USAGE``.
 """
 
 
@@ -13,6 +14,7 @@ class PadicEntropyError(Exception):
 
 
 class UsageError(PadicEntropyError):
+    code = "USAGE"
     exit_status = 1
 
 

@@ -27,7 +27,8 @@ of the dense cross-check that the CLI and the tests run against it.
 
 ``det_exact`` (fraction-free Bareiss below size 64, Hadamard bound +
 word-sized primes + CRT above) stays as that dense oracle and serves the
-finite-group formula in ``detlog``.
+finite-group formula in ``detlog``.  Only its CRT branch uses numpy, which
+it imports when called, so the block route runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._primes import factorize_small, is_prime, primes_one_mod, word_primes
 from ._util import vp_int
@@ -89,6 +88,8 @@ def _det_bareiss(m) -> int:
 
 
 def _det_mod_prime(a64: np.ndarray, q: int) -> int:
+    import numpy as np
+
     a = np.mod(a64, q).astype(np.int64)
     n = a.shape[0]
     det = 1
@@ -129,6 +130,8 @@ def _crt_signed(primes, bound: int, residue_fn) -> int:
 
 
 def _det_crt(m) -> int:
+    import numpy as np
+
     rows = [[int(x) for x in row] for row in m]
     # Hadamard: det^2 <= prod of row square-sums
     bound_sq = 1

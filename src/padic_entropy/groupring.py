@@ -6,6 +6,10 @@ coefficients (ints, Fractions, or Padic scalars at a shared prime).  Finite
 groups are explicit multiplication/inverse tables, verified on construction.
 Reduction to a finite quotient folds exponent vectors through the quotient
 map and sums coefficients landing in the same coset.
+
+numpy is imported inside the functions that build and verify group tables,
+not at module level: Laurent arithmetic and the quotient objects themselves
+do not need it, so a process that never builds a table never loads it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from ._util import vp_fraction
 from .errors import (
@@ -193,6 +195,8 @@ class FiniteGroup:
     """
 
     def __init__(self, q):
+        import numpy as np
+
         mul, elements = q.multiplication_table()
         self.mul = np.asarray(mul, dtype=np.int64)
         self.m = self.mul.shape[0]
@@ -205,6 +209,8 @@ class FiniteGroup:
         self._verify(np.asarray(q.generators(), dtype=np.int64))
 
     def _find_identity(self) -> int:
+        import numpy as np
+
         idx = np.arange(self.m)
         for e in range(self.m):
             if np.array_equal(self.mul[e], idx) and np.array_equal(self.mul[:, e], idx):
@@ -212,6 +218,8 @@ class FiniteGroup:
         raise InvalidQuotient("no identity element in table")
 
     def _build_inverse(self) -> np.ndarray:
+        import numpy as np
+
         inv = np.full(self.m, -1, dtype=np.int64)
         rows, cols = np.nonzero(self.mul == self.identity)
         inv[rows] = cols
@@ -230,6 +238,8 @@ class FiniteGroup:
         identity, the whole table is associative.  Rows are checked one at a
         time: memory stays at the table plus O(len(gens) * m).
         """
+        import numpy as np
+
         m, mul = self.m, self.mul
         reached = np.zeros(m, dtype=bool)
         reached[self.identity] = True
@@ -247,6 +257,8 @@ class FiniteGroup:
                 raise InvalidQuotient(f"associativity fails at element {x}")
 
     def is_abelian(self) -> bool:
+        import numpy as np
+
         return np.array_equal(self.mul, self.mul.T)
 
     def __repr__(self):
@@ -267,6 +279,8 @@ def _digit_sum_table(moduli, cocycle=None):
     ``cocycle = (u, v)`` adds u[i]*v[j] to the last digit of entry (i, j).
     Built in place: the table and one reused m x m term are all it holds.
     """
+    import numpy as np
+
     idx = np.arange(math.prod(moduli), dtype=np.int64)
     mul = np.zeros((idx.size, idx.size), dtype=np.int64)
     term = np.empty_like(mul)
@@ -368,6 +382,8 @@ class HeisenbergQuotient:
         (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab'): the digit sums of
         (Z/n)^3 with the cocycle ab' added to the last digit.
         """
+        import numpy as np
+
         n = self.n
         idx = np.arange(n**3, dtype=np.int64)
         return _digit_sum_table((n, n, n), cocycle=(idx // (n * n), idx // n % n))

@@ -353,6 +353,89 @@ def test_unreadable_poly_file_is_a_usage_error(tmp_path, capsys):
         assert "error[UNREADABLE_FILE]" in capsys.readouterr().err
 
 
+def test_poly_value_starting_with_a_dash():
+    # argparse read "-t+4" as an option and exited 2 ("expected one argument")
+    proc = _cli(["fixcount", "--p", "3", "--poly", "-t+4", "--quotient", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert "|Fix| = 63" in proc.stdout
+    assert proc.stdout == _cli(["fixcount", "--p", "3", "--poly=-t+4", "--quotient", "3"]).stdout
+    # an option string after --poly is still an option, not the polynomial
+    proc = _cli(["fixcount", "--p", "3", "--poly", "--quotient", "3"])
+    assert proc.returncode == 1
+    assert proc.stderr == "error[USAGE]: padic-entropy fixcount: argument --poly: expected one argument\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mahler", "--p", "2", "--poly", "t-4"],
+        ["detlog", "--p", "3", "--poly", "1+3*t"],
+        ["fixcount", "--p", "3", "--poly", "1+3*t", "--quotient", "3"],
+        ["unit-check", "--p", "3", "--poly", "1+3*t"],
+        ["selftest"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_output_offered_only_by_entropy(argv, capsys):
+    # these commands once accepted --output csv and printed the table
+    assert main([*argv, "--output", "csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[USAGE]: padic-entropy {argv[0]}: argument --output: invalid choice: 'csv'")
+    with pytest.raises(UsageError, match="not offered by"):
+        JobConfig(command=argv[0], p=3, output="csv").validate()
+
+
+def test_plain_usage_refusal_has_its_own_code(capsys):
+    assert main(["unit-check", "--p", "3", "--prec", "0", "--poly", "1+3*x"]) == 1
+    assert capsys.readouterr().err == "error[USAGE]: precision must lie in [1, 256]\n"
+    with pytest.raises(SystemExit) as ex:
+        main(["fixcount", "-h"])
+    assert ex.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: padic-entropy fixcount")
+
+
+# Run in a fresh interpreter: numpy, once imported, stays in sys.modules.
+_IMPORT_SPY = """
+import contextlib, io, json, sys
+from padic_entropy import cli
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen.append("numpy" in sys.modules)
+print(json.dumps(seen))
+"""
+_NUMPY_FREE_JOBS = [
+    ["mahler", "--p", "2", "--prec", "8", "--poly", "t-4"],
+    ["entropy", "--p", "3", "--poly=1+3*x+3*y^-1", "--family", "1..4"],
+    ["entropy", "--p", "3", "--prec", "6", "--poly=1+3*x+3*y+3*x^-1*y^-1", "--family", "heis:2..4"],
+    ["unit-check", "--p", "3", "--poly", "1+3*x"],
+    ["detlog", "--p", "3", "--prec", "24", "--poly=1+3*x+3*y^-1"],  # p^w past 2^31: sparse kernel
+    ["fixcount", "--p", "3", "--poly=1+3*x+3*y", "--quotient", "heis:3"],
+    ["fixcount", "--p", "3", "--poly=1+3*x+3*y^-1", "--quotient", "5", "--no-crosscheck"],
+]
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [
+        ["detlog", "--p", "3", "--prec", "6", "--poly=1+3*x"],
+        ["fixcount", "--p", "3", "--poly=1+3*x+3*y^-1", "--quotient", "3"],
+    ],
+    ids=["dense-detlog", "crosscheck-fixcount"],
+)
+def test_numpy_loaded_only_by_the_dense_routes(dense):
+    jobs = [*_NUMPY_FREE_JOBS, dense]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SPY, json.dumps(jobs)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False] * len(jobs) + [True]
+
+
 @pytest.mark.parametrize(
     "poly, family, size",
     [
@@ -427,12 +510,12 @@ def _argv(draw):
 def test_argv_fuzz_ends_in_a_coded_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = main(argv)
-        except SystemExit as ex:  # argparse rejects the argv before the program runs
-            status = ex.code
-            assert status == 2 and "error:" in err.getvalue()
+        status = main(argv)
     assert status in (0, 1, 2)
-    if status and not err.getvalue().startswith("usage:"):
+    if status:
         text = out.getvalue() + err.getvalue()
         assert "error[" in text or '"code": "' in text  # table or json
+    try:
+        build_argparser().parse_args(argv)
+    except UsageError:  # argparse rejects the argv before the program runs
+        assert status == 1 and err.getvalue().startswith("error[USAGE]: padic-entropy")
