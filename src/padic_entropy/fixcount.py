@@ -13,12 +13,23 @@ straight from the Laurent exponents -- no group table, no |G| x |G| matrix:
   of the induced representations Ind chi, each of degree n (Clifford
   theory): n^2 blocks of size rn.
 
-The blocks have entries in Z[zeta_L], L = lcm(n_i) or n.  They are evaluated
-in prime fields F_q with q = 1 mod L (primes just above 2^59), where zeta_L
-is an element of exact order L, and the signed integer is rebuilt by CRT
-from enough primes to exceed twice the bound prod_s (sum_t ||f_st||_1)^|G|.
-That bound is the product of the l1 norms of the rows of the dense rho
-matrix, so it holds for any group.
+The blocks have entries in Z[zeta_L], L = lcm(n_i) or n, and every
+exponent of zeta_L in a block is linear in the block's label j (a character
+tuple, or (beta, gamma)).  So the Galois group (Z/L)^* acts on the labels
+by j -> u * j and sends block j to its conjugate block u * j.  Over one
+orbit, whose label j has order m, the product of the block determinants is
+the norm from Q(zeta_m) to Q of det(block j): a rational integer, at most
+the product of the l1 norms of the orbit's block rows, that is
+prod_s (sum_t ||f_st||_1) to the power (orbit size * block size / r).
+``quotient_det`` keeps one block per orbit, packs consecutive orbits into
+batches whose bound one prime q = 1 mod L (just above 2^59) can rebuild,
+evaluates each batch in F_q with zeta_L of exact order L there, and rebuilds
+it by CRT; an orbit that needs more primes is a batch of its own.  Each
+block is thus evaluated once per prime of its batch, not once per prime of
+the whole group's bound, and the count is the product of the batches,
+stopping at the first that vanishes.  The bounds multiply to the bound of
+the dense rho matrix, prod_s (sum_t ||f_st||_1)^|G|, which holds for any
+group.
 
 DEFAULT_SIZE_CAP (from ``groupring``) bounds r * |G|, the size of the dense
 rho matrix.  The block route never builds that matrix, but the cap still
@@ -87,7 +98,8 @@ def _det_bareiss(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_mod_prime(a64: np.ndarray, q: int) -> int:
+def _det_mod_prime(a64, q: int) -> int:
+    """Determinant modulo the prime q of a square numpy array of integers."""
     import numpy as np
 
     a = np.mod(a64, q).astype(np.int64)
@@ -197,10 +209,13 @@ def _roots_of_unity(q: int, n: int) -> int:
 
 
 def _character_blocks(F: RingMatrix, q):
-    """(L, blocks) with det rho(F) = prod over blocks of det(block at zeta_L).
+    """(L, labels, block) with det rho(F) = prod over j of det(block(j) at zeta_L).
 
-    A block is (size, cells); a cell (i, j, k, c) adds c * zeta_L^k to entry
-    (i, j).  Nothing here depends on the prime the blocks are evaluated in.
+    The labels j run over (Z/labels[0]) x (Z/labels[1]) x ...; block(j) is
+    (size, cells), and a cell (i, j, k, c) adds c * zeta_L^k to entry (i, j).
+    Every k is linear in j, so block(u * j) is block(j) with zeta_L^u in
+    place of zeta_L.  Nothing here depends on the prime the blocks are
+    evaluated in.
     """
     check_fits(q, _laurent_dim(F))
     cells = [
@@ -214,29 +229,47 @@ def _character_blocks(F: RingMatrix, q):
         L = math.lcm(*q.moduli)
         steps = [L // n for n in q.moduli]
         weighted = [(s, t, [x * w for x, w in zip(e, steps)], c) for s, t, e, c in cells]
-        blocks = [
-            (r, [(s, t, sum(x * j for x, j in zip(w, jvec)) % L, c) for s, t, w, c in weighted])
-            for jvec in itertools.product(*(range(n) for n in q.moduli))
-        ]
-        return L, blocks
+
+        def character(jvec):
+            return r, [
+                (s, t, sum(x * j for x, j in zip(w, jvec)) % L, c) for s, t, w, c in weighted
+            ]
+
+        return L, q.moduli, character
     n = q.n
     words = [(s, t, *(tuple(e) + (0, 0))[:3], c) for s, t, e, c in cells]
+
     # x^a y^b z^c is the group element (a, b, ab + c); on the basis
     # x^k (x) v of Ind chi_{beta,gamma} it sends x^k to x^(a+k) times the
     # element (0, b, c - kb) of A.
-    blocks = [
-        (
-            r * n,
-            [
-                (s * n + (a + k) % n, t * n + k, (beta * b + gamma * (cz - k * b)) % n, c)
-                for s, t, a, b, cz, c in words
-                for k in range(n)
-            ],
-        )
-        for beta in range(n)
-        for gamma in range(n)
-    ]
-    return n, blocks
+    def induced(label):
+        beta, gamma = label
+        return r * n, [
+            (s * n + (a + k) % n, t * n + k, (beta * b + gamma * (cz - k * b)) % n, c)
+            for s, t, a, b, cz, c in words
+            for k in range(n)
+        ]
+
+    return n, (n, n), induced
+
+
+def _galois_orbits(labels) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The orbits of (Z/L)^* acting on prod_i Z/labels[i] by j -> u * j.
+
+    One (j, units) per orbit, in order of first label: j has order m (the
+    lcm of the orders of its coordinates), and the orbit is {u * j : u in
+    units} with units = (Z/m)^*, so it holds phi(m) labels, each once.
+    """
+    seen = set()
+    orbits = []
+    for j in itertools.product(*(range(n) for n in labels)):
+        if j in seen:
+            continue
+        m = math.lcm(*(n // math.gcd(x, n) for x, n in zip(j, labels)))
+        units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+        seen.update(tuple(u * x % n for x, n in zip(j, labels)) for u in units)
+        orbits.append((j, units))
+    return orbits
 
 
 def _laurent_dim(F: RingMatrix) -> int:
@@ -246,7 +279,8 @@ def _laurent_dim(F: RingMatrix) -> int:
 
 
 def _l1_bound(F: RingMatrix, order: int) -> int:
-    """prod_s (sum_t ||F_st||_1)^order: bounds |det rho(F)| for |G| = order."""
+    """prod_s (sum_t ||F_st||_1)^order: bounds |det rho(F)| for |G| = order,
+    and the product of any blocks whose sizes add up to r * order."""
     per_point = 1
     for row in F.entries:
         per_point *= max(sum(abs(c) for e in row for c in e.terms.values()), 1)
@@ -256,29 +290,62 @@ def _l1_bound(F: RingMatrix, order: int) -> int:
 def quotient_det(f, q) -> int:
     """Signed integer det rho(f) for a ZdQuotient or a HeisenbergQuotient.
 
-    Read from the Laurent exponents block by block (character tuples for
-    Z^d, induced characters for Heisenberg), modulo primes q = 1 mod L, and
-    rebuilt by CRT; it equals the dense det_exact(rho_matrix(...)) of the
-    reduced element, sign included.
+    The blocks (character tuples for Z^d, induced characters for
+    Heisenberg) are grouped into Galois orbits.  Over one orbit the product
+    of the block determinants is the norm from Q(zeta_m) to Q of one of
+    them, a rational integer, and its absolute value is at most the l1
+    bound of the rows of the orbit's blocks.  Consecutive orbits are packed
+    into batches whose bound one prime q = 1 mod L can rebuild (an orbit
+    that needs more primes is a batch of its own); each batch is evaluated
+    modulo its primes and rebuilt by CRT, and the product of the batches is
+    returned, or 0 at the first batch that vanishes.  It equals the dense
+    det_exact(rho_matrix(...)) of the reduced element, sign included.
     """
     F = RingMatrix.wrap(f)
     _require_integer_coeffs(F)
-    L, blocks = _character_blocks(F, q)
+    L, labels, block = _character_blocks(F, q)
+    # a batch of bound base^e needs one prime while base^e <= q // 2
+    base, room = _l1_bound(F, 1), next(primes_one_mod(L)) // 2
+    per_prime = 0
+    while base ** (per_prime + 1) <= room:
+        per_prime += 1
+    powers = {}
 
-    def residue(prime: int) -> int:
-        z = _roots_of_unity(prime, L)
-        zpow = [1] * L
-        for k in range(1, L):
-            zpow[k] = zpow[k - 1] * z % prime
-        total = 1
-        for size, block in blocks:
-            m = [[0] * size for _ in range(size)]
-            for i, j, k, c in block:
-                m[i][j] += c * zpow[k]
-            total = total * _det_mod(m, prime) % prime
-        return total
+    def zpow(prime: int) -> list:
+        if prime not in powers:
+            z = _roots_of_unity(prime, L)
+            table = [1] * L
+            for k in range(1, L):
+                table[k] = table[k - 1] * z % prime
+            powers[prime] = table
+        return powers[prime]
 
-    return _crt_signed(primes_one_mod(L), _l1_bound(F, q.index), residue)
+    def batch_value(batch, exponent) -> int:
+        def residue(prime: int) -> int:
+            zp = zpow(prime)
+            total = 1
+            for size, cells, units in batch:
+                for u in units:
+                    m = [[0] * size for _ in range(size)]
+                    for i, j, k, c in cells:
+                        m[i][j] += c * zp[u * k % L]
+                    total = total * _det_mod(m, prime) % prime
+            return total
+
+        return _crt_signed(primes_one_mod(L), _l1_bound(F, exponent), residue)
+
+    det, batch, exponent = 1, [], 0
+    for j, units in _galois_orbits(labels):
+        size, cells = block(j)
+        e = len(units) * size // F.r
+        if batch and exponent + e > per_prime:
+            det *= batch_value(batch, exponent)
+            if det == 0:
+                return 0
+            batch, exponent = [], 0
+        batch.append((size, cells, units))
+        exponent += e
+    return det * batch_value(batch, exponent)
 
 
 @dataclass
@@ -389,9 +456,10 @@ def fix_count(f, q, p: int, prec: int = DEFAULT_PREC) -> FixCountRecord:
 def fix_count_char_crt(f, moduli) -> int:
     """Signed integer prod over all character tuples of det f(zeta).
 
-    The Z^d case of ``quotient_det``: characters of (Z/n_1) x ... x (Z/n_d)
-    are evaluated at roots of unity in prime fields and the signed integer is
-    rebuilt by CRT.  Its absolute value is the fix count.
+    The Z^d case of ``quotient_det``: the characters of (Z/n_1) x ... x
+    (Z/n_d) fall into Galois orbits, the product over an orbit is an
+    integer norm, and batches of orbits are evaluated at roots of unity in
+    prime fields and rebuilt by CRT.  Its absolute value is the fix count.
     """
     if isinstance(moduli, HeisenbergQuotient):
         raise NonAbelianQuotient("character products need an abelian quotient")

@@ -217,7 +217,8 @@ class FiniteGroup:
                 return e
         raise InvalidQuotient("no identity element in table")
 
-    def _build_inverse(self) -> np.ndarray:
+    def _build_inverse(self):
+        """The inverse table: a numpy array with mul[inv[i], i] == identity."""
         import numpy as np
 
         inv = np.full(self.m, -1, dtype=np.int64)
@@ -230,8 +231,9 @@ class FiniteGroup:
                 raise InvalidQuotient("left and right inverses disagree")
         return inv
 
-    def _verify(self, gens: np.ndarray):
-        """Light's test: (x g) y == x (g y) for all x, y and each generator g.
+    def _verify(self, gens):
+        """Light's test: (x g) y == x (g y) for all x, y and each generator g
+        (a numpy array of generator indices).
 
         The elements g that pass are closed under products, so once right
         multiplication by the generators reaches every element from the

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import sys
 
@@ -16,6 +18,8 @@ from padic_entropy import (
     reduce_to_quotient,
     rho_matrix,
 )
+from padic_entropy import fixcount
+from padic_entropy._primes import primes_one_mod
 from padic_entropy.fixcount import _det_bareiss, _det_crt, check_quotient
 from padic_entropy.errors import (
     InfiniteFixedPointSet,
@@ -213,6 +217,7 @@ X = LaurentPoly.monomial((1, 0))
 Y = LaurentPoly.monomial((0, 1))
 X3 = LaurentPoly.monomial((1, 0, 0))
 Z3 = LaurentPoly.monomial((0, 0, 1))
+F_FAMILY = 1 + 3 * X + 3 * Y + 3 * LaurentPoly.monomial((-1, -1))
 
 
 @pytest.mark.parametrize(
@@ -262,9 +267,8 @@ def test_fix_count_builds_no_group_table_or_rho_matrix(monkeypatch):
             for fn in ("rho_matrix", "build_quotient_group"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, refuse)
-    f = 1 + 3 * X + 3 * Y + 3 * LaurentPoly.monomial((-1, -1))
     for q in (HeisenbergQuotient(6), ZdQuotient((12, 12))):
-        rec = fix_count(f, q, p=3, prec=4)
+        rec = fix_count(F_FAMILY, q, p=3, prec=4)
         assert rec.fix_count > 1
 
 
@@ -289,3 +293,124 @@ def test_record_json_round_trip():
 
     assert json.loads(json.dumps(doc)) == doc
     assert isinstance(doc["fix_count"], str)  # big integers go through as strings
+
+
+# -- Galois orbits of blocks --------------------------------------------------------
+
+
+def _counting_det_mod(monkeypatch):
+    calls = []
+    real = fixcount._det_mod
+
+    def counted(m, prime):
+        calls.append(len(m))
+        return real(m, prime)
+
+    monkeypatch.setattr(fixcount, "_det_mod", counted)
+    return calls
+
+
+def test_each_block_evaluated_once_per_batch_prime(monkeypatch):
+    calls = _counting_det_mod(monkeypatch)
+    quotient_det(F_FAMILY, ZdQuotient((20, 20)))
+    # every Galois orbit of (Z/20)^2 fits under one prime: one call per character
+    assert len(calls) == 400
+    calls.clear()
+    quotient_det(F_FAMILY, HeisenbergQuotient(8))
+    # 64 blocks of size 8; an orbit of four needs two primes, so at most two each
+    assert len(calls) <= 128 and set(calls) == {8}
+
+
+def _single_crt_quotient_det(f, q):
+    """The route before Galois orbits: every block modulo every prime of one CRT
+    under the bound for the whole group."""
+    F = RingMatrix.wrap(f)
+    L, labels, block = fixcount._character_blocks(F, q)
+    blocks = [block(j) for j in itertools.product(*(range(n) for n in labels))]
+
+    def residue(prime):
+        z = fixcount._roots_of_unity(prime, L)
+        zpow = [1] * L
+        for k in range(1, L):
+            zpow[k] = zpow[k - 1] * z % prime
+        total = 1
+        for size, cells in blocks:
+            m = [[0] * size for _ in range(size)]
+            for i, j, k, c in cells:
+                m[i][j] += c * zpow[k]
+            total = total * fixcount._det_mod(m, prime) % prime
+        return total
+
+    return fixcount._crt_signed(primes_one_mod(L), fixcount._l1_bound(F, q.index), residue)
+
+
+Z3Y = LaurentPoly.monomial((0, 1, 0))
+W = LaurentPoly.monomial((1,))
+ONE = {d: LaurentPoly.one(d) for d in (1, 2, 3)}
+
+
+@pytest.mark.parametrize(
+    "f, q",
+    [
+        (3 + X - Y, ZdQuotient((24, 24))),
+        (RingMatrix([[2 + X, Y], [X, 3 * ONE[2]]]), ZdQuotient((24, 24))),
+        (3 - X + X * Y, ZdQuotient((8, 12))),
+        (RingMatrix([[3 * ONE[2], X], [Y, 2 - Y]]), ZdQuotient((8, 12))),
+        (2 + W**3, ZdQuotient((1000,))),
+        (2 + X3 - Z3Y, HeisenbergQuotient(9)),
+        (RingMatrix([[2 * ONE[3], X3], [Z3Y, 2 * ONE[3]]]), HeisenbergQuotient(9)),
+        (2 + X3 * Z3Y, HeisenbergQuotient(10)),
+    ],
+    ids=[
+        "Z24^2-r1", "Z24^2-r2", "Z8xZ12-r1", "Z8xZ12-r2", "Z1000", "heis9-r1", "heis9-r2", "heis10"
+    ],
+)
+def test_orbit_route_matches_single_crt_route(f, q):
+    got = quotient_det(f, q)
+    assert got == _single_crt_quotient_det(f, q)
+    assert got != 0
+
+
+@pytest.mark.parametrize("labels", [(1,), (6,), (12,), (6, 6), (8, 12), (2, 3, 4), (9, 9)])
+def test_galois_orbits_partition_the_labels(labels):
+    L = math.lcm(*labels)
+
+    def times(u, j):
+        return tuple(u * x % n for x, n in zip(j, labels))
+
+    orbits = fixcount._galois_orbits(labels)
+    members = [[times(u, j) for u in units] for j, units in orbits]
+    flat = [label for orbit in members for label in orbit]
+    assert sorted(flat) == sorted(itertools.product(*(range(n) for n in labels)))
+    for (j, units), orbit in zip(orbits, members):
+        order = next(t for t in range(1, L + 1) if times(t, j) == times(0, j))
+        assert len(orbit) == sum(math.gcd(u, order) == 1 for u in range(order))
+        for u in range(1, L):
+            if math.gcd(u, L) == 1:
+                assert {times(u, g) for g in orbit} == set(orbit)
+
+
+@pytest.mark.parametrize(
+    "f, q, stops_early",
+    [
+        (1 + W + W**2, ZdQuotient((6,)), False),
+        (1 + X + X**2, ZdQuotient((6, 6)), False),
+        (10 * (1 + X + X**2), ZdQuotient((6, 6)), True),
+        (1 + Z3 + Z3**2, HeisenbergQuotient(6), True),
+    ],
+    ids=["Z/6", "(Z/6)^2", "(Z/6)^2-batches", "heis(6)"],
+)
+def test_vanishing_on_a_middle_orbit(f, q, stops_early, monkeypatch):
+    # f vanishes where x (on Z^d) or the central character (on Heisenberg)
+    # has order 3, that is where that label coordinate is 2 or 4 mod 6
+    labels = fixcount._character_blocks(RingMatrix.wrap(f), q)[1]
+    coordinate = 0 if isinstance(q, ZdQuotient) else 1
+    vanishes = [j[coordinate] in (2, 4) for j, units in fixcount._galois_orbits(labels)]
+    assert any(vanishes) and not vanishes[0] and not vanishes[-1]
+    calls = _counting_det_mod(monkeypatch)
+    assert quotient_det(f, q) == 0
+    # the batches after the first vanishing one are never evaluated
+    assert (len(calls) < math.prod(labels)) == stops_early
+    with pytest.raises(InfiniteFixedPointSet) as exc:
+        fix_count(f, q, p=3, prec=4)
+    assert exc.value.quotient == q and q.label() in str(exc.value)
