@@ -1,6 +1,8 @@
-"""Shared plumbing: p-adic valuations of integers and fractions, exact coefficients."""
+"""Shared plumbing: p-adic valuations, the p-content strip and residues of exact coefficients."""
 
 from fractions import Fraction
+
+from .errors import DomainMismatch
 
 
 def vp_int(n: int, p: int) -> int:
@@ -21,8 +23,24 @@ def vp_fraction(x, p: int) -> int:
     return vp_int(x, p)
 
 
-def exactify(x):
-    """A Fraction with denominator 1 as an int; anything else unchanged."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+def strip_p_content(coeffs, p: int) -> tuple[int, list]:
+    """(a, [c / p^a]) with a the least valuation of the nonzero ints or Fractions given.
+
+    Each quotient is exact: an int where its denominator is 1, else a Fraction.
+    """
+    a = min(vp_fraction(c, p) for c in coeffs if c != 0)
+    scale = Fraction(1, p**a) if a >= 0 else Fraction(p**-a)
+    out = []
+    for c in coeffs:
+        c = c * scale
+        out.append(int(c) if c.denominator == 1 else c)
+    return a, out
+
+
+def rational_residue(c, p: int, mod: int) -> int:
+    """An int, or a Fraction without p in its denominator, as an int modulo mod."""
+    if isinstance(c, Fraction):
+        if c.denominator % p == 0:
+            raise DomainMismatch("coefficient has negative valuation")
+        return c.numerator * pow(c.denominator, -1, mod) % mod
+    return c % mod

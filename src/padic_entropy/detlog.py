@@ -6,12 +6,18 @@ finite group ring): the value is  sum_nu -(1/nu) * [identity coefficient of
 the matrix trace of (1-F)^nu],  truncated once every dropped term provably
 vanishes at the working precision.  On 1-units this map is a homomorphism
 and is invariant under conjugation.  Only identity coefficients are needed,
-and for matrices over Z^d
+and in every group
 
-    const tr X^(a+b) = <X^a, X^b>,  <A, B> = sum_{s,u} sum_e A[s][u][e] * B[u][s][-e],
+    const tr X^(a+b) = <X^a, X^b>,  <A, B> = sum_{s,u} sum_g A[s][u][g] * B[u][s][g^-1],
 
-so the sparse kernel takes the even power 2j from <X^j, X^j> and the odd
-power 2j+1 from <X^j, X^(j+1)>, and builds only the powers up to cap/2.
+so one paired kernel serves Z^d and every finite group ring: it takes the
+even power 2j from <X^j, X^j> and the odd power 2j+1 from <X^j, X^(j+1)>,
+and builds only the powers up to cap/2.  Group elements are int keys and
+the group law is data: the move of an element h carries the key of g to
+the key of g*h.  On Z^d a key packs the exponent, a move is the int offset
+key(h) - key(0) and the inverse key is 2 key(0) - key(g); on a finite group
+a key is the element's index, a move is column h of the multiplication
+table and inverse keys come from the inverse table.
 
 ``c0_unit_normalize`` factors an integral Laurent element that is a unit of
 the convolution algebra as p^a * c * t^nu * (1 + p*g); ``logdet_unit``
@@ -22,7 +28,7 @@ matrix and scalar cases over the commutative algebra.
 
 numpy is imported only by the dense ``Z^d`` kernel (small boxes while p^w
 fits a machine word) and, through group tables and ``det_exact``, by the
-finite-group route; the sparse kernel and unit normalization run without it.
+finite-group route; the paired kernel and unit normalization run without it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import exactify, vp_fraction, vp_int
+from ._util import rational_residue, strip_p_content, vp_int
 from .errors import (
     DomainMismatch,
     IndistinguishableAtPrecision,
@@ -58,13 +64,8 @@ SERIES_CELL_CAP = 20_000_000
 
 def _coeff_int_mod(c, p: int, w: int) -> int:
     """Integer representative of a coefficient modulo p^w."""
-    mod = p**w
-    if isinstance(c, int):
-        return c % mod
-    if isinstance(c, Fraction):
-        if c.denominator % p == 0:
-            raise DomainMismatch("coefficient has negative valuation")
-        return c.numerator * pow(c.denominator, -1, mod) % mod
+    if isinstance(c, (int, Fraction)):
+        return rational_residue(c, p, p**w)
     if isinstance(c, Padic):
         if c.is_zero:
             if c.zprec is not None and c.zprec < w:
@@ -78,7 +79,7 @@ def _coeff_int_mod(c, p: int, w: int) -> int:
             raise IndistinguishableAtPrecision(
                 f"coefficient carries {c.v + c.prec} digits, need {w}"
             )
-        return c.u * p**c.v % mod
+        return c.u * p**c.v % p**w
     raise DomainMismatch(f"unsupported coefficient type {type(c).__name__}")
 
 
@@ -87,44 +88,6 @@ def _coeff_int_mod(c, p: int, w: int) -> int:
 # Each kernel receives X = 1 - F with all coefficients divisible by p, as
 # integer data modulo p^w, and returns the identity-coefficients of the
 # matrix traces of X^1 .. X^cap (ints mod p^w).
-
-
-def _kernel_finite(xmat, group, r: int, pw: int, cap: int) -> list[int]:
-    m = group.m
-    mul_rows = [list(map(int, group.mul[i])) for i in range(m)]
-    e = group.identity
-
-    def conv(a, b):
-        out = [0] * m
-        for i, ai in enumerate(a):
-            if ai:
-                row = mul_rows[i]
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = row[j]
-                        out[k] = (out[k] + ai * bj) % pw
-        return out
-
-    def matmul(pm, xm):
-        return [
-            [
-                [
-                    sum(col) % pw
-                    for col in zip(
-                        *(conv(pm[s][u], xm[u][t]) for u in range(r))
-                    )
-                ]
-                for t in range(r)
-            ]
-            for s in range(r)
-        ]
-
-    consts = []
-    power = xmat
-    for _ in range(cap):
-        consts.append(sum(power[s][s][e] for s in range(r)) % pw)
-        power = matmul(power, xmat)
-    return consts
 
 
 def _shift_slices(shape, exp):
@@ -180,10 +143,11 @@ def _kernel_zd_dense(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
 
 
 def _sparse_step(power, xmat, r: int, pw: int):
-    """One multiplication power * X over packed-key dicts.
+    """One multiplication power * X over int-keyed dicts; each entry is reduced mod pw once.
 
-    ``xmat[u][t]`` lists (offset, c) with offset = key(e) - key(0), so a
-    product's key is a sum of ints; each entry is reduced mod pw once.
+    ``xmat[u][t]`` lists (move, c); whether a move is an int offset or a
+    table column is checked once per support element, outside the loop over
+    the entries of the power.
     """
     out = []
     for row_in in power:
@@ -193,10 +157,15 @@ def _sparse_step(power, xmat, r: int, pw: int):
             get = acc.get
             for u in range(r):
                 src = row_in[u]
-                for off, c2 in xmat[u][t]:
-                    for k, c1 in src.items():
-                        k += off
-                        acc[k] = get(k, 0) + c1 * c2
+                for move, c2 in xmat[u][t]:
+                    if isinstance(move, int):
+                        for k, c1 in src.items():
+                            k += move
+                            acc[k] = get(k, 0) + c1 * c2
+                    else:
+                        for k, c1 in src.items():
+                            k = move[k]
+                            acc[k] = get(k, 0) + c1 * c2
             entry = {}
             for k, v in acc.items():
                 v %= pw
@@ -207,52 +176,83 @@ def _sparse_step(power, xmat, r: int, pw: int):
     return out
 
 
-def _pair_const(a, b, r: int, two_zero: int, pw: int) -> int:
-    """Identity coefficient of tr(A B): sum over s, u, e of A[s][u][e] * B[u][s][-e]."""
+def _pair_const(a, b, r: int, inv, pw: int) -> int:
+    """Identity coefficient of tr(A B): sum over s, u, g of A[s][u][g] * B[u][s][g^-1]."""
     total = 0
     for s in range(r):
         for u in range(r):
             x, y = a[s][u], b[u][s]
-            if len(x) > len(y):
+            if len(x) > len(y):  # const(xy) = const(yx) in any group ring
                 x, y = y, x
             get = y.get
-            for k, c in x.items():
-                c2 = get(two_zero - k)
-                if c2:
-                    total += c * c2
+            if isinstance(inv, int):
+                for k, c in x.items():
+                    c2 = get(inv - k)
+                    if c2:
+                        total += c * c2
+            else:
+                for k, c in x.items():
+                    c2 = get(inv[k])
+                    if c2:
+                        total += c * c2
     return total % pw
 
 
+def _kernel_paired(xmat, one: int, inv, r: int, pw: int, cap: int) -> list[int]:
+    """Pairs powers, so only X^1 .. X^ceil(cap/2) are built, two at a time.
+
+    ``one`` is the identity's key and ``inv`` the int 2 key(0) on Z^d or the
+    inverse table of a finite group.
+    """
+    power = [
+        [
+            {(one + move if isinstance(move, int) else move[one]): c for move, c in xmat[s][t]}
+            for t in range(r)
+        ]
+        for s in range(r)
+    ]
+    consts = [sum(power[s][s].get(one, 0) for s in range(r)) % pw]
+    while len(consts) < cap:
+        # power = X^j: const tr X^(2j) = <X^j, X^j>, const tr X^(2j+1) = <X^j, X^(j+1)>
+        consts.append(_pair_const(power, power, r, inv, pw))
+        if len(consts) == cap:
+            break
+        nxt = _sparse_step(power, xmat, r, pw)
+        consts.append(_pair_const(power, nxt, r, inv, pw))
+        power = nxt
+    return consts
+
+
 def _kernel_zd_sparse(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
-    """Sparse kernel for any p^w: pairs powers, so only X^1 .. X^ceil(cap/2) are built.
+    """The paired kernel on Z^d, for any p^w.
 
     An exponent e is packed into the int key(e) = sum_a (e_a + R) * B^a with
     B = 2R + 1, where R bounds every exponent of the powers built; adding
-    exponents is adding offsets, and key(-e) = 2 key(0) - key(e).  Only two
-    consecutive powers are alive at once.
+    exponents is adding offsets, and key(-e) = 2 key(0) - key(e).
     """
-    half = (cap + 1) // 2
     rad = max([abs(x) for row in supports for sup in row for e, _ in sup for x in e] or [0])
-    bound = rad * half
+    bound = rad * ((cap + 1) // 2)
     weights = [(2 * bound + 1) ** a for a in range(d)]
     zero = bound * sum(weights)
     xmat = [
         [[(sum(x * w for x, w in zip(e, weights)), c) for e, c in supports[s][t]] for t in range(r)]
         for s in range(r)
     ]
-    power = [[{zero + off: c for off, c in xmat[s][t]} for t in range(r)] for s in range(r)]
-    consts = [sum(power[s][s].get(zero, 0) for s in range(r)) % pw]
-    for j in range(1, half + 1):
-        # const tr X^(2j) = <X^j, X^j>, const tr X^(2j+1) = <X^j, X^(j+1)>
-        if 2 * j > cap:
-            break
-        consts.append(_pair_const(power, power, r, 2 * zero, pw))
-        if 2 * j + 1 > cap:
-            break
-        nxt = _sparse_step(power, xmat, r, pw)
-        consts.append(_pair_const(power, nxt, r, 2 * zero, pw))
-        power = nxt
-    return consts
+    return _kernel_paired(xmat, zero, 2 * zero, r, pw, cap)
+
+
+def _kernel_finite(coeffs, group, r: int, pw: int, cap: int) -> list[int]:
+    """The paired kernel on a finite group ring; ``coeffs[s][t]`` lists X's coefficients by element.
+
+    Table columns are built only for X's support.
+    """
+    support = {h for row in coeffs for entry in row for h, c in enumerate(entry) if c}
+    cols = {h: group.mul[:, h].tolist() for h in support}
+    xmat = [
+        [[(cols[h], c) for h, c in enumerate(coeffs[s][t]) if c] for t in range(r)]
+        for s in range(r)
+    ]
+    return _kernel_paired(xmat, group.identity, group.inv.tolist(), r, pw, cap)
 
 
 def tr_log_one_unit(f, p: int, prec: int) -> Padic:
@@ -260,10 +260,11 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
 
     Powers of 1 - F are accumulated with coefficients reduced modulo
     p^(prec+guard); terms beyond the cutoff -- and whole powers once the
-    valuation passes the working precision -- provably vanish there.  Over
-    Z^d the sparse kernel reads const tr X^(2j) = <X^j, X^j> and
+    valuation passes the working precision -- provably vanish there.  The
+    paired kernel reads const tr X^(2j) = <X^j, X^j> and
     const tr X^(2j+1) = <X^j, X^(j+1)> (pairing in the module docstring), so
-    it multiplies about cap/2 times.  The constants c_nu are divided by nu
+    it multiplies about cap/2 times; small Z^d boxes with p^w in a machine
+    word take the dense kernel instead.  The constants c_nu are divided by nu
     and summed in integers (``padic._neg_sum_over_nu``).  For p = 2 a unit
     that is only 1 mod 2 is squared first (the value is half the value at
     the square, which lies in 1 + 4A).
@@ -285,14 +286,14 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     r = F.r
 
     if isinstance(proto, FiniteGroupRingElem):
-        xmat = [
+        coeffs = [
             [
                 [_coeff_int_mod(c, p, w) for c in X.entries[s][t].coeffs]
                 for t in range(r)
             ]
             for s in range(r)
         ]
-        consts = _kernel_finite(xmat, proto.group, r, pw, cap)
+        consts = _kernel_finite(coeffs, proto.group, r, pw, cap)
     elif isinstance(proto, LaurentPoly):
         d = proto.d
         supports = [
@@ -368,13 +369,10 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
     for c in f.terms.values():
         if not isinstance(c, (int, Fraction)):
             raise DomainMismatch("normalization needs exact integer or rational coefficients")
-    a = min(vp_fraction(c, p) for c in f.terms.values())
-    scale = Fraction(1, p**a) if a >= 0 else Fraction(p**-a)
-    f1 = f.map_coefficients(lambda c: exactify(c * scale))
+    a, scaled = strip_p_content(list(f.terms.values()), p)
+    terms = dict(zip(f.terms, scaled))
     w = prec + 1
-    residues = {
-        e: _coeff_int_mod(c, p, 1) for e, c in f1.terms.items()
-    }
+    residues = {e: _coeff_int_mod(c, p, 1) for e, c in terms.items()}
     nonzero = [e for e, c in residues.items() if c]
     if len(nonzero) != 1:
         raise NotACZeroUnit(
@@ -382,10 +380,10 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
             f"vanishes somewhere on the {p}-adic torus"
         )
     nu = nonzero[0]
-    c_exact = f1.terms[nu]
+    c_exact = terms[nu]
     cinv = pow(_coeff_int_mod(c_exact, p, w), -1, p**w)
     unit_terms = {}
-    for e, cc in f1.terms.items():
+    for e, cc in terms.items():
         shifted = tuple(x - y for x, y in zip(e, nu))
         unit_terms[shifted] = _coeff_int_mod(cc, p, w) * cinv % p**w
     one_unit = LaurentPoly(f.d, unit_terms)

@@ -460,16 +460,10 @@ def fix_count_char_crt(f, moduli) -> int:
     (Z/n_d) fall into Galois orbits, the product over an orbit is an
     integer norm, and batches of orbits are evaluated at roots of unity in
     prime fields and rebuilt by CRT.  Its absolute value is the fix count.
+    ``moduli`` is a ZdQuotient or its moduli; ``quotient_det`` checks the fit.
     """
     if isinstance(moduli, HeisenbergQuotient):
         raise NonAbelianQuotient("character products need an abelian quotient")
-    if isinstance(moduli, ZdQuotient):
-        moduli = moduli.moduli
-    moduli = tuple(int(n) for n in moduli)
-    if any(n < 1 for n in moduli):
-        raise NonAbelianQuotient("moduli must be >= 1")
-    F = RingMatrix.wrap(f)
-    d = F.entries[0][0].d
-    if len(moduli) != d:
-        raise DomainMismatch(f"need {d} moduli for a d={d} polynomial")
-    return quotient_det(F, ZdQuotient(moduli))
+    if not isinstance(moduli, ZdQuotient):
+        moduli = ZdQuotient(tuple(int(n) for n in moduli))
+    return quotient_det(f, moduli)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from ._util import exactify, vp_fraction
+from ._util import rational_residue, strip_p_content, vp_fraction
 from .errors import (
     DomainMismatch,
     NotPrimitive,
@@ -173,7 +173,7 @@ def slope_split(f, p: int, prec: int):
     s = unit_positions[0]
     assert s == np_data.inside_degree()
     mod = p**prec
-    fc = [_lift_rational(c, p, mod) for c in coeffs]
+    fc = [rational_residue(c, p, mod) for c in coeffs]
     deg = len(fc) - 1
     cbar = fc[s] % p
     if s == 0:
@@ -206,14 +206,6 @@ def slope_split(f, p: int, prec: int):
     return gp, hp
 
 
-def _lift_rational(c, p: int, mod: int) -> int:
-    if isinstance(c, Fraction):
-        if c.denominator % p == 0:
-            raise NotPrimitive("denominator divisible by p after content strip")
-        return c.numerator * pow(c.denominator, -1, mod) % mod
-    return c % mod
-
-
 def mahler_1d(f, p: int, prec: int) -> Padic:
     """p-adic Mahler measure of a one-variable polynomial without unit-circle
     roots: log of the lowest coefficient minus log of the product of the
@@ -225,10 +217,7 @@ def mahler_1d(f, p: int, prec: int) -> Padic:
     """
     coeffs, _ = _coeff_list(f)
     a_r, a_m = coeffs[0], coeffs[-1]
-    content = min(vp_fraction(c, p) for c in coeffs if c != 0)
-    if content:
-        scale = Fraction(1, p**content) if content > 0 else Fraction(p**-content)
-        coeffs = [exactify(c * scale) for c in coeffs]
+    content, coeffs = strip_p_content(coeffs, p)
     # working precision: logs of a_m, a_r and of root products must survive
     slack = abs(vp_fraction(a_r, p) - content) + abs(vp_fraction(a_m, p) - content) + 2
     w = prec + slack

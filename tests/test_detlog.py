@@ -17,10 +17,11 @@ from padic_entropy import (
     logdet_unit,
     padic_log,
     padic_sqrt,
+    reduce_to_quotient,
     tr_log_one_unit,
 )
 from padic_entropy import detlog
-from padic_entropy.detlog import _kernel_zd_dense, _kernel_zd_sparse
+from padic_entropy.detlog import _kernel_finite, _kernel_zd_dense, _kernel_zd_sparse
 from padic_entropy.errors import NotACZeroUnit, NotAOneUnit, SingularRho
 
 import helpers
@@ -266,6 +267,90 @@ def test_sparse_kernel_builds_half_the_powers(cap, monkeypatch):
     supports = [[[((1, 0), 3), ((0, 1), 6), ((-1, -1), 3)]]]
     _kernel_zd_sparse(supports, 2, 1, 3**45, cap)
     assert len(steps) == (cap - 1) // 2  # at most ceil(cap/2); all powers need cap - 1
+    # the same pairing on a finite group ring
+    steps.clear()
+    group = build_quotient_group(HeisenbergQuotient(3))
+    _kernel_finite([[[3 if h in (1, 3, 9) else 0 for h in range(group.m)]]], group, 1, 3**45, cap)
+    assert len(steps) == (cap - 1) // 2
+
+
+def _every_power_finite(coeffs, group, r, pw, cap):
+    """Identity coefficient of tr X^nu for nu = 1..cap by dense convolution, building every power."""
+    m, e = group.m, group.identity
+    mul = group.mul.tolist()
+
+    def conv(a, b):
+        out = [0] * m
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[mul[i][j]] += ai * bj
+        return out
+
+    power, consts = coeffs, []
+    for _ in range(cap):
+        consts.append(sum(power[s][s][e] for s in range(r)) % pw)
+        power = [
+            [
+                [sum(col) % pw for col in zip(*(conv(power[s][u], coeffs[u][t]) for u in range(r)))]
+                for t in range(r)
+            ]
+            for s in range(r)
+        ]
+    return consts
+
+
+@pytest.mark.parametrize(
+    "q",
+    [ZdQuotient((5,)), ZdQuotient((2, 3)), HeisenbergQuotient(2), HeisenbergQuotient(3)],
+    ids=["z5", "z2xz3", "heis2", "heis3"],
+)
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_finite_kernel_matches_every_power(q, r):
+    group = build_quotient_group(q)
+    rng = random.Random(f"{q.label()}:{r}")
+    for cap in (1, 2, 3, 4, 7, 8, 11):
+        for density in (0.25, 1.0):
+            p = rng.choice((2, 3, 5))
+            pw = p ** rng.randint(2, 9)
+            coeffs = [
+                [
+                    [p * rng.randint(1, pw) % pw if rng.random() < density else 0 for _ in range(group.m)]
+                    for _ in range(r)
+                ]
+                for _ in range(r)
+            ]
+            want = _every_power_finite(coeffs, group, r, pw, cap)
+            assert _kernel_finite(coeffs, group, r, pw, cap) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("p", [2, 3])
+def test_trlog_central_element_matches_cyclic_group(n, p):
+    # z generates the centre of heis(n), a copy of Z/n
+    z, z_inv = LaurentPoly.monomial((0, 0, 1)), LaurentPoly.monomial((0, 0, -1))
+    on_heis = reduce_to_quotient(1 + p * z + p * z_inv, HeisenbergQuotient(n))
+    on_cyclic = reduce_to_quotient(1 + p * T + p * Tinv, ZdQuotient((n,)))
+    assert tr_log_one_unit(on_heis, p, 6).eq_mod(tr_log_one_unit(on_cyclic, p, 6), 6)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_trlog_homomorphism_and_conjugation_on_large_heisenberg(n):
+    q = HeisenbergQuotient(n)
+    group = build_quotient_group(q)
+    rng = random.Random(50 + n)
+    x, y = LaurentPoly.monomial((1, 0, 0)), LaurentPoly.monomial((0, 1, 0))
+    for p in (2, 3, 5):
+        a = reduce_to_quotient(helpers.random_one_unit(rng, 3, p, terms=3) + p * x, q)
+        b = reduce_to_quotient(helpers.random_one_unit(rng, 3, p, terms=3) + p * y, q)
+        assert a * b != b * a
+        ta = tr_log_one_unit(a, p, 6)
+        assert tr_log_one_unit(a * b, p, 6).eq_mod(ta + tr_log_one_unit(b, p, 6), 6)
+        g = rng.randrange(group.m)
+        gamma = FiniteGroupRingElem.element(group, g)
+        gamma_inv = FiniteGroupRingElem.element(group, int(group.inv[g]))
+        assert tr_log_one_unit(gamma * a * gamma_inv, p, 6).eq_mod(ta, 6)
 
 
 def test_trlog_sparse_path_matches_dense_path(monkeypatch):

@@ -247,11 +247,17 @@ def fix_count_at_3(f, q):
 
 
 @pytest.mark.parametrize(
-    "route", [quotient_det, reduce_to_quotient, check_quotient_at_3, fix_count_at_3]
+    "route",
+    [quotient_det, reduce_to_quotient, check_quotient_at_3, fix_count_at_3, fix_count_char_crt],
 )
 def test_quotient_dimension_checks(route):
     with pytest.raises(InvalidQuotient):
         route(X, ZdQuotient((3,)))
+    for moduli in ((3,), (0,), (-3,), (0, 3)):
+        with pytest.raises(InvalidQuotient):
+            route(X, moduli)
+    if route is fix_count_char_crt:
+        return  # it takes bare moduli, and refuses Heisenberg as NonAbelianQuotient
     with pytest.raises(InvalidQuotient):
         route(LaurentPoly.monomial((1, 0, 0, 1)), HeisenbergQuotient(2))
     with pytest.raises(InvalidQuotient):
