@@ -17,7 +17,10 @@ the group law is data: the move of an element h carries the key of g to
 the key of g*h.  On Z^d a key packs the exponent, a move is the int offset
 key(h) - key(0) and the inverse key is 2 key(0) - key(g); on a finite group
 a key is the element's index, a move is column h of the multiplication
-table and inverse keys come from the inverse table.
+table and inverse keys come from the inverse table.  Each step of the
+kernel costs at most r * |supp X| * |G| products on a finite group ring,
+so there the series is refused above ``FINITE_SERIES_CAP`` products, as the
+exponent box is above ``SERIES_CELL_CAP`` cells on Z^d.
 
 ``c0_unit_normalize`` factors an integral Laurent element that is a unit of
 the convolution algebra as p^a * c * t^nu * (1 + p*g); ``logdet_unit``
@@ -50,6 +53,7 @@ from .groupring import (
     FiniteGroupRingElem,
     LaurentPoly,
     RingMatrix,
+    _coeff_is_zero,
     rho_matrix,
     sup_norm,
 )
@@ -60,6 +64,13 @@ _DENSE_CELL_CAP = 4_000_000
 # Z^d can fill (``tr_log_one_unit``).  A d = 3 simplex at prec 128 has about
 # 1.9e7 cells and takes seconds; prec 256 there ran for more than 40 s.
 SERIES_CELL_CAP = 20_000_000
+# Bounds r^2 * |supp X| * |G| * ceil(cap/2) on a finite group ring, where
+# |supp X| counts the nonzero (entry, element) cells of X = 1 - F: each of
+# the kernel's ceil(cap/2) steps moves the at most r * |G| cells of a power
+# row by each cell of X, and the pairings cost less.  A full-support 1-unit
+# on heis(8) is about 1.3e6 products (0.2 s); on heis(16) it is 8.4e7 and
+# took 16-22 s, so the cap allows a few seconds.
+FINITE_SERIES_CAP = 20_000_000
 
 
 def _coeff_int_mod(c, p: int, w: int) -> int:
@@ -255,6 +266,15 @@ def _kernel_finite(coeffs, group, r: int, pw: int, cap: int) -> list[int]:
     return _kernel_paired(xmat, group.identity, group.inv.tolist(), r, pw, cap)
 
 
+def _refuse_costly_finite_series(r: int, cells: int, m: int, cap: int) -> None:
+    """DomainMismatch when the series on a finite group ring may exceed FINITE_SERIES_CAP."""
+    work = r * r * cells * m * ((cap + 1) // 2)
+    if work > FINITE_SERIES_CAP:
+        raise DomainMismatch(
+            f"trace-log series of up to {work} products exceeds cap {FINITE_SERIES_CAP}"
+        )
+
+
 def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     """Group-trace of log F for a 1-unit F; absolute precision prec.
 
@@ -267,7 +287,12 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     word take the dense kernel instead.  The constants c_nu are divided by nu
     and summed in integers (``padic._neg_sum_over_nu``).  For p = 2 a unit
     that is only 1 mod 2 is squared first (the value is half the value at
-    the square, which lies in 1 + 4A).
+    the square, which lies in 1 + 4A).  Series the caps would let grow
+    without bound are refused with DomainMismatch before any power is built:
+    over Z^d by the cells of the exponent box (``SERIES_CELL_CAP``), on a
+    finite group ring by the products of the kernel (``FINITE_SERIES_CAP``;
+    for p = 2 this is checked on a bound for the square's support before
+    the square is formed).
     """
     F = RingMatrix.wrap(f)
     ident = RingMatrix.identity_like(F)
@@ -275,15 +300,22 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     norm = sup_norm(X, p)
     if norm > Fraction(1, p):
         raise NotAOneUnit(f"F - 1 has sup norm {norm} > 1/{p}")
+    proto = F.entries[0][0]
+    r = F.r
     if p == 2 and norm > Fraction(1, 4):
+        if isinstance(proto, FiniteGroupRingElem):
+            # bound the series on the square before forming it:
+            # 1 - F^2 = 2X - X^2 has at most |supp X| + |supp X|^2 cells
+            m = proto.group.m
+            cells = sum(not _coeff_is_zero(c) for row in X.entries for e in row for c in e.coeffs)
+            w, cutoff = series_guard(2, prec + 1)
+            _refuse_costly_finite_series(r, min(cells + cells**2, r * r * m), m, min(cutoff, w))
         half = tr_log_one_unit(F * F, 2, prec + 1)
         return (half / 2).truncate_abs(prec)
 
     w, cutoff = series_guard(p, prec)
     cap = min(cutoff, w)  # X^nu = 0 mod p^w once nu >= w
     pw = p**w
-    proto = F.entries[0][0]
-    r = F.r
 
     if isinstance(proto, FiniteGroupRingElem):
         coeffs = [
@@ -293,6 +325,8 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
             ]
             for s in range(r)
         ]
+        cells = sum(1 for row in coeffs for entry in row for c in entry if c)
+        _refuse_costly_finite_series(r, cells, proto.group.m, cap)
         consts = _kernel_finite(coeffs, proto.group, r, pw, cap)
     elif isinstance(proto, LaurentPoly):
         d = proto.d

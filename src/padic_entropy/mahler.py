@@ -10,6 +10,13 @@ measure itself only ever needs the *products* of the inside (resp. outside)
 roots, which are +-g(0) and a ratio of coefficients of h -- rational
 numbers, so no extension-field arithmetic appears.  Both defining
 expressions are evaluated and must agree.
+
+The hull is built on integer valuations, and the slope split reads the
+p-content and the unit coefficient off the polygon, so it computes each
+coefficient's valuation once.  The polynomial products and divisions of
+the lift sum their products unreduced and reduce modulo p^w once per
+output coefficient (for a division: once per eliminated leading
+coefficient and once per remainder coefficient), not after every product.
 """
 
 from __future__ import annotations
@@ -77,55 +84,60 @@ def newton_polygon(f, p: int) -> NewtonPolygon:
     """Newton polygon of a one-variable polynomial at p.
 
     Convention: a segment of slope -w accounts for (its length many) roots of
-    valuation w; slopes are strictly increasing left to right.
+    valuation w; slopes are strictly increasing left to right.  The hull is
+    built on integer valuations; only the vertices and slopes returned are
+    Fractions.
     """
     coeffs, _ = _coeff_list(f)
-    pts = [
-        (i, Fraction(vp_fraction(c, p)))
-        for i, c in enumerate(coeffs)
-        if c != 0
-    ]
-    hull: list[tuple[int, Fraction]] = []
-    for pt in pts:
+    hull: list[tuple[int, int]] = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        y = vp_fraction(c, p)
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # keep only strict right turns: collinear middle points drop out
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+            if (y2 - y1) * (i - x1) >= (y - y1) * (x2 - x1):
                 hull.pop()
             else:
                 break
-        hull.append(pt)
+        hull.append((i, y))
     segments = [
         (Fraction(y2 - y1, x2 - x1), x2 - x1)
         for (x1, y1), (x2, y2) in zip(hull, hull[1:])
     ]
-    return NewtonPolygon(vertices=hull, segments=segments)
+    return NewtonPolygon(vertices=[(x, Fraction(y)) for x, y in hull], segments=segments)
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: int) -> list[int]:
+    """a*b over Z/mod; products are summed unreduced, one reduction per coefficient."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % mod
-    return out
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return [c % mod for c in out]
 
 
 def _poly_divmod_monic(a: list[int], g: list[int], mod: int):
-    """divmod by a monic polynomial over Z/mod."""
-    a = [x % mod for x in a]
+    """divmod by a monic polynomial over Z/mod.
+
+    The working coefficients stay unreduced; only the leading coefficient
+    that each step eliminates is reduced (it becomes a quotient
+    coefficient), and the remainder once at the end.
+    """
     dg = len(g) - 1
     if dg == 0:
-        return a[:], [0]
+        return [x % mod for x in a], [0]
+    a = list(a)
     q = [0] * max(1, len(a) - dg)
     for i in range(len(a) - 1, dg - 1, -1):
-        c = a[i]
+        c = a[i] % mod
         if c:
             q[i - dg] = c
-            for j in range(dg + 1):
-                a[i - dg + j] = (a[i - dg + j] - c * g[j]) % mod
-    return q, a[:dg]
+            for j in range(dg):  # g[dg] = 1 cancels a[i], which is not read again
+                a[i - dg + j] -= c * g[j]
+    return q, [x % mod for x in a[:dg]]
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -161,17 +173,18 @@ def slope_split(f, p: int, prec: int):
     precision prec (g monic of degree s with exact leading 1).
     """
     coeffs, _ = _coeff_list(f)
-    vals = [vp_fraction(c, p) for c in coeffs if c != 0]
-    if min(vals) != 0:
-        raise NotPrimitive(f"p-content {min(vals)}: strip powers of {p} first")
+    # The polygon's lowest vertex carries the least valuation.  With that at
+    # 0, there is exactly one unit coefficient iff no segment has slope 0,
+    # and it sits at the end of the negative slopes.
     np_data = newton_polygon(coeffs, p)
-    unit_positions = [i for i, c in enumerate(coeffs) if c != 0 and vp_fraction(c, p) == 0]
-    if len(unit_positions) != 1:
-        raise ZeroSlopePresent(
-            f"{len(unit_positions)} unit coefficients: a root lies on the unit circle"
-        )
-    s = unit_positions[0]
-    assert s == np_data.inside_degree()
+    content = min(y for _, y in np_data.vertices)
+    if content != 0:
+        raise NotPrimitive(f"p-content {content}: strip powers of {p} first")
+    if np_data.has_zero_slope():
+        units = sum(1 for c in coeffs if c != 0 and vp_fraction(c, p) == 0)
+        raise ZeroSlopePresent(f"{units} unit coefficients: a root lies on the unit circle")
+    s = np_data.inside_degree()
+    assert (s, 0) in np_data.vertices
     mod = p**prec
     fc = [rational_residue(c, p, mod) for c in coeffs]
     deg = len(fc) - 1

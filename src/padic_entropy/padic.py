@@ -8,8 +8,15 @@ pure, results are canonical, and the tracked precision is the tightest that
 the inputs actually prove -- never a looser claim presented as tighter.
 
 The logarithm is the Iwasawa branch: log(p) = 0, roots of unity are killed.
-For p = 2 the scalar log is computed as log(u) = log(u^2)/2 with
-u^2 = 1 mod 8, so the whole odd-unit group is covered.
+The scalar log of a unit u known to n digits is read off one power:
+y = u^((p-1) p^k) for odd p, y = u^(2^(k+1)) for p = 2, with k = isqrt(n).
+The power kills the roots of unity (for p = 2 it squares u into 1 + 8Z_2,
+so the whole odd-unit group is covered), and since p-th powers of 1-units
+that agree modulo p^m agree modulo p^(m+1), y is known to n + k digits
+(n + k + 1 for p = 2) and lies in 1 + p^(k+1) Z_p.  The series for log y
+then stops after about (n+k)/(k+1) terms, and dividing by the exponent
+exactly gives log u modulo p^n, the same canonical value as summing the
+series on u times its inverse Teichmuller representative.
 """
 
 from __future__ import annotations
@@ -43,9 +50,11 @@ def log_series_cutoff(p: int, target: int) -> int:
     """Smallest nu0 such that nu - floor(log_p nu) >= target for all nu >= nu0.
 
     nu - floor(log_p nu) is non-decreasing in nu, so the first index where the
-    bound holds works for every later term of the logarithm series.
+    bound holds works for every later term of the logarithm series.  Below
+    target the bound never holds (nu - floor(log_p nu) <= nu), so the walk
+    starts there.
     """
-    nu = 1
+    nu = max(1, target)
     while nu - _ilog(nu, p) < target:
         nu += 1
     return nu
@@ -398,7 +407,9 @@ class Padic:
 def teichmuller(a: Padic) -> Padic:
     """The root of unity congruent to the unit a mod p (mod 4 for p = 2).
 
-    Computed by iterating x -> x^p, which gains one correct digit per step.
+    For odd p this is u^(p^(prec-1)) mod p^prec, one ``pow``: u = w * (1 + x)
+    with w the root and v_p(x) >= 1, w^(p^n) = w because p^n = 1 mod p - 1,
+    and (1 + x)^(p^(prec-1)) = 1 mod p^prec.
     """
     if a.is_zero or a.v != 0:
         raise NotAUnit("Teichmuller representative needs a unit (valuation 0)")
@@ -408,14 +419,7 @@ def teichmuller(a: Padic) -> Padic:
             raise IndistinguishableAtPrecision("need the unit mod 4")
         u = 1 if a.u % 4 == 1 else (1 << prec) - 1
         return Padic._nonzero(2, 0, u, prec)
-    mod = p**prec
-    x = a.u % mod
-    for _ in range(prec + 1):
-        y = pow(x, p, mod)
-        if y == x:
-            break
-        x = y
-    return Padic._nonzero(p, 0, x, prec)
+    return Padic._nonzero(p, 0, pow(a.u, p ** (prec - 1), p**prec), prec)
 
 
 def _neg_sum_over_nu(terms, p: int, digits: int, g: int) -> Padic:
@@ -448,7 +452,8 @@ def _log_one_unit_int(x_int: int, p: int, abs_prec: int) -> Padic:
     to at least abs_prec digits, because x^nu is known modulo
     p^(abs_prec + (nu-1) v_p(x)) and (nu-1) v_p(x) >= v_p(nu); so the result
     is exactly what the input proves, the canonical value mod p^abs_prec.
-    The powers stop early once x^nu vanishes modulo p^(abs_prec + g).
+    The powers stop early once x^nu vanishes modulo p^(abs_prec + g), so
+    about (abs_prec + g) / v_p(x) terms are summed.
     """
     x = x_int % p**abs_prec
     if x == 0:
@@ -470,24 +475,34 @@ def _log_one_unit_int(x_int: int, p: int, abs_prec: int) -> Padic:
 
 def padic_log(a: Padic) -> Padic:
     """Iwasawa-branch logarithm: drops the valuation (log p = 0), kills the
-    Teichmuller part, and sums the usual series on the remaining 1-unit.
+    roots of unity with one power, and sums the usual series on the 1-unit.
 
-    The result is absolute precision a.prec: a unit known to that many digits
-    determines its log modulo the same power of p.
+    The result is absolute precision a.prec: a unit u known modulo p^n,
+    n = a.prec, determines its log modulo p^n, and the result is that
+    canonical value.  With q = p - 1 for odd p and q = 2 for p = 2, and
+    k = isqrt(n):
+
+    * u^q is a 1-unit (1 mod 8 for p = 2) known modulo p^(n+e), where e = 1
+      for p = 2 (the square is known one digit beyond u) and e = 0 otherwise.
+    * If two 1-units agree modulo p^m, m >= 1, their p-th powers agree
+      modulo p^(m+1): (b(1 + p^m t))^p = b^p (1 + p^(m+1) t + ...), the
+      dropped terms having valuation at least 2m >= m + 1.  So
+      y = u^(q p^k) is known modulo p^(n+e+k), and y = 1 mod p^(k+1).
+    * log y = q p^k log u, and ``_log_one_unit_int`` gives log y modulo
+      p^(n+e+k) from those digits; q p^k has valuation k + e, so the exact
+      division leaves log u modulo p^n.
+
+    Since v_p(1 - y) >= k + 1, the series stops after about (n+k)/(k+1)
+    terms instead of about n; the power costs about k log2(p) squarings.
     """
     if a.is_zero:
         raise ZeroInput("log of (a value indistinguishable from) zero")
-    p, prec = a.p, a.prec
-    if p == 2:
-        # log u = log(u^2)/2 with u^2 = 1 mod 8; the square is known one
-        # digit beyond the unit itself.
-        u2 = a.u * a.u % (1 << (prec + 1))
-        val = _log_one_unit_int((1 - u2) % (1 << (prec + 1)), 2, prec + 1)
-        return (val / 2).truncate_abs(prec)
-    w = teichmuller(a.unit_part())
-    mod = p**prec
-    u1 = a.u * pow(w.u, -1, mod) % mod
-    return _log_one_unit_int((1 - u1) % mod, p, prec).truncate_abs(prec)
+    p, n = a.p, a.prec
+    k = math.isqrt(n)
+    e, q = (1, 2) if p == 2 else (0, p - 1)
+    digits = n + e + k
+    y = pow(a.u, q * p**k, p**digits)
+    return _log_one_unit_int(1 - y, p, digits) / (q * p**k)
 
 
 def _sqrt_mod_p(n: int, p: int) -> int:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,9 @@ from padic_entropy import (
 )
 from padic_entropy import detlog
 from padic_entropy.detlog import _kernel_finite, _kernel_zd_dense, _kernel_zd_sparse
-from padic_entropy.errors import NotACZeroUnit, NotAOneUnit, SingularRho
+from padic_entropy.errors import DomainMismatch, NotACZeroUnit, NotAOneUnit, SingularRho
+from padic_entropy.groupring import FiniteGroup
+from padic_entropy.poly_io import parse_poly
 
 import helpers
 
@@ -351,6 +354,35 @@ def test_trlog_homomorphism_and_conjugation_on_large_heisenberg(n):
         gamma = FiniteGroupRingElem.element(group, g)
         gamma_inv = FiniteGroupRingElem.element(group, int(group.inv[g]))
         assert tr_log_one_unit(gamma * a * gamma_inv, p, 6).eq_mod(ta, 6)
+
+
+def test_trlog_refuses_full_support_on_heis16_at_once(monkeypatch):
+    # uncached, so the order-4096 table is freed after the test
+    group = FiniteGroup(HeisenbergQuotient(16))
+    rng = random.Random(64)
+    units = {p: helpers.random_fg_one_unit(rng, group, p) for p in (3, 2)}
+
+    def forbidden(*args):
+        raise AssertionError("refusal came after the work it bounds")
+
+    monkeypatch.setattr(detlog, "_kernel_paired", forbidden)
+    monkeypatch.setattr(FiniteGroupRingElem, "__mul__", forbidden)  # p = 2: before F * F
+    for p, f in units.items():
+        start = time.perf_counter()
+        with pytest.raises(DomainMismatch, match="exceeds cap"):
+            tr_log_one_unit(f, p, 6)
+        assert time.perf_counter() - start < 2.0  # the series itself took 16-22 s
+
+
+@pytest.mark.parametrize(
+    "q", [HeisenbergQuotient(8), ZdQuotient((20, 20))], ids=["heis8", "z20xz20"]
+)
+def test_trlog_benchmark_reductions_stay_well_under_the_finite_cap(q, monkeypatch):
+    # the largest sparse reductions the benchmark checker passes in
+    f = reduce_to_quotient(parse_poly("1+3*x+3*y+3*x^-1*y^-1"), q)
+    want = tr_log_one_unit(f, 3, 6)
+    monkeypatch.setattr(detlog, "FINITE_SERIES_CAP", detlog.FINITE_SERIES_CAP // 1000)
+    assert tr_log_one_unit(f, 3, 6) == want
 
 
 def test_trlog_sparse_path_matches_dense_path(monkeypatch):

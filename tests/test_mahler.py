@@ -154,6 +154,32 @@ def _ref_trim(a):
     return a
 
 
+def _random_poly(rng, n, bound):
+    """n coefficients in [-bound, bound], about a third of them zero."""
+    return [0 if rng.random() < 0.3 else rng.randint(-bound, bound) for _ in range(n)]
+
+
+def test_poly_kernels_equal_per_product_reduction():
+    rng = random.Random(35)
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7, 11])
+        mod = p ** rng.choice([1, 2, rng.randint(1, 300), 300])
+        a = _random_poly(rng, rng.randint(1, 9), 3 * mod)
+        b = _random_poly(rng, rng.randint(1, 9), 3 * mod)
+        assert mahler._poly_mul_mod(a, b, mod) == _ref_mul(a, b, mod), (a, b, mod)
+        g = [rng.randrange(mod) for _ in range(rng.randint(0, 6))] + [1]  # monic, degree 0..6
+        q, r = mahler._poly_divmod_monic(a, g, mod)
+        want_q, want_r = _ref_divmod(a, g, mod)
+        assert q == want_q, (a, g, mod)
+        assert r == (want_r if len(g) > 1 else [0]), (a, g, mod)
+    for mod in (2, 3**300):  # length-1 operands, zero operands, exact-degree quotients
+        assert mahler._poly_mul_mod([0], [5, 0, 7], mod) == [0, 0, 0]
+        assert mahler._poly_mul_mod([mod + 2], [mod - 1], mod) == [(mod + 2) * (mod - 1) % mod]
+        assert mahler._poly_divmod_monic([0, 0, 0], [1, 1], mod) == ([0, 0], [0])
+        assert mahler._poly_divmod_monic([3, mod + 1], [1], mod) == ([3 % mod, 1], [0])
+        assert mahler._poly_divmod_monic([4], [1, 0, 1], mod) == ([0], [4 % mod])
+
+
 def _reference_split(coeffs, p, prec):
     """(g, h) as int lists mod p^prec; coeffs integral with one unit at s."""
     mod = p**prec

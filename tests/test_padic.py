@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_entropy import Padic, padic_log, padic_sqrt, teichmuller
-from padic_entropy.padic import _log_one_unit_int, log_series_cutoff
+from padic_entropy import padic
+from padic_entropy.padic import _ilog, _log_one_unit_int, log_series_cutoff
 from padic_entropy.errors import (
     IndistinguishableAtPrecision,
     NotASquare,
@@ -182,6 +184,108 @@ def test_integer_log_series_matches_padic_summation():
         got = _log_one_unit_int(x, p, a)
         assert got == _log_one_unit_padic(x, p, a), (p, a, x)
         assert got.abs_prec == a
+
+
+# A test-local copy of the log as it was before the (p-1)*p^k power: the
+# Teichmuller representative by the x -> x^p loop, then the full series on
+# u / w (on u^2 for p = 2), summed in integers with the terms up to 2 * digits.
+
+
+def _former_teichmuller_unit(u, p, prec):
+    mod = p**prec
+    x = u % mod
+    for _ in range(prec + 1):
+        y = pow(x, p, mod)
+        if y == x:
+            break
+        x = y
+    return x
+
+
+def _former_log(a):
+    p, prec = a.p, a.prec
+    if p == 2:
+        digits = prec + 1
+        x = (1 - a.u * a.u) % 2**digits
+    else:
+        digits = prec
+        w = _former_teichmuller_unit(a.u, p, prec)
+        x = (1 - a.u * pow(w, -1, p**prec)) % p**prec
+    # v_p(x^nu / nu) >= nu - log_p(nu) > nu / 2 >= digits beyond nu = 2 * digits
+    last = 2 * digits
+    g = _ilog(last, p)
+    mod = p ** (digits + g)
+    acc, power = 0, x
+    for nu in range(1, last + 1):
+        k, m = 0, nu
+        while m % p == 0:
+            m, k = m // p, k + 1
+        acc -= power * p ** (g - k) * pow(m, -1, mod)
+        power = power * x % mod
+    val = acc % mod // p**g  # log(1 - x) modulo p^digits
+    if p == 2:
+        val //= 2  # log u = log(u^2) / 2, and v_2(log u^2) >= 3
+    return Padic.from_int_mod(val, p, prec)
+
+
+def _random_padic(rng, p, prec, v):
+    u = rng.randrange(1, p**prec)
+    return Padic._nonzero(p, v, u if u % p else u + 1, prec)
+
+
+def test_log_equals_former_teichmuller_log():
+    rng = random.Random(61)
+    cases = [(p, prec) for p in (2, 3, 5, 7, 11) for prec in (1, 2, 3, 4, 9, 16, 17, 256, 300)]
+    cases += [(rng.choice((2, 3, 5, 7, 11)), rng.randint(1, 300)) for _ in range(300)]
+    for p, prec in cases:
+        a = _random_padic(rng, p, prec, rng.randint(-3, 3))
+        got, want = padic_log(a), _former_log(a)
+        assert (got.v, got.u, got.prec, got.zprec) == (want.v, want.u, want.prec, want.zprec), (
+            p, prec, a.v, a.u
+        )
+    for p in (2, 3, 5, 7, 11):  # roots of unity (log = 0) and 1-units
+        for prec in (1, 5, 40):
+            for u in (1, p**prec - 1, 1 + p, 1 + p ** (prec - 1)):
+                a = Padic._nonzero(p, 0, u % p**prec or 1, prec)
+                assert padic_log(a) == _former_log(a), (p, prec, u)
+
+
+def test_teichmuller_equals_former_loop():
+    rng = random.Random(62)
+    for _ in range(300):
+        p, prec = rng.choice((3, 5, 7, 11, 13)), rng.randint(1, 256)
+        a = _random_padic(rng, p, prec, 0)
+        w = teichmuller(a)
+        assert (w.u, w.prec) == (_former_teichmuller_unit(a.u, p, prec), prec)
+
+
+def test_series_cutoff_equals_walk_from_one():
+    for p in (2, 3, 5, 7):
+        for target in range(-2, 400):
+            nu = 1
+            while nu - _ilog(nu, p) < target:
+                nu += 1
+            assert log_series_cutoff(p, target) == nu, (p, target)
+
+
+def test_log_takes_no_teichmuller_and_a_short_series(monkeypatch):
+    def forbidden(a):
+        raise AssertionError("padic_log called teichmuller")
+
+    counts = []
+    real = padic._neg_sum_over_nu
+
+    def counted(terms, p, digits, g):
+        terms = list(terms)
+        counts.append(len(terms))
+        return real(terms, p, digits, g)
+
+    monkeypatch.setattr(padic, "teichmuller", forbidden)
+    monkeypatch.setattr(padic, "_neg_sum_over_nu", counted)
+    prec = 256
+    a = _random_padic(random.Random(63), 3, prec, 0)
+    assert padic_log(a) == _former_log(a)
+    assert len(counts) == 1 and counts[0] <= 2 * math.isqrt(prec) + 4, counts
 
 
 # -- square roots -----------------------------------------------------------------
