@@ -18,18 +18,23 @@ exponent of zeta_L in a block is linear in the block's label j (a character
 tuple, or (beta, gamma)).  So the Galois group (Z/L)^* acts on the labels
 by j -> u * j and sends block j to its conjugate block u * j.  Over one
 orbit, whose label j has order m, the product of the block determinants is
-the norm from Q(zeta_m) to Q of det(block j): a rational integer, at most
-the product of the l1 norms of the orbit's block rows, that is
-prod_s (sum_t ||f_st||_1) to the power (orbit size * block size / r).
+the norm from Q(zeta_m) to Q of det(block j): a rational integer.  An entry
+of a block is a sum of c * zeta^k over its cells, so Hadamard's inequality
+bounds the square of every conjugate determinant by
+H = prod_rows sum_cols (sum of |c| over the entry's cells)^2.  The cell
+positions do not depend on the label, so one H serves the whole quotient,
+and an orbit of phi(m) blocks has |norm| <= ceil(H^(phi(m)/2)).
 ``quotient_det`` keeps one block per orbit, packs consecutive orbits into
 batches whose bound one prime q = 1 mod L (just above 2^59) can rebuild,
 evaluates each batch in F_q with zeta_L of exact order L there, and rebuilds
 it by CRT; an orbit that needs more primes is a batch of its own.  Each
 block is thus evaluated once per prime of its batch, not once per prime of
 the whole group's bound, and the count is the product of the batches,
-stopping at the first that vanishes.  The bounds multiply to the bound of
-the dense rho matrix, prod_s (sum_t ||f_st||_1)^|G|, which holds for any
-group.
+stopping at the first that vanishes.  A 1 x 1 block (every character of
+Z^d when r = 1) is evaluated as its one entry, with no matrix.  The bounds
+multiply to at most the l1 bound of the dense rho matrix,
+prod_s (sum_t ||f_st||_1)^|G|, and to exactly that bound for r = 1 on Z^d;
+on Heisenberg they are smaller, so fewer primes are needed.
 
 DEFAULT_SIZE_CAP (from ``groupring``) bounds r * |G|, the size of the dense
 rho matrix.  The block route never builds that matrix, but the cap still
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from ._primes import factorize_small, is_prime, primes_one_mod, word_primes
@@ -231,9 +237,7 @@ def _character_blocks(F: RingMatrix, q):
         weighted = [(s, t, [x * w for x, w in zip(e, steps)], c) for s, t, e, c in cells]
 
         def character(jvec):
-            return r, [
-                (s, t, sum(x * j for x, j in zip(w, jvec)) % L, c) for s, t, w, c in weighted
-            ]
+            return r, [(s, t, sum(map(operator.mul, w, jvec)) % L, c) for s, t, w, c in weighted]
 
         return L, q.moduli, character
     n = q.n
@@ -259,15 +263,23 @@ def _galois_orbits(labels) -> list[tuple[tuple[int, ...], list[int]]]:
     One (j, units) per orbit, in order of first label: j has order m (the
     lcm of the orders of its coordinates), and the orbit is {u * j : u in
     units} with units = (Z/m)^*, so it holds phi(m) labels, each once.
+    Visited labels are marked in a flat bytearray by their row-major index,
+    and each unit group is built once per order m and shared by its orbits.
     """
-    seen = set()
+    axes = [(n, math.prod(labels[i + 1 :])) for i, n in enumerate(labels)]
+    seen = bytearray(math.prod(labels))
+    unit_groups: dict[int, list[int]] = {}
     orbits = []
-    for j in itertools.product(*(range(n) for n in labels)):
-        if j in seen:
+    for index, j in enumerate(itertools.product(*(range(n) for n in labels))):
+        if seen[index]:
             continue
         m = math.lcm(*(n // math.gcd(x, n) for x, n in zip(j, labels)))
-        units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
-        seen.update(tuple(u * x % n for x, n in zip(j, labels)) for u in units)
+        units = unit_groups.get(m)
+        if units is None:
+            units = unit_groups[m] = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+        offsets = [[u * x % n * s for u in units] for x, (n, s) in zip(j, axes)]
+        for marked in map(sum, zip(*offsets)):
+            seen[marked] = 1
         orbits.append((j, units))
     return orbits
 
@@ -278,13 +290,47 @@ def _laurent_dim(F: RingMatrix) -> int:
     return F.entries[0][0].d
 
 
-def _l1_bound(F: RingMatrix, order: int) -> int:
-    """prod_s (sum_t ||F_st||_1)^order: bounds |det rho(F)| for |G| = order,
-    and the product of any blocks whose sizes add up to r * order."""
-    per_point = 1
-    for row in F.entries:
-        per_point *= max(sum(abs(c) for e in row for c in e.terms.values()), 1)
-    return max(per_point, 2) ** order
+def _hadamard_square(size: int, cells) -> int:
+    """prod_rows sum_cols (sum |c| over the cells of that entry)^2.
+
+    Whatever the root of unity, every entry of the block has absolute value
+    at most its sum of |c|, so by Hadamard's inequality the square of the
+    block's determinant, and of each of its Galois conjugates, is at most
+    this.  It is 0 exactly when some row has no cell, and then every block
+    with these cell positions is singular.
+    """
+    weight: dict[tuple[int, int], int] = {}
+    for i, j, _, c in cells:
+        weight[i, j] = weight.get((i, j), 0) + abs(c)
+    rows = [0] * size
+    for (i, _), w in weight.items():
+        rows[i] += w * w
+    return math.prod(rows)
+
+
+def _norm_bound(square: int, conjugates: int) -> int:
+    """ceil(square^(conjugates/2)): bounds |the product of that many
+    determinants|, each of square at most ``square``."""
+    power = square**conjugates
+    root = math.isqrt(power)
+    return root if root * root == power else root + 1
+
+
+def _block_det(size: int, cells, zp: list[int], u: int, L: int, prime: int) -> int:
+    """det of block (size, cells) at zeta_L^u in F_prime, with zp[k] = zeta_L^k.
+
+    A 1 x 1 block is its one entry, sum c * zeta_L^(u * k); a larger block is
+    filled in and handed to _det_mod.
+    """
+    if size == 1:
+        entry = 0
+        for _, _, k, c in cells:
+            entry += c * zp[u * k % L]
+        return entry % prime
+    m = [[0] * size for _ in range(size)]
+    for i, j, k, c in cells:
+        m[i][j] += c * zp[u * k % L]
+    return _det_mod(m, prime)
 
 
 def quotient_det(f, q) -> int:
@@ -293,22 +339,25 @@ def quotient_det(f, q) -> int:
     The blocks (character tuples for Z^d, induced characters for
     Heisenberg) are grouped into Galois orbits.  Over one orbit the product
     of the block determinants is the norm from Q(zeta_m) to Q of one of
-    them, a rational integer, and its absolute value is at most the l1
-    bound of the rows of the orbit's blocks.  Consecutive orbits are packed
-    into batches whose bound one prime q = 1 mod L can rebuild (an orbit
-    that needs more primes is a batch of its own); each batch is evaluated
-    modulo its primes and rebuilt by CRT, and the product of the batches is
-    returned, or 0 at the first batch that vanishes.  It equals the dense
-    det_exact(rho_matrix(...)) of the reduced element, sign included.
+    them, a rational integer.  A block's cell positions do not depend on
+    its label, so one Hadamard square H = prod_rows sum_cols (sum |c|)^2
+    serves every block, and an orbit of phi(m) blocks has |norm| at most
+    ceil(H^(phi(m)/2)).  H = 0 (a row with no cell) proves every block
+    singular, and 0 is returned at once.  Consecutive orbits are packed into
+    batches while the product of their bounds stays at most q // 2 for the
+    first prime q = 1 mod L (an orbit that needs more primes is a batch of
+    its own); each batch is evaluated modulo its primes and rebuilt by CRT,
+    and the product of the batches is returned, or 0 at the first batch
+    that vanishes.  It equals the dense det_exact(rho_matrix(...)) of the
+    reduced element, sign included.
     """
     F = RingMatrix.wrap(f)
     _require_integer_coeffs(F)
     L, labels, block = _character_blocks(F, q)
-    # a batch of bound base^e needs one prime while base^e <= q // 2
-    base, room = _l1_bound(F, 1), next(primes_one_mod(L)) // 2
-    per_prime = 0
-    while base ** (per_prime + 1) <= room:
-        per_prime += 1
+    square = _hadamard_square(*block((0,) * len(labels)))
+    if square == 0:
+        return 0
+    room = next(primes_one_mod(L)) // 2
     powers = {}
 
     def zpow(prime: int) -> list:
@@ -320,32 +369,29 @@ def quotient_det(f, q) -> int:
             powers[prime] = table
         return powers[prime]
 
-    def batch_value(batch, exponent) -> int:
+    def batch_value(batch, bound) -> int:
         def residue(prime: int) -> int:
             zp = zpow(prime)
             total = 1
             for size, cells, units in batch:
                 for u in units:
-                    m = [[0] * size for _ in range(size)]
-                    for i, j, k, c in cells:
-                        m[i][j] += c * zp[u * k % L]
-                    total = total * _det_mod(m, prime) % prime
+                    total = total * _block_det(size, cells, zp, u, L, prime) % prime
             return total
 
-        return _crt_signed(primes_one_mod(L), _l1_bound(F, exponent), residue)
+        return _crt_signed(primes_one_mod(L), bound, residue)
 
-    det, batch, exponent = 1, [], 0
+    det, batch, bound = 1, [], 1
     for j, units in _galois_orbits(labels):
         size, cells = block(j)
-        e = len(units) * size // F.r
-        if batch and exponent + e > per_prime:
-            det *= batch_value(batch, exponent)
+        b = _norm_bound(square, len(units))
+        if batch and bound * b > room:
+            det *= batch_value(batch, bound)
             if det == 0:
                 return 0
-            batch, exponent = [], 0
+            batch, bound = [], 1
         batch.append((size, cells, units))
-        exponent += e
-    return det * batch_value(batch, exponent)
+        bound *= b
+    return det * batch_value(batch, bound)
 
 
 @dataclass

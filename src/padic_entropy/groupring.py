@@ -198,7 +198,7 @@ class FiniteGroup:
         import numpy as np
 
         mul, elements = q.multiplication_table()
-        self.mul = np.asarray(mul, dtype=np.int64)
+        self.mul = np.asarray(mul)
         self.m = self.mul.shape[0]
         self.elements = list(elements)
         self.descriptor = q.descriptor()
@@ -274,17 +274,33 @@ class FiniteGroup:
 # multiplication table in that same element order.
 
 
+def _index_dtype(top: int):
+    """The smallest signed numpy integer type that holds 0..top."""
+    import numpy as np
+
+    for dtype in (np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _digit_sum_table(moduli, cocycle=None):
     """(table, element digit tuples) of digitwise sums mod ``moduli`` in mixed
     radix, row-major.
 
     ``cocycle = (u, v)`` adds u[i]*v[j] to the last digit of entry (i, j).
-    Built in place: the table and one reused m x m term are all it holds.
+    Built in place: the table and one reused m x m term are all it holds,
+    both in the smallest signed type that holds the order m and every
+    digit sum before its reduction (int16 below the order cap).
     """
     import numpy as np
 
-    idx = np.arange(math.prod(moduli), dtype=np.int64)
-    mul = np.zeros((idx.size, idx.size), dtype=np.int64)
+    m = math.prod(moduli)
+    top = max(m, 2 * max(moduli))
+    if cocycle is not None:
+        top = max(top, int(cocycle[0].max()) * int(cocycle[1].max()) + 2 * moduli[-1])
+    idx = np.arange(m, dtype=_index_dtype(top))
+    mul = np.zeros((m, m), dtype=idx.dtype)
     term = np.empty_like(mul)
     stride = 1
     for k, n in enumerate(reversed(moduli)):
@@ -387,7 +403,7 @@ class HeisenbergQuotient:
         import numpy as np
 
         n = self.n
-        idx = np.arange(n**3, dtype=np.int64)
+        idx = np.arange(n**3, dtype=_index_dtype(n**3))
         return _digit_sum_table((n, n, n), cocycle=(idx // (n * n), idx // n % n))
 
     def label(self) -> str:

@@ -4,12 +4,14 @@ The Newton polygon (lower convex hull of coefficient valuations) separates
 roots inside and outside the p-adic unit disk; a zero-slope segment means a
 root sits on the unit circle and the measure is undefined (ZeroSlopePresent).
 Otherwise a quadratic Hensel lift splits f = g*h with g monic collecting the
-inside roots and h the outside ones; the inverse of h modulo g is carried
-from one doubling to the next and lifted by one Newton step each time.  The
-measure itself only ever needs the *products* of the inside (resp. outside)
-roots, which are +-g(0) and a ratio of coefficients of h -- rational
-numbers, so no extension-field arithmetic appears.  Both defining
-expressions are evaluated and must agree.
+inside roots and h the outside ones.  The lift runs through p^k for k on
+a schedule built down from the working precision by k -> ceil(k/2), and the
+inverse of h modulo g is carried from one step to the next and lifted by
+one Newton step each time.  The measure itself only ever needs the
+*products* of the inside (resp. outside) roots, which are +-g(0) and a
+ratio of coefficients of h -- rational numbers, so no extension-field
+arithmetic appears.  Both defining expressions are evaluated and must
+agree.
 
 The hull is built on integer valuations, and the slope split reads the
 p-content and the unit coefficient off the polygon, so it computes each
@@ -157,17 +159,36 @@ def _newton_inverse_step(z: list[int], h: list[int], g: list[int], mod: int) -> 
     return _poly_divmod_monic(_poly_mul_mod(z, _sub_mod([2], hz, mod), mod), g, mod)[1]
 
 
+def _lift_exponents(prec: int) -> list[int]:
+    """The Hensel schedule p -> p^k_1 -> ... -> p^prec, built down from prec.
+
+    Each exponent is ceil(half) of the next, so every step at most squares
+    the modulus and the last lands on prec exactly: 260 gives 2, 3, 5, 9, 17,
+    33, 65, 130, 260, where doubling up from 1 would pay for p^256 and then
+    once more for p^260.
+    """
+    exponents = []
+    while prec > 1:
+        exponents.append(prec)
+        prec = (prec + 1) // 2
+    return exponents[::-1]
+
+
 def slope_split(f, p: int, prec: int):
     """Hensel split f = g*h mod p^prec: g monic carries the inside roots.
 
     Preconditions: f primitive (no p-content) and no zero-slope segment,
     i.e. f mod p is exactly c*T^s.  The seed factorization (T^s, f/T^s mod p)
     is coprime and lifts quadratically (von zur Gathen-Gerhard, Alg. 15.10).
+    The moduli are p^k over ``_lift_exponents(prec)``, built down from prec
+    by k -> ceil(k/2), so no step lifts past p^prec and then again to it.
     The Bezout datum z = 1/h mod g is carried along: it starts as c^-1 mod p,
-    and each later doubling, from factors correct mod ``prev`` to mod
+    and each later step, from factors correct mod ``prev`` to mod
     m <= prev^2, first lifts it by one Newton step z <- z(2 - hz) mod
     (g, prev).  That is all the precision it needs: the error e = gh - f is
     divisible by prev, so z*e mod (g, m) depends on z only mod (g, prev).
+    The factors are unique mod p^prec (Hensel), so the schedule does not
+    change them.
 
     Returns (g, h) as ascending-coefficient lists of Padic values at absolute
     precision prec (g monic of degree s with exact leading 1).
@@ -197,10 +218,10 @@ def slope_split(f, p: int, prec: int):
         h = [fc[s + i] % p for i in range(deg - s + 1)]  # = cbar as a constant
         z = [pow(cbar, -1, p)]
         prev = p
-        while prev < mod:
+        for k in _lift_exponents(prec):
             if prev > p:
                 z = _newton_inverse_step(z, h, g, prev)
-            m = min(prev * prev, mod)
+            m = p**k
             e = _sub_mod(_poly_mul_mod(g, h, m), fc, m)  # divisible by prev
             # g <- g - eg and h <- h - eh with e = g*eh + h*eg
             eg = _poly_divmod_monic(_poly_mul_mod(z, e, m), g, m)[1]

@@ -304,27 +304,56 @@ def test_record_json_round_trip():
 # -- Galois orbits of blocks --------------------------------------------------------
 
 
-def _counting_det_mod(monkeypatch):
+def _counting_block_det(monkeypatch):
+    """Record the size of every block that quotient_det evaluates."""
     calls = []
-    real = fixcount._det_mod
+    real = fixcount._block_det
 
-    def counted(m, prime):
-        calls.append(len(m))
-        return real(m, prime)
+    def counted(size, *args):
+        calls.append(size)
+        return real(size, *args)
 
-    monkeypatch.setattr(fixcount, "_det_mod", counted)
+    monkeypatch.setattr(fixcount, "_block_det", counted)
     return calls
 
 
 def test_each_block_evaluated_once_per_batch_prime(monkeypatch):
-    calls = _counting_det_mod(monkeypatch)
+    calls = _counting_block_det(monkeypatch)
     quotient_det(F_FAMILY, ZdQuotient((20, 20)))
     # every Galois orbit of (Z/20)^2 fits under one prime: one call per character
-    assert len(calls) == 400
+    assert len(calls) == 400 and set(calls) == {1}
     calls.clear()
     quotient_det(F_FAMILY, HeisenbergQuotient(8))
     # 64 blocks of size 8; an orbit of four needs two primes, so at most two each
     assert len(calls) <= 128 and set(calls) == {8}
+
+
+def test_hadamard_budget_evaluates_fewer_heisenberg_blocks(monkeypatch):
+    # the l1 budget took 371 block evaluations over heis:2..8 and 1756 at heis(16)
+    calls = _counting_block_det(monkeypatch)
+    for n in range(2, 9):
+        quotient_det(F_FAMILY, HeisenbergQuotient(n))
+    assert len(calls) <= 299
+    calls.clear()
+    quotient_det(F_FAMILY, HeisenbergQuotient(16))
+    assert len(calls) <= 1324
+
+
+def test_one_by_one_blocks_need_no_matrix_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_det_mod ran on a 1 x 1 block")
+
+    monkeypatch.setattr(fixcount, "_det_mod", refuse)
+    assert quotient_det(F_FAMILY, ZdQuotient((6, 6))) == _dense_det(F_FAMILY, ZdQuotient((6, 6)))
+    assert quotient_det(F_EXAMPLE, ZdQuotient((7,))) == _dense_det(F_EXAMPLE, ZdQuotient((7,)))
+
+
+def _l1_bound(F, order):
+    """prod_s (sum_t ||F_st||_1)^order: the bound of the dense rho matrix."""
+    per_point = 1
+    for row in F.entries:
+        per_point *= max(sum(abs(c) for e in row for c in e.terms.values()), 1)
+    return max(per_point, 2) ** order
 
 
 def _single_crt_quotient_det(f, q):
@@ -347,7 +376,7 @@ def _single_crt_quotient_det(f, q):
             total = total * fixcount._det_mod(m, prime) % prime
         return total
 
-    return fixcount._crt_signed(primes_one_mod(L), fixcount._l1_bound(F, q.index), residue)
+    return fixcount._crt_signed(primes_one_mod(L), _l1_bound(F, q.index), residue)
 
 
 Z3Y = LaurentPoly.monomial((0, 1, 0))
@@ -413,10 +442,109 @@ def test_vanishing_on_a_middle_orbit(f, q, stops_early, monkeypatch):
     coordinate = 0 if isinstance(q, ZdQuotient) else 1
     vanishes = [j[coordinate] in (2, 4) for j, units in fixcount._galois_orbits(labels)]
     assert any(vanishes) and not vanishes[0] and not vanishes[-1]
-    calls = _counting_det_mod(monkeypatch)
+    calls = _counting_block_det(monkeypatch)
     assert quotient_det(f, q) == 0
     # the batches after the first vanishing one are never evaluated
     assert (len(calls) < math.prod(labels)) == stops_early
     with pytest.raises(InfiniteFixedPointSet) as exc:
         fix_count(f, q, p=3, prec=4)
     assert exc.value.quotient == q and q.label() in str(exc.value)
+
+
+# -- orbit enumeration and the Hadamard budget ----------------------------------------
+
+
+def _set_based_galois_orbits(labels):
+    """The former _galois_orbits: visited labels kept as tuples in a set."""
+    seen = set()
+    orbits = []
+    for j in itertools.product(*(range(n) for n in labels)):
+        if j in seen:
+            continue
+        m = math.lcm(*(n // math.gcd(x, n) for x, n in zip(j, labels)))
+        units = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+        seen.update(tuple(u * x % n for x, n in zip(j, labels)) for u in units)
+        orbits.append((j, units))
+    return orbits
+
+
+def _label_shapes():
+    rng = random.Random(16)
+    shapes = [(n,) for n in range(1, 25)] + [(n, n) for n in range(1, 25)]
+    shapes += [(rng.randint(1, 24), rng.randint(1, 24)) for _ in range(20)]
+    shapes += [tuple(rng.randint(1, 8) for _ in range(3)) for _ in range(12)]
+    return shapes + [(24, 1, 3), (1, 1, 1), (2, 12, 24)]
+
+
+def test_galois_orbits_equal_the_set_based_enumeration():
+    for labels in _label_shapes():
+        assert fixcount._galois_orbits(labels) == _set_based_galois_orbits(labels), labels
+
+
+def _orbit_norm(F, q, labels, block, j, units):
+    """The integer product of det block(u * j) over u in units, each conjugate
+    block built from its own label, rebuilt by CRT under the l1 bound."""
+    L = math.lcm(*labels)
+    conjugates = [block(tuple(u * x % n for x, n in zip(j, labels))) for u in units]
+
+    def residue(prime):
+        z = fixcount._roots_of_unity(prime, L)
+        total = 1
+        for size, cells in conjugates:
+            m = [[0] * size for _ in range(size)]
+            for a, b, k, c in cells:
+                m[a][b] += c * pow(z, k, prime)
+            total = total * fixcount._det_mod(m, prime) % prime
+        return total
+
+    size = conjugates[0][0]
+    generous = _l1_bound(F, len(units) * size // F.r)
+    return fixcount._crt_signed(primes_one_mod(L), generous, residue)
+
+
+def _random_bound_input(rng, r, d):
+    """Random integer entries with negative coefficients; for Heisenberg, words
+    that share one matrix entry; now and then a zero row."""
+    def entry():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = tuple(rng.randint(-2, 2) for _ in range(d))
+            terms[e] = terms.get(e, 0) + rng.choice((-5, -3, -2, -1, 1, 2, 4))
+        if d == 3:  # x^a y^b z^c and x^a y^b' z^c' land in the same entry
+            a = rng.randint(-2, 2)
+            terms[(a, 1, 0)] = rng.choice((-2, 3))
+            terms[(a, -1, 1)] = rng.choice((-1, 2))
+        return LaurentPoly(d, {e: c for e, c in terms.items() if c})
+
+    rows = [[entry() for _ in range(r)] for _ in range(r)]
+    if r == 2 and rng.random() < 0.2:
+        rows[rng.randrange(2)] = [LaurentPoly(d, {}), LaurentPoly(d, {})]
+    return rows[0][0] if r == 1 else RingMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [HeisenbergQuotient(n) for n in range(2, 10)] + [ZdQuotient((n, n)) for n in range(1, 13)],
+    ids=lambda q: q.label(),
+)
+def test_hadamard_bound_holds_for_every_orbit_norm(q):
+    rng = random.Random(f"hadamard:{q.label()}")
+    d = 3 if isinstance(q, HeisenbergQuotient) else 2
+    for r in (1, 2) if q.index <= 216 else (1,):
+        F = RingMatrix.wrap(_random_bound_input(rng, r, d))
+        L, labels, block = fixcount._character_blocks(F, q)
+        square = fixcount._hadamard_square(*block((0,) * len(labels)))
+        for j, units in fixcount._galois_orbits(labels):
+            assert fixcount._hadamard_square(*block(j)) == square
+            norm = _orbit_norm(F, q, labels, block, j, units)
+            assert abs(norm) <= fixcount._norm_bound(square, len(units))
+        if square == 0:
+            assert quotient_det(F, q) == 0
+
+
+def test_zero_row_vanishes_before_any_block(monkeypatch):
+    F = RingMatrix([[1 + X3, Z3], [LaurentPoly(3, {}), LaurentPoly(3, {})]])
+    calls = _counting_block_det(monkeypatch)
+    for q in (HeisenbergQuotient(3), ZdQuotient((2, 2, 2))):
+        assert quotient_det(F, q) == 0 == _dense_det(F, q)
+    assert calls == []

@@ -19,6 +19,7 @@ from padic_entropy import (
     rho_matrix,
     sup_norm,
 )
+from padic_entropy import groupring
 from padic_entropy.groupring import GROUP_CACHE_SIZE, _cached_group
 from padic_entropy.errors import (
     DimensionMismatch,
@@ -208,6 +209,68 @@ def test_tables_are_built_in_place(q):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * mul.nbytes
+
+
+def test_index_dtype_is_the_narrowest_that_holds_the_order():
+    # chosen from the order alone, before any table is built
+    assert groupring._index_dtype(4096) is np.int16  # the order cap
+    assert groupring._index_dtype(2 * 4096) is np.int16  # digit sums at the cap
+    assert groupring._index_dtype(32767) is np.int16
+    assert groupring._index_dtype(32768) is np.int32
+    assert groupring._index_dtype(40000) is np.int32
+    assert groupring._index_dtype(2**31) is np.int64
+
+
+def _int64_digit_sum_table(moduli, cocycle=None):
+    """Reference: the mixed-radix sum table, every step in int64."""
+    idx = np.arange(int(np.prod(moduli)), dtype=np.int64)
+    mul = np.zeros((idx.size, idx.size), dtype=np.int64)
+    stride = 1
+    for k, n in enumerate(reversed(moduli)):
+        digit = idx // stride % n
+        term = digit[:, None] + digit[None, :]
+        if k == 0 and cocycle is not None:
+            term = term + np.multiply.outer(*[np.asarray(c, dtype=np.int64) for c in cocycle])
+        mul += term % n * stride
+        stride *= n
+    return mul
+
+
+_SMALL_QUOTIENTS = [ZdQuotient(m) for m in ((1,), (7,), (100,), (4, 6), (3, 40), (2, 3, 4), (5, 5))]
+_SMALL_QUOTIENTS += [HeisenbergQuotient(n) for n in range(1, 7)]
+
+
+def _reference_table(q):
+    if isinstance(q, ZdQuotient):
+        return _int64_digit_sum_table(q.moduli)
+    n = q.n
+    idx = np.arange(n**3)
+    return _int64_digit_sum_table((n, n, n), cocycle=(idx // (n * n), idx // n % n))
+
+
+@pytest.mark.parametrize("q", _SMALL_QUOTIENTS, ids=lambda q: q.label())
+def test_narrow_tables_equal_the_int64_construction(q):
+    mul, _ = q.multiplication_table()
+    assert mul.dtype == np.int16
+    assert np.array_equal(mul, _reference_table(q))
+    g = FiniteGroup(q)
+    assert g.mul.dtype == np.int16 and np.array_equal(g.mul, mul)
+
+
+def test_digit_sums_widen_the_table_type(monkeypatch):
+    # with int8 as the narrowest type, Z/100 (order 100, digit sums up to 198)
+    # must still be built without overflow
+    def from_int8(top):
+        for dtype in (np.int8, np.int16, np.int32):
+            if top <= np.iinfo(dtype).max:
+                return dtype
+        return np.int64
+
+    monkeypatch.setattr(groupring, "_index_dtype", from_int8)
+    for q in _SMALL_QUOTIENTS:
+        mul, _ = q.multiplication_table()
+        assert np.array_equal(mul, _reference_table(q)), q.label()
+    assert ZdQuotient((4, 6)).multiplication_table()[0].dtype == np.int8
 
 
 class _SwappedPair(ZdQuotient):

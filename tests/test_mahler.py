@@ -241,13 +241,42 @@ def test_slope_split_one_newton_step_per_later_doubling(monkeypatch):
         return real(z, h, g, mod)
 
     monkeypatch.setattr(mahler, "_newton_inverse_step", counted)
-    for prec in (1, 2, 3, 4, 5, 8, 9, 17, 64, 65, 200):
+    for prec in (1, 2, 3, 4, 5, 8, 9, 17, 64, 65, 200, 260):
         steps.clear()
         slope_split(F_COEFFS, 2, prec)
         doublings = (prec - 1).bit_length()  # 2^D >= prec
         assert len(steps) == max(doublings - 1, 0), prec
-        # the step before doubling k works mod the precision the factors have
-        assert steps == [2 ** (2**k) for k in range(1, doublings)]
+        # the step before each later lift works mod the precision the factors
+        # have: p^k over the schedule built down from prec by k -> ceil(k/2)
+        assert steps == [2**k for k in _top_down_exponents(prec)[:-1]]
+
+
+def _top_down_exponents(prec):
+    exponents = []
+    while prec > 1:
+        exponents.append(prec)
+        prec = -(-prec // 2)
+    return exponents[::-1]
+
+
+def test_slope_split_lifts_straight_to_the_working_precision(monkeypatch):
+    # mahler_1d on a series job works at w = 260: the lift goes through p^130,
+    # never through p^256 (doubling up from p) and then once more to p^260
+    moduli = set()
+    real = mahler._poly_mul_mod
+
+    def recorded(a, b, mod):
+        moduli.add(mod)
+        return real(a, b, mod)
+
+    monkeypatch.setattr(mahler, "_poly_mul_mod", recorded)
+    for p in (2, 3, 5):
+        moduli.clear()
+        slope_split([p, 1, p, p**2, 3 * p, p**3, p], p, 260)  # one inside root
+        chain = [2, 3, 5, 9, 17, 33, 65, 130, 260]
+        assert _top_down_exponents(260) == chain
+        assert moduli == {p**k for k in chain}
+        assert p**256 not in moduli
 
 
 def test_slope_split_rejections():
