@@ -69,6 +69,8 @@ class JobConfig:
             raise NotPrime(f"p = {self.p} is not prime")
         if self.tail < 2:
             raise TooFewRecords(f"--tail {self.tail}: the verdict window needs at least two records")
+        if self.target is not None and self.target < 1:
+            raise UsageError(f"--target {self.target}: the verdict needs at least one digit")
 
 
 def output_formats(command: str) -> tuple[str, ...]:

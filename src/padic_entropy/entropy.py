@@ -17,7 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainMismatch, InvalidQuotient, ModulusNotCoprimeToP, TooFewRecords
+from .errors import (
+    DomainMismatch,
+    InvalidQuotient,
+    ModulusNotCoprimeToP,
+    TooFewRecords,
+    UsageError,
+)
 from .fixcount import DEFAULT_PREC, FixCountRecord, check_quotient, fix_count
 from .groupring import LaurentPoly, RingMatrix, diagonal_family
 from .padic import Padic
@@ -82,11 +88,14 @@ def convergence_report(
 
     Never extrapolates: stable_digits is the minimum proven agreement
     valuation over the last ``tail`` records, capped by what was computed.
+    A target below 1 digit is refused (UsageError).
     """
     if len(records) < 2:
         raise TooFewRecords("need at least two records to compare")
     if tail < 2:
         raise TooFewRecords(f"tail {tail}: the verdict window needs at least two records")
+    if target < 1:
+        raise UsageError(f"target {target}: the verdict needs at least one digit")
     records = sorted(records, key=lambda r: r.index)
     rep = ConvergenceReport(records=records, p=p, target=target, tail=tail)
     n = len(records)

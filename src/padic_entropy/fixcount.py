@@ -9,18 +9,27 @@ straight from the Laurent exponents -- no group table, no |G| x |G| matrix:
 * Z^d / (n_1, ..., n_d): one r x r block f(zeta^j) per character tuple j
   (the character product of Lind-Schmidt-Ward);
 * the Heisenberg group mod n: A = {(0, b, c)} is an abelian normal subgroup
-  with cyclic quotient, so rho is the sum over the n^2 characters chi of A
-  of the induced representations Ind chi, each of degree n (Clifford
-  theory): n^2 blocks of size rn.
+  with cyclic quotient, so rho is the sum over the n^2 characters
+  chi_{beta,gamma} of A of the induced representations Ind chi, each of
+  degree n (Clifford theory): n^2 blocks of size rn.  Most of them are
+  isomorphic.  Conjugation by x sends chi_{beta,gamma} to
+  chi_{beta-gamma,gamma}, so det Ind chi_{beta,gamma} depends only on
+  (beta mod g, gamma), g = gcd(gamma, n), and each such class occurs n/g
+  times.  For gamma = 0, Ind chi_{beta,0} is the sum over alpha of the
+  characters psi_{alpha,beta} of G/Z = (Z/n)^2, so the gamma = 0 blocks
+  together are the Z^2 case for f(x, y, 1).  What is left is one block of
+  size rn per class with gamma != 0, Pillai(n) - n = sum_k gcd(k, n) - n
+  of them.
 
 The blocks have entries in Z[zeta_L], L = lcm(n_i) or n, and every
 exponent of zeta_L in a block is linear in the block's label j (a character
 tuple, or (beta, gamma)).  So the Galois group (Z/L)^* acts on the labels
-by j -> u * j and sends block j to its conjugate block u * j.  Over one
-orbit, whose label j has order m, the product of the block determinants is
-the norm from Q(zeta_m) to Q of det(block j): a rational integer.  An entry
-of a block is a sum of c * zeta^k over its cells, so Hadamard's inequality
-bounds the square of every conjugate determinant by
+by j -> u * j and sends block j to its conjugate block u * j (on the
+Heisenberg classes, by u * (beta, gamma) = (u beta mod g, u gamma)).  Over
+one orbit, whose label j has order m, the product of the block determinants
+is the norm from Q(zeta_m) to Q of det(block j): a rational integer.  An
+entry of a block is a sum of c * zeta^k over its cells, so Hadamard's
+inequality bounds the square of every conjugate determinant by
 H = prod_rows sum_cols (sum of |c| over the entry's cells)^2.  The cell
 positions do not depend on the label, so one H serves the whole quotient,
 and an orbit of phi(m) blocks has |norm| <= ceil(H^(phi(m)/2)).
@@ -30,11 +39,13 @@ evaluates each batch in F_q with zeta_L of exact order L there, and rebuilds
 it by CRT; an orbit that needs more primes is a batch of its own.  Each
 block is thus evaluated once per prime of its batch, not once per prime of
 the whole group's bound, and the count is the product of the batches,
-stopping at the first that vanishes.  A 1 x 1 block (every character of
-Z^d when r = 1) is evaluated as its one entry, with no matrix.  The bounds
-multiply to at most the l1 bound of the dense rho matrix,
-prod_s (sum_t ||f_st||_1)^|G|, and to exactly that bound for r = 1 on Z^d;
-on Heisenberg they are smaller, so fewer primes are needed.
+stopping at the first that vanishes.  On Heisenberg the class orbits of
+one g run through that loop once, and their product is raised to the power
+n/g.  A 1 x 1 block (every character of Z^d when r = 1) is evaluated as
+its one entry, with no matrix.  The bounds multiply to at most the l1
+bound of the dense rho matrix, prod_s (sum_t ||f_st||_1)^|G|, and to
+exactly that bound for r = 1 on Z^d; on Heisenberg they are smaller, so
+fewer primes are needed.
 
 DEFAULT_SIZE_CAP (from ``groupring``) bounds r * |G|, the size of the dense
 rho matrix.  The block route never builds that matrix, but the cap still
@@ -178,10 +189,15 @@ def det_exact(m) -> int:
 
 
 def _det_mod(m, q: int) -> int:
-    """Determinant of a small square matrix of integers modulo the prime q."""
+    """Determinant of a small square matrix of integers modulo the prime q.
+
+    Elimination without division: a row is replaced by piv * row - k *
+    pivot_row, which scales the determinant by piv, and the scales are
+    divided out with one modular inverse at the end.
+    """
     a = [[x % q for x in row] for row in m]
     n = len(a)
-    det = 1
+    det = scale = 1
     for c in range(n):
         for r in range(c, n):
             if a[r][c]:
@@ -192,16 +208,17 @@ def _det_mod(m, q: int) -> int:
             a[c], a[r] = a[r], a[c]
             det = -det
         prow = a[c]
-        det = det * prow[c] % q
+        piv = prow[c]
+        det = det * piv % q
         if c + 1 == n:
             break
-        inv = pow(prow[c], -1, q)
         tail = prow[c + 1 :]
         for row in a[c + 1 :]:
-            if row[c]:
-                k = row[c] * inv % q
-                row[c + 1 :] = [(x - k * y) % q for x, y in zip(row[c + 1 :], tail)]
-    return det % q
+            k = row[c]
+            if k:
+                row[c + 1 :] = [(piv * x - k * y) % q for x, y in zip(row[c + 1 :], tail)]
+                scale = scale * piv % q
+    return det * pow(scale, -1, q) % q
 
 
 def _roots_of_unity(q: int, n: int) -> int:
@@ -333,6 +350,51 @@ def _block_det(size: int, cells, zp: list[int], u: int, L: int, prime: int) -> i
     return _det_mod(m, prime)
 
 
+def _class_orbits(n: int) -> list[tuple[int, list[tuple[tuple[int, int], list[int]]]]]:
+    """The Galois orbits of the x-conjugacy classes of characters chi_{beta,
+    gamma} of A with gamma != 0 mod n, grouped by g = gcd(gamma, n).
+
+    Conjugation by x sends chi_{beta,gamma} to chi_{beta-gamma,gamma}, so a
+    class is (beta mod g, gamma) and holds n/g characters.  (Z/n)^* acts on
+    the classes by u * (beta, gamma) = (u beta mod g, u gamma mod n), which
+    keeps g.  Every class with gcd(gamma, n) = g is u * (beta, g) for some
+    unit u, so each orbit is listed as ((beta, g), units), with one unit per
+    class of the orbit.  One (g, orbits) per divisor g < n, ascending.
+    """
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    groups = []
+    for g in range(1, n):
+        if n % g:
+            continue
+        seen: set[tuple[int, int]] = set()
+        orbits = []
+        for beta in range(g):
+            if (beta, g) in seen:
+                continue
+            members = []
+            for u in units:
+                image = (u * beta % g, u * g % n)
+                if image not in seen:
+                    seen.add(image)
+                    members.append(u)
+            orbits.append(((beta, g), members))
+        groups.append((g, orbits))
+    return groups
+
+
+def _at_central_one(F: RingMatrix) -> RingMatrix:
+    """F(x, y, 1) in two variables: the word x^a y^b z^c read as x^a y^b."""
+
+    def entry(poly: LaurentPoly) -> LaurentPoly:
+        terms: dict[tuple[int, int], int] = {}
+        for e, c in poly.terms.items():
+            ab = (e + (0,))[:2]
+            terms[ab] = terms.get(ab, 0) + c
+        return LaurentPoly(2, terms)
+
+    return RingMatrix([[entry(x) for x in row] for row in F.entries])
+
+
 def quotient_det(f, q) -> int:
     """Signed integer det rho(f) for a ZdQuotient or a HeisenbergQuotient.
 
@@ -350,6 +412,18 @@ def quotient_det(f, q) -> int:
     and the product of the batches is returned, or 0 at the first batch
     that vanishes.  It equals the dense det_exact(rho_matrix(...)) of the
     reduced element, sign included.
+
+    On heis(n) most induced blocks are isomorphic.  Conjugation by x sends
+    chi_{beta,gamma} to chi_{beta-gamma,gamma}, so det Ind chi_{beta,gamma}
+    depends only on (beta mod g, gamma), g = gcd(gamma, n), and each such
+    class occurs n/g times.  For gamma = 0, Ind chi_{beta,0} is the sum of
+    the characters psi_{alpha,beta} of G/Z = (Z/n)^2, so those n blocks
+    together are quotient_det(F(x, y, 1), (Z/n)^2).  The classes with
+    gamma != 0 fall into orbits of (Z/n)^* (``_class_orbits``), whose
+    products are again integer norms under the same H; the orbits of one g
+    run through the batch loop once, and their product is raised to the
+    power n/g.  So a prime evaluates Pillai(n) - n blocks of size rn, not
+    n^2.
     """
     F = RingMatrix.wrap(f)
     _require_integer_coeffs(F)
@@ -380,18 +454,28 @@ def quotient_det(f, q) -> int:
 
         return _crt_signed(primes_one_mod(L), bound, residue)
 
-    det, batch, bound = 1, [], 1
-    for j, units in _galois_orbits(labels):
-        size, cells = block(j)
-        b = _norm_bound(square, len(units))
-        if batch and bound * b > room:
-            det *= batch_value(batch, bound)
-            if det == 0:
-                return 0
-            batch, bound = [], 1
-        batch.append((size, cells, units))
-        bound *= b
-    return det * batch_value(batch, bound)
+    def orbit_product(orbits) -> int:
+        det, batch, bound = 1, [], 1
+        for j, units in orbits:
+            size, cells = block(j)
+            b = _norm_bound(square, len(units))
+            if batch and bound * b > room:
+                det *= batch_value(batch, bound)
+                if det == 0:
+                    return 0
+                batch, bound = [], 1
+            batch.append((size, cells, units))
+            bound *= b
+        return det * batch_value(batch, bound)
+
+    if isinstance(q, ZdQuotient):
+        return orbit_product(_galois_orbits(labels))
+    det = quotient_det(_at_central_one(F), ZdQuotient((q.n, q.n)))
+    for g, orbits in _class_orbits(q.n):
+        if det == 0:
+            break
+        det *= orbit_product(orbits) ** (q.n // g)
+    return det
 
 
 @dataclass

@@ -318,6 +318,19 @@ def test_tail_below_two_refused(tail, capsys):
     assert "error[TOO_FEW_RECORDS]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", [0, -5])
+def test_target_below_one_refused(target, capsys):
+    # --target -5 and --target 0 used to end in "verdict: converged"
+    args = ["entropy", "--p", "3", "--poly=1+3*x", "--family", "1..3", "--target", str(target)]
+    with pytest.raises(UsageError, match="at least one digit"):
+        config_from_args(build_argparser().parse_args(args)).validate()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error[USAGE]: --target {target}: the verdict needs at least one digit\n"
+    assert main(args[:-1] + ["1"]) == 0
+    assert "target 1)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -477,11 +490,12 @@ _OPTIONS = {
     "--family": ["1..4", "odd:1..5", "heis:2..3", "1..100000000", "7..3", "1,x", "2"],
     "--quotient": ["3", "heis:2", "2,3", "heis:x", "0"],
     "--tail": ["2", "1", "x"],
+    "--target": ["1", "4", "0", "-5", "x"],
     "--output": ["json", "csv", "xml"],
 }
 _COMMAND_OPTIONS = {
     "fixcount": ["--quotient"],
-    "entropy": ["--family", "--tail"],
+    "entropy": ["--family", "--tail", "--target"],
 }
 
 

@@ -24,6 +24,7 @@ from padic_entropy.errors import (
     InvalidQuotient,
     ModulusNotCoprimeToP,
     TooFewRecords,
+    UsageError,
 )
 
 import helpers
@@ -79,6 +80,15 @@ def test_report_refuses_tail_below_two(tail):
     recs = [_dummy_record(i, Padic.one(3, 4)) for i in (1, 2, 3)]
     with pytest.raises(TooFewRecords):
         convergence_report(recs, 3, target=2, tail=tail)
+
+
+@pytest.mark.parametrize("target", [0, -5])
+def test_report_refuses_target_below_one(target):
+    recs = [_dummy_record(i, Padic.one(3, 4)) for i in (1, 2, 3)]
+    with pytest.raises(UsageError, match="at least one digit") as exc:
+        convergence_report(recs, 3, target=target)
+    assert exc.value.code == "USAGE"
+    assert convergence_report(recs, 3, target=1).verdict == "converged"
 
 
 def test_report_pairwise_distances():

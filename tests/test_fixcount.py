@@ -324,8 +324,10 @@ def test_each_block_evaluated_once_per_batch_prime(monkeypatch):
     assert len(calls) == 400 and set(calls) == {1}
     calls.clear()
     quotient_det(F_FAMILY, HeisenbergQuotient(8))
-    # 64 blocks of size 8; an orbit of four needs two primes, so at most two each
-    assert len(calls) <= 128 and set(calls) == {8}
+    # gamma = 0: the 64 characters of (Z/8)^2, one prime each; gamma != 0: 12
+    # classes of size 8, an orbit of four needing two primes, so at most 16
+    assert set(calls) == {1, 8}
+    assert calls.count(1) == 64 and calls.count(8) <= 16
 
 
 def test_hadamard_budget_evaluates_fewer_heisenberg_blocks(monkeypatch):
@@ -438,14 +440,19 @@ def test_galois_orbits_partition_the_labels(labels):
 def test_vanishing_on_a_middle_orbit(f, q, stops_early, monkeypatch):
     # f vanishes where x (on Z^d) or the central character (on Heisenberg)
     # has order 3, that is where that label coordinate is 2 or 4 mod 6
-    labels = fixcount._character_blocks(RingMatrix.wrap(f), q)[1]
-    coordinate = 0 if isinstance(q, ZdQuotient) else 1
-    vanishes = [j[coordinate] in (2, 4) for j, units in fixcount._galois_orbits(labels)]
+    if isinstance(q, ZdQuotient):
+        labels = fixcount._character_blocks(RingMatrix.wrap(f), q)[1]
+        orbits, coordinate, size = fixcount._galois_orbits(labels), 0, 1
+    else:  # the classes with gamma != 0; the gamma = 0 part is 3 at every label
+        groups = fixcount._class_orbits(q.n)
+        orbits, coordinate, size = [o for _, group in groups for o in group], 1, q.n
+    vanishes = [j[coordinate] in (2, 4) for j, units in orbits]
     assert any(vanishes) and not vanishes[0] and not vanishes[-1]
     calls = _counting_block_det(monkeypatch)
     assert quotient_det(f, q) == 0
     # the batches after the first vanishing one are never evaluated
-    assert (len(calls) < math.prod(labels)) == stops_early
+    blocks = sum(len(units) for _, units in orbits)
+    assert (calls.count(size) < blocks) == stops_early
     with pytest.raises(InfiniteFixedPointSet) as exc:
         fix_count(f, q, p=3, prec=4)
     assert exc.value.quotient == q and q.label() in str(exc.value)
@@ -548,3 +555,219 @@ def test_zero_row_vanishes_before_any_block(monkeypatch):
     for q in (HeisenbergQuotient(3), ZdQuotient((2, 2, 2))):
         assert quotient_det(F, q) == 0 == _dense_det(F, q)
     assert calls == []
+
+
+# -- one Clifford block per x-conjugacy class ---------------------------------------
+
+
+def _zeta_powers(prime, L):
+    z = fixcount._roots_of_unity(prime, L)
+    table = [1] * L
+    for k in range(1, L):
+        table[k] = table[k - 1] * z % prime
+    return table
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_conjugate_characters_give_equal_block_determinants(n):
+    # x^-1 (0, b, c) x = (0, b, c - b), so chi_{beta,gamma} and
+    # chi_{beta+gamma,gamma} induce isomorphic representations
+    rng = random.Random(f"conjugate:{n}")
+    prime = next(primes_one_mod(n))
+    zp = _zeta_powers(prime, n)
+    nonzero = 0
+    for r in (1, 2):
+        F = RingMatrix.wrap(_random_input(rng, r, 3))
+        block = fixcount._character_blocks(F, HeisenbergQuotient(n))[2]
+        for beta, gamma in itertools.product(range(n), repeat=2):
+            here = fixcount._block_det(*block((beta, gamma)), zp, 1, n, prime)
+            there = fixcount._block_det(*block(((beta + gamma) % n, gamma)), zp, 1, n, prime)
+            assert here == there, (r, beta, gamma)
+            nonzero += here != 0
+    assert nonzero
+
+
+def _full_label_heisenberg_det(f, q):
+    """The former Heisenberg route: one Clifford block per Galois orbit of all
+    n^2 labels (beta, gamma), batched under the Hadamard budget."""
+    F = RingMatrix.wrap(f)
+    L, labels, block = fixcount._character_blocks(F, q)
+    square = fixcount._hadamard_square(*block((0, 0)))
+    if square == 0:
+        return 0
+    room = next(primes_one_mod(L)) // 2
+
+    def batch_value(batch, bound):
+        def residue(prime):
+            zp = _zeta_powers(prime, L)
+            total = 1
+            for size, cells, units in batch:
+                for u in units:
+                    total = total * fixcount._block_det(size, cells, zp, u, L, prime) % prime
+            return total
+
+        return fixcount._crt_signed(primes_one_mod(L), bound, residue)
+
+    det, batch, bound = 1, [], 1
+    for j, units in fixcount._galois_orbits(labels):
+        size, cells = block(j)
+        b = fixcount._norm_bound(square, len(units))
+        if batch and bound * b > room:
+            det *= batch_value(batch, bound)
+            if det == 0:
+                return 0
+            batch, bound = [], 1
+        batch.append((size, cells, units))
+        bound *= b
+    return det * batch_value(batch, bound)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_class_route_matches_the_full_label_route(n):
+    rng = random.Random(f"classes:{n}")
+    q = HeisenbergQuotient(n)
+    inputs = [_random_bound_input(rng, r, 3) for r in (1, 1, 2)]
+    inputs += [
+        1 + Z3 + Z3**2,  # vanishes where gamma has order 3
+        RingMatrix([[1 + X3, Z3], [1 + X3, Z3]]),  # equal rows
+        RingMatrix([[2 - X3, Z3Y], [LaurentPoly(3, {}), LaurentPoly(3, {})]]),  # zero row
+    ]
+    values = [quotient_det(f, q) for f in inputs]
+    assert values == [_full_label_heisenberg_det(f, q) for f in inputs]
+    assert any(values[:3]) and values[-2:] == [0, 0]
+    assert (values[3] == 0) == (n % 3 == 0)
+
+
+def _at_z_equal_one(F):
+    """F(x, y, 1) as a two-variable matrix, built from monomials."""
+    return RingMatrix(
+        [
+            [
+                sum(
+                    (LaurentPoly.monomial(e[:2], c) for e, c in entry.terms.items()),
+                    LaurentPoly(2, {}),
+                )
+                for entry in row
+            ]
+            for row in F.entries
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_gamma_zero_blocks_are_the_characters_of_the_abelianization(n):
+    # Ind chi_{beta,0} is the sum over alpha of the characters psi_{alpha,beta}
+    # of G/Z = (Z/n)^2, so the n blocks with gamma = 0 multiply to the count
+    # of F(x, y, 1) on (Z/n)^2
+    rng = random.Random(f"gamma0:{n}")
+    for r in (1, 2):
+        F = RingMatrix.wrap(_random_input(rng, r, 3))
+        block = fixcount._character_blocks(F, HeisenbergQuotient(n))[2]
+        blocks = [block((beta, 0)) for beta in range(n)]
+
+        def residue(prime):
+            zp = _zeta_powers(prime, n)
+            total = 1
+            for size, cells in blocks:
+                total = total * fixcount._block_det(size, cells, zp, 1, n, prime) % prime
+            return total
+
+        bound = fixcount._norm_bound(fixcount._hadamard_square(*blocks[0]), n)
+        product = fixcount._crt_signed(primes_one_mod(n), bound, residue)
+        assert product == quotient_det(_at_z_equal_one(F), ZdQuotient((n, n)))
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_class_orbits_partition_the_reduced_labels(n):
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+
+    def times(u, label):
+        beta, gamma = label
+        return u * beta % math.gcd(gamma, n), u * gamma % n
+
+    classes = {(beta % math.gcd(gamma, n), gamma) for beta in range(n) for gamma in range(1, n)}
+    listed = []
+    for g, orbits in fixcount._class_orbits(n):
+        assert n % g == 0 and g < n
+        for (beta, gamma), members in orbits:
+            assert gamma == g and 0 <= beta < g
+            orbit = [times(u, (beta, gamma)) for u in members]
+            assert all(math.gcd(c, n) == g for _, c in orbit)
+            assert {times(u, label) for u in units for label in orbit} == set(orbit)
+            listed += orbit
+    assert sorted(listed) == sorted(classes)
+    # Pillai's function sum gcd(k, n) counts the classes, gamma = 0 included
+    assert len(listed) == sum(math.gcd(k, n) for k in range(1, n + 1)) - n
+
+
+def test_one_block_per_class_orbit_conjugate(monkeypatch):
+    # the full-label route took 299 evaluations of blocks larger than 1 x 1
+    # over heis:2..8 and 1324 at heis(16)
+    calls = _counting_block_det(monkeypatch)
+    for n in range(2, 9):
+        quotient_det(F_FAMILY, HeisenbergQuotient(n))
+    assert sum(size > 1 for size in calls) <= 48
+    calls.clear()
+    quotient_det(F_FAMILY, HeisenbergQuotient(16))
+    assert sum(size > 1 for size in calls) <= 106
+
+
+# -- the modular determinant --------------------------------------------------------
+
+
+def _pivot_inverse_det_mod(m, q):
+    """The former _det_mod: one modular inverse at every pivot."""
+    a = [[x % q for x in row] for row in m]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        for r in range(c, n):
+            if a[r][c]:
+                break
+        else:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        prow = a[c]
+        det = det * prow[c] % q
+        if c + 1 == n:
+            break
+        inv = pow(prow[c], -1, q)
+        tail = prow[c + 1 :]
+        for row in a[c + 1 :]:
+            if row[c]:
+                k = row[c] * inv % q
+                row[c + 1 :] = [(x - k * y) % q for x, y in zip(row[c + 1 :], tail)]
+    return det % q
+
+
+def _det_mod_cases():
+    rng = random.Random(18)
+    for size in range(1, 17):
+        for i in range(10):
+            q = (7, 101, next(primes_one_mod(16)))[i % 3]
+            dense = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+            # cyclic band off the diagonal: the first pivot needs a row swap
+            band = [[0] * size for _ in range(size)]
+            for row in range(size):
+                for w in (1, 2):
+                    band[row][(row + w) % size] += rng.choice((-3, -1, 1, 2, 5))
+            singular = [row[:] for row in dense]
+            if size > 1:
+                singular[rng.randrange(size)] = [
+                    (2 * x - 3 * y) for x, y in zip(dense[0], dense[-1])
+                ] if rng.random() < 0.5 else [0] * size
+            else:
+                singular = [[q * rng.randint(-2, 2)]]
+            yield from ((dense, q), (band, q), (singular, q))
+
+
+def test_det_mod_matches_the_pivot_inverse_elimination():
+    swaps = singular = 0
+    for m, q in _det_mod_cases():
+        got = fixcount._det_mod(m, q)
+        assert got == _pivot_inverse_det_mod(m, q), (m, q)
+        swaps += m[0][0] % q == 0 and got != 0
+        singular += got == 0
+    assert swaps > 20 and singular > 160
