@@ -92,10 +92,7 @@ def convergence_report(
     """
     if len(records) < 2:
         raise TooFewRecords("need at least two records to compare")
-    if tail < 2:
-        raise TooFewRecords(f"tail {tail}: the verdict window needs at least two records")
-    if target < 1:
-        raise UsageError(f"target {target}: the verdict needs at least one digit")
+    _check_window(target, tail)
     records = sorted(records, key=lambda r: r.index)
     rep = ConvergenceReport(records=records, p=p, target=target, tail=tail)
     n = len(records)
@@ -114,6 +111,13 @@ def convergence_report(
     if n >= tail and rep.stable_digits >= target:
         rep.verdict = "converged"
     return rep
+
+
+def _check_window(target: int, tail: int):
+    if tail < 2:
+        raise TooFewRecords(f"tail {tail}: the verdict window needs at least two records")
+    if target < 1:
+        raise UsageError(f"target {target}: the verdict needs at least one digit")
 
 
 def _abs_prec(x: Padic) -> int:
@@ -136,8 +140,9 @@ def entropy_sequence(
     the precision loss tracked explicitly).  Every quotient passes the
     checks of ``fix_count`` (size cap, dimensions, coefficients) before the
     first count is computed, so a family that reaches past the size cap is
-    refused at once.  A vanishing determinant propagates afterwards as
-    InfiniteFixedPointSet naming the offending quotient.
+    refused at once, and so are a target below 1 and a tail below 2.  A
+    vanishing determinant propagates afterwards as InfiniteFixedPointSet
+    naming the offending quotient.
     """
     family = list(family)
     if len(family) < 2:
@@ -145,10 +150,12 @@ def entropy_sequence(
     for a, b in zip(family, family[1:]):
         if b.index <= a.index:
             raise InvalidQuotient("family indices must be strictly increasing")
+    target = prec if target is None else target
+    _check_window(target, tail)
     for q in family:
         check_quotient(f, q, p)
     records = [fix_count(f, q, p, prec) for q in family]
-    return convergence_report(records, p, target if target is not None else prec, tail)
+    return convergence_report(records, p, target, tail)
 
 
 def snirelman_mahler(

@@ -34,12 +34,15 @@ H = prod_rows sum_cols (sum of |c| over the entry's cells)^2.  The cell
 positions do not depend on the label, so one H serves the whole quotient,
 and an orbit of phi(m) blocks has |norm| <= ceil(H^(phi(m)/2)).
 ``quotient_det`` keeps one block per orbit, packs consecutive orbits into
-batches whose bound one prime q = 1 mod L (just above 2^59) can rebuild,
-evaluates each batch in F_q with zeta_L of exact order L there, and rebuilds
-it by CRT; an orbit that needs more primes is a batch of its own.  Each
-block is thus evaluated once per prime of its batch, not once per prime of
-the whole group's bound, and the count is the product of the batches,
-stopping at the first that vanishes.  On Heisenberg the class orbits of
+batches whose bound one prime q can rebuild, evaluates each batch in F_q
+with zeta_L of exact order L there, and rebuilds it by CRT; an orbit that
+needs more primes is a batch of its own.  The primes come from the pool of
+``primes_one_mod``: q = 1 mod M = lcm(L, lcm(1..22)), at least 2^59, so
+every quotient of a family whose L divides lcm(1..22) shares the same few
+primes, and zeta_L is a power of the one root of exact order M that the
+pool keeps for q.  Each block is thus evaluated once per prime of its
+batch, not once per prime of the whole group's bound, and the count is the
+product of the batches, stopping at the first that vanishes.  On Heisenberg the class orbits of
 one g run through that loop once, and their product is raised to the power
 n/g.  A 1 x 1 block (every character of Z^d when r = 1) is evaluated as
 its one entry, with no matrix.  The bounds multiply to at most the l1
@@ -65,7 +68,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._primes import factorize_small, is_prime, primes_one_mod, word_primes
+from ._primes import is_prime, pool_root, primes_one_mod, word_primes
 from ._util import vp_int
 from .errors import (
     DomainMismatch,
@@ -222,13 +225,9 @@ def _det_mod(m, q: int) -> int:
 
 
 def _roots_of_unity(q: int, n: int) -> int:
-    """Element of exact multiplicative order n in F_q (needs n | q-1)."""
-    facs = list(factorize_small(n))
-    for g in itertools.count(2):
-        z = pow(g, (q - 1) // n, q)
-        if all(pow(z, n // ell, q) != 1 for ell in facs):
-            return z
-    raise AssertionError("unreachable")
+    """Element of exact multiplicative order n in F_q, for a prime q of
+    ``primes_one_mod(n)``: a power of the root the pool keeps for q."""
+    return pool_root(q, n)
 
 
 def _character_blocks(F: RingMatrix, q):
@@ -407,11 +406,13 @@ def quotient_det(f, q) -> int:
     ceil(H^(phi(m)/2)).  H = 0 (a row with no cell) proves every block
     singular, and 0 is returned at once.  Consecutive orbits are packed into
     batches while the product of their bounds stays at most q // 2 for the
-    first prime q = 1 mod L (an orbit that needs more primes is a batch of
-    its own); each batch is evaluated modulo its primes and rebuilt by CRT,
-    and the product of the batches is returned, or 0 at the first batch
-    that vanishes.  It equals the dense det_exact(rho_matrix(...)) of the
-    reduced element, sign included.
+    first prime q of the pool ``primes_one_mod(L)``: q = 1 mod M =
+    lcm(L, lcm(1..22)) and q >= 2^59 (an orbit that needs more primes is a
+    batch of its own).  Each batch is evaluated modulo its primes, with
+    zeta_L the pool's root of exact order M for q raised to M / L, and
+    rebuilt by CRT; the product of the batches is returned, or 0 at the
+    first batch that vanishes.  It equals the dense
+    det_exact(rho_matrix(...)) of the reduced element, sign included.
 
     On heis(n) most induced blocks are isomorphic.  Conjugation by x sends
     chi_{beta,gamma} to chi_{beta-gamma,gamma}, so det Ind chi_{beta,gamma}

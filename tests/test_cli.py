@@ -346,6 +346,23 @@ def test_non_prime_p_refused_before_arithmetic(args):
     assert "error[NOT_PRIME]" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+        ("318665857834031151167461", "p = 318665857834031151167461 is not prime"),
+        ("3317044064679887385961981", "primality of 3317044064679887385961981 cannot be certified"),
+    ],
+    ids=["psi12", "psi13"],
+)
+def test_strong_pseudoprime_p_refused(p, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main(["unit-check", "--p", p, "--poly=1+3*x"])
+    assert status == 1
+    assert err.getvalue().startswith(f"error[NOT_PRIME]: {message}")
+
+
 def test_malformed_quotient_exit_1(capsys):
     from padic_entropy.cli import main
 
@@ -485,7 +502,7 @@ _POLYS = [
     "--poly-file=/nonexistent",
 ]
 _OPTIONS = {
-    "--p": ["2", "3", "5", "4", "0", "-1", "x"],
+    "--p": ["2", "3", "5", "4", "0", "-1", "x", "318665857834031151167461", str(2**61 - 1)],
     "--prec": ["1", "6", "0", "300", "x"],
     "--family": ["1..4", "odd:1..5", "heis:2..3", "1..100000000", "7..3", "1,x", "2"],
     "--quotient": ["3", "heis:2", "2,3", "heis:x", "0"],

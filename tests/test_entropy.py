@@ -91,6 +91,21 @@ def test_report_refuses_target_below_one(target):
     assert convergence_report(recs, 3, target=1).verdict == "converged"
 
 
+@pytest.mark.parametrize(
+    "target, tail, error", [(0, 3, UsageError), (-5, 3, UsageError), (None, 1, TooFewRecords)]
+)
+def test_sequence_refuses_the_window_before_any_count(monkeypatch, target, tail, error):
+    # target=0 once counted all 15 Heisenberg quotients (0.1 s) before the refusal
+    def refuse(*args):
+        raise AssertionError("a fixed-point count ran")
+
+    monkeypatch.setattr(entropy_mod, "fix_count", refuse)
+    X, Y = LaurentPoly.monomial((1, 0, 0)), LaurentPoly.monomial((0, 1, 0))
+    f = 1 + 3 * X + 3 * Y + 3 * LaurentPoly.monomial((-1, -1, 0))
+    with pytest.raises(error):
+        entropy_sequence(f, heisenberg_family(range(2, 17)), 3, prec=6, target=target, tail=tail)
+
+
 def test_report_pairwise_distances():
     a = Padic.from_rational(1, 1, 2, 6)
     b = Padic.from_rational(5, 1, 2, 6)  # diff 4: valuation 2

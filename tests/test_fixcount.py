@@ -706,10 +706,10 @@ def test_one_block_per_class_orbit_conjugate(monkeypatch):
     calls = _counting_block_det(monkeypatch)
     for n in range(2, 9):
         quotient_det(F_FAMILY, HeisenbergQuotient(n))
-    assert sum(size > 1 for size in calls) <= 48
+    assert sum(size > 1 for size in calls) == 48
     calls.clear()
     quotient_det(F_FAMILY, HeisenbergQuotient(16))
-    assert sum(size > 1 for size in calls) <= 106
+    assert sum(size > 1 for size in calls) == 106
 
 
 # -- the modular determinant --------------------------------------------------------
