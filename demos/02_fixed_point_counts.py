@@ -5,8 +5,8 @@ subgroup is |det| of right multiplication by f on the quotient group ring:
 an n x n integer matrix.  Splitting that representation into characters
 gives the route fix_count takes: the product of f evaluated at all n-th
 roots of unity.  The Galois group permutes those values, so the product
-over one orbit is an integer norm; batches of orbits are computed exactly
-inside prime fields and reassembled by CRT.  The dense determinant and the
+over one orbit is an integer norm, evaluated at roots of unity in prime
+fields and rebuilt from one residue or by CRT.  The dense determinant and the
 character product must agree, including sign.
 """
 

@@ -35,9 +35,11 @@ DEFAULT_TAIL = 3
 class ConvergenceReport:
     """Stabilization analysis of a sequence of normalized records.
 
-    ``pairwise`` maps (i, j) to (valuation, proven_exact): the p-adic
-    distance between records i and j is p^-valuation, exactly if the flag is
-    set, otherwise as a proven upper bound.  ``stable_digits`` is the proven
+    ``distances[i]`` is (valuation, proven_exact) for records i and i + 1
+    (sorted by index): the p-adic distance between them is p^-valuation,
+    exactly if the flag is set, otherwise as a proven upper bound.  Only
+    consecutive records are compared, since the verdict reads nothing
+    else.  ``stable_digits`` is the proven
     agreement (in digits) across the tail window; the verdict is "converged"
     only when that reaches the target, and never claims anything about the
     true limit.
@@ -47,14 +49,14 @@ class ConvergenceReport:
     p: int
     target: int
     tail: int
-    pairwise: dict = field(default_factory=dict)
+    distances: list = field(default_factory=list)
     stable_digits: int = 0
     stabilized_value: Padic | None = None
     verdict: str = "undecided"
 
     def consecutive_distances(self):
         """[(valuation, proven_exact)] between successive records."""
-        return [self.pairwise[(i, i + 1)] for i in range(len(self.records) - 1)]
+        return self.distances
 
     def to_json(self) -> dict:
         return {
@@ -84,7 +86,7 @@ def convergence_report(
     target: int,
     tail: int = DEFAULT_TAIL,
 ) -> ConvergenceReport:
-    """Pairwise ultrametric distances, tail agreement, verdict.
+    """Consecutive ultrametric distances, tail agreement, verdict.
 
     Never extrapolates: stable_digits is the minimum proven agreement
     valuation over the last ``tail`` records, capped by what was computed.
@@ -96,16 +98,13 @@ def convergence_report(
     records = sorted(records, key=lambda r: r.index)
     rep = ConvergenceReport(records=records, p=p, target=target, tail=tail)
     n = len(records)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v, exact = records[i].normalized.dist_valuation(records[j].normalized)
-            if v is None:  # exact-zero difference: bounded by both precisions
-                v = min(
-                    _abs_prec(records[i].normalized), _abs_prec(records[j].normalized)
-                )
-                exact = False
-            rep.pairwise[(i, j)] = (v, exact)
-    tail_distances = rep.consecutive_distances()[n - min(tail, n):]
+    for i in range(n - 1):
+        a, b = records[i].normalized, records[i + 1].normalized
+        v, exact = a.dist_valuation(b)
+        if v is None:  # exact-zero difference: bounded by both precisions
+            v, exact = min(_abs_prec(a), _abs_prec(b)), False
+        rep.distances.append((v, exact))
+    tail_distances = rep.distances[n - min(tail, n):]
     rep.stable_digits = min(v for v, _ in tail_distances)
     rep.stabilized_value = records[-1].normalized.truncate_abs(rep.stable_digits)
     if n >= tail and rep.stable_digits >= target:

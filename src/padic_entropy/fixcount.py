@@ -33,22 +33,25 @@ inequality bounds the square of every conjugate determinant by
 H = prod_rows sum_cols (sum of |c| over the entry's cells)^2.  The cell
 positions do not depend on the label, so one H serves the whole quotient,
 and an orbit of phi(m) blocks has |norm| <= ceil(H^(phi(m)/2)).
-``quotient_det`` keeps one block per orbit, packs consecutive orbits into
-batches whose bound one prime q can rebuild, evaluates each batch in F_q
-with zeta_L of exact order L there, and rebuilds it by CRT; an orbit that
-needs more primes is a batch of its own.  The primes come from the pool of
+``quotient_det`` lists one label per orbit (``_galois_orbits`` walks the
+orbits coordinate by coordinate, so its work follows the number of orbits,
+not of labels), evaluates the orbit's norm in F_q with zeta_L of exact
+order L there, and multiplies the norms, stopping at the first that
+vanishes.  Each norm is rebuilt by CRT over as many primes as its bound
+needs, so a norm whose bound fits under the first prime q is that one
+residue lifted to the symmetric range.  The primes come from the pool of
 ``primes_one_mod``: q = 1 mod M = lcm(L, lcm(1..22)), at least 2^59, so
 every quotient of a family whose L divides lcm(1..22) shares the same few
 primes, and zeta_L is a power of the one root of exact order M that the
-pool keeps for q.  Each block is thus evaluated once per prime of its
-batch, not once per prime of the whole group's bound, and the count is the
-product of the batches, stopping at the first that vanishes.  On Heisenberg the class orbits of
-one g run through that loop once, and their product is raised to the power
-n/g.  A 1 x 1 block (every character of Z^d when r = 1) is evaluated as
-its one entry, with no matrix.  The bounds multiply to at most the l1
-bound of the dense rho matrix, prod_s (sum_t ||f_st||_1)^|G|, and to
-exactly that bound for r = 1 on Z^d; on Heisenberg they are smaller, so
-fewer primes are needed.
+pool keeps for q.  Each block is thus evaluated once per prime its own
+orbit needs, not once per prime of the whole group's bound.  On Heisenberg
+the class orbits of one g run through that loop once, and their product is
+raised to the power n/g.  A 1 x 1 block (every character of Z^d when
+r = 1) is evaluated as its one entry, summed inline for each unit of its
+orbit, with no matrix.  The bounds multiply to at most the l1 bound of the
+dense rho matrix, prod_s (sum_t ||f_st||_1)^|G|, and to exactly that bound
+for r = 1 on Z^d; on Heisenberg they are smaller, so fewer primes are
+needed.
 
 DEFAULT_SIZE_CAP (from ``groupring``) bounds r * |G|, the size of the dense
 rho matrix.  The block route never builds that matrix, but the cap still
@@ -63,7 +66,6 @@ it imports when called, so the block route runs without loading numpy.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -273,30 +275,66 @@ def _character_blocks(F: RingMatrix, q):
     return n, (n, n), induced
 
 
+def _coordinate_minima(n: int, g: int) -> list[tuple[int, int]]:
+    """(x, order of x) for the least element x of each orbit of U_g on Z/n,
+    ascending, where U_g = {u in (Z/L)^* : u = 1 mod g} and g divides n.
+
+    An x of order e is d * y with d = n / e and y a unit mod e, and U_g
+    moves y through the units of Z/e that are = y mod h, h = gcd(g, e) (its
+    image in (Z/e)^* is the kernel of reduction mod h).  So each order e
+    gives one orbit per unit class c mod h, whose least element is d times
+    the least unit of Z/e that is = c mod h.  For g = 1 that is one orbit
+    per divisor: 0 and the divisors n / e < n.
+    """
+    minima = []
+    for e in range(1, n + 1):
+        if n % e:
+            continue
+        h = math.gcd(g, e)
+        for c in range(h):
+            if math.gcd(c, h) == 1:
+                y = c
+                while math.gcd(y, e) != 1:
+                    y += h
+                minima.append((n // e * y, e))
+    minima.sort()
+    return minima
+
+
 def _galois_orbits(labels) -> list[tuple[tuple[int, ...], list[int]]]:
     """The orbits of (Z/L)^* acting on prod_i Z/labels[i] by j -> u * j.
 
     One (j, units) per orbit, in order of first label: j has order m (the
     lcm of the orders of its coordinates), and the orbit is {u * j : u in
     units} with units = (Z/m)^*, so it holds phi(m) labels, each once.
-    Visited labels are marked in a flat bytearray by their row-major index,
-    and each unit group is built once per order m and shared by its orbits.
+
+    The first label of an orbit is its least label in row-major order, and
+    it is found coordinate by coordinate.  j_1 is the least element of its
+    orbit under (Z/L)^* on Z/labels[0]; the units that fix it are those
+    = 1 mod the order of j_1, and j_2 is the least element of its orbit
+    under them, and so on: after coordinates 1..i the group left is
+    U_m = {u = 1 mod m}, m the lcm of their orders, and it acts on
+    Z/labels[i] as U_gcd(m, labels[i]) does (``_coordinate_minima``).  So
+    the work follows the number of orbits, not of labels.  The minima are
+    listed once per (modulus, gcd) and each unit group once per order m,
+    shared by its orbits.
     """
-    axes = [(n, math.prod(labels[i + 1 :])) for i, n in enumerate(labels)]
-    seen = bytearray(math.prod(labels))
+    level: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    minima: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for n in labels:
+        extended = []
+        for j, m in level:
+            key = (n, math.gcd(m, n))
+            if key not in minima:
+                minima[key] = _coordinate_minima(*key)
+            extended += [(j + (x,), math.lcm(m, e)) for x, e in minima[key]]
+        level = extended
     unit_groups: dict[int, list[int]] = {}
     orbits = []
-    for index, j in enumerate(itertools.product(*(range(n) for n in labels))):
-        if seen[index]:
-            continue
-        m = math.lcm(*(n // math.gcd(x, n) for x, n in zip(j, labels)))
-        units = unit_groups.get(m)
-        if units is None:
-            units = unit_groups[m] = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
-        offsets = [[u * x % n * s for u in units] for x, (n, s) in zip(j, axes)]
-        for marked in map(sum, zip(*offsets)):
-            seen[marked] = 1
-        orbits.append((j, units))
+    for j, m in level:
+        if m not in unit_groups:
+            unit_groups[m] = [u for u in range(1, m + 1) if math.gcd(u, m) == 1]
+        orbits.append((j, unit_groups[m]))
     return orbits
 
 
@@ -332,21 +370,28 @@ def _norm_bound(square: int, conjugates: int) -> int:
     return root if root * root == power else root + 1
 
 
-def _block_det(size: int, cells, zp: list[int], u: int, L: int, prime: int) -> int:
-    """det of block (size, cells) at zeta_L^u in F_prime, with zp[k] = zeta_L^k.
+def _orbit_residue(size: int, cells, zp: list[int], units, L: int, prime: int) -> int:
+    """prod over u in units of det(block (size, cells) at zeta_L^u) in F_prime,
+    with zp[k] = zeta_L^k: the residue of an orbit's norm.
 
-    A 1 x 1 block is its one entry, sum c * zeta_L^(u * k); a larger block is
-    filled in and handed to _det_mod.
+    A 1 x 1 block is its one entry, sum c * zeta_L^(u * k), summed inline
+    for each unit; a larger block is filled in and handed to _det_mod.
     """
+    total = 1
     if size == 1:
-        entry = 0
-        for _, _, k, c in cells:
-            entry += c * zp[u * k % L]
-        return entry % prime
-    m = [[0] * size for _ in range(size)]
-    for i, j, k, c in cells:
-        m[i][j] += c * zp[u * k % L]
-    return _det_mod(m, prime)
+        terms = [(k, c) for _, _, k, c in cells]
+        for u in units:
+            entry = 0
+            for k, c in terms:
+                entry += c * zp[u * k % L]
+            total = total * entry % prime
+        return total
+    for u in units:
+        m = [[0] * size for _ in range(size)]
+        for i, j, k, c in cells:
+            m[i][j] += c * zp[u * k % L]
+        total = total * _det_mod(m, prime) % prime
+    return total
 
 
 def _class_orbits(n: int) -> list[tuple[int, list[tuple[tuple[int, int], list[int]]]]]:
@@ -404,14 +449,14 @@ def quotient_det(f, q) -> int:
     its label, so one Hadamard square H = prod_rows sum_cols (sum |c|)^2
     serves every block, and an orbit of phi(m) blocks has |norm| at most
     ceil(H^(phi(m)/2)).  H = 0 (a row with no cell) proves every block
-    singular, and 0 is returned at once.  Consecutive orbits are packed into
-    batches while the product of their bounds stays at most q // 2 for the
-    first prime q of the pool ``primes_one_mod(L)``: q = 1 mod M =
-    lcm(L, lcm(1..22)) and q >= 2^59 (an orbit that needs more primes is a
-    batch of its own).  Each batch is evaluated modulo its primes, with
-    zeta_L the pool's root of exact order M for q raised to M / L, and
-    rebuilt by CRT; the product of the batches is returned, or 0 at the
-    first batch that vanishes.  It equals the dense
+    singular, and 0 is returned at once.  Each orbit's norm is evaluated
+    modulo the primes of the pool ``primes_one_mod(L)`` (q = 1 mod M =
+    lcm(L, lcm(1..22)) and q >= 2^59), with zeta_L the pool's root of exact
+    order M for q raised to M / L, and rebuilt by ``_crt_signed`` under its
+    bound: when the bound is below q / 2 for the first prime q, that one
+    residue lifted to the symmetric range is the norm.  The product of
+    the norms is returned, or 0 at the first orbit that vanishes, so no
+    block after it is evaluated.  It equals the dense
     det_exact(rho_matrix(...)) of the reduced element, sign included.
 
     On heis(n) most induced blocks are isomorphic.  Conjugation by x sends
@@ -422,7 +467,7 @@ def quotient_det(f, q) -> int:
     together are quotient_det(F(x, y, 1), (Z/n)^2).  The classes with
     gamma != 0 fall into orbits of (Z/n)^* (``_class_orbits``), whose
     products are again integer norms under the same H; the orbits of one g
-    run through the batch loop once, and their product is raised to the
+    run through the orbit loop once, and their product is raised to the
     power n/g.  So a prime evaluates Pillai(n) - n blocks of size rn, not
     n^2.
     """
@@ -432,7 +477,6 @@ def quotient_det(f, q) -> int:
     square = _hadamard_square(*block((0,) * len(labels)))
     if square == 0:
         return 0
-    room = next(primes_one_mod(L)) // 2
     powers = {}
 
     def zpow(prime: int) -> list:
@@ -444,30 +488,20 @@ def quotient_det(f, q) -> int:
             powers[prime] = table
         return powers[prime]
 
-    def batch_value(batch, bound) -> int:
-        def residue(prime: int) -> int:
-            zp = zpow(prime)
-            total = 1
-            for size, cells, units in batch:
-                for u in units:
-                    total = total * _block_det(size, cells, zp, u, L, prime) % prime
-            return total
-
-        return _crt_signed(primes_one_mod(L), bound, residue)
+    def orbit_norm(size: int, cells, units) -> int:
+        return _crt_signed(
+            primes_one_mod(L),
+            _norm_bound(square, len(units)),
+            lambda prime: _orbit_residue(size, cells, zpow(prime), units, L, prime),
+        )
 
     def orbit_product(orbits) -> int:
-        det, batch, bound = 1, [], 1
+        det = 1
         for j, units in orbits:
-            size, cells = block(j)
-            b = _norm_bound(square, len(units))
-            if batch and bound * b > room:
-                det *= batch_value(batch, bound)
-                if det == 0:
-                    return 0
-                batch, bound = [], 1
-            batch.append((size, cells, units))
-            bound *= b
-        return det * batch_value(batch, bound)
+            det *= orbit_norm(*block(j), units)
+            if det == 0:
+                return 0
+        return det
 
     if isinstance(q, ZdQuotient):
         return orbit_product(_galois_orbits(labels))
@@ -589,8 +623,8 @@ def fix_count_char_crt(f, moduli) -> int:
 
     The Z^d case of ``quotient_det``: the characters of (Z/n_1) x ... x
     (Z/n_d) fall into Galois orbits, the product over an orbit is an
-    integer norm, and batches of orbits are evaluated at roots of unity in
-    prime fields and rebuilt by CRT.  Its absolute value is the fix count.
+    integer norm, evaluated at roots of unity in prime fields and rebuilt
+    from one residue or by CRT.  Its absolute value is the fix count.
     ``moduli`` is a ZdQuotient or its moduli; ``quotient_det`` checks the fit.
     """
     if isinstance(moduli, HeisenbergQuotient):

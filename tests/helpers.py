@@ -5,9 +5,13 @@ resultant oracle expands a Sylvester matrix and eliminates over exact
 rationals, and the series oracles sum exact Fractions.
 """
 
+import contextlib
+import hashlib
+import io
 from fractions import Fraction
 
 from padic_entropy import LaurentPoly, RingMatrix
+from padic_entropy.cli import main
 
 
 def vp(x, p: int) -> int:
@@ -149,3 +153,16 @@ def random_expansive_matrix(rng, p: int):
         ]
     )
     return elem() * diag * elem() * random_one_unit_matrix(rng, 2, 1, p, span=1, cmax=1)
+
+
+def cli_output_digest(argv: list) -> dict:
+    """argv, exit status and the SHA-256 of stdout and of stderr of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(list(argv))
+    return {
+        "argv": list(argv),
+        "status": status,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    }

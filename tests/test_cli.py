@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -288,6 +289,15 @@ def test_byte_identical_output_across_runs():
     assert proc.stdout == first
 
 
+def test_replayed_jobs_keep_their_output_bytes():
+    # the README command lines and the benchmark jobs at seed 3, with the exit
+    # status and output digests recorded by tests/make_cli_replay.py
+    jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
+    assert len(jobs) == 348
+    for job in jobs:
+        assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
+
+
 def test_cli_main_exit_codes():
     from padic_entropy.cli import main
 
@@ -495,11 +505,19 @@ def test_series_past_the_cell_cap_refused_at_once(p, poly):
     assert proc.stdout.endswith(" cells exceeds cap 20000000\n")
 
 
+@pytest.mark.parametrize("degree", ["10000000", "100000000"])
+def test_mahler_past_the_degree_cap_refused_at_once(degree):
+    # both ran past a 20 s timeout building a dense list before the cap
+    proc = _cli(["mahler", "--p", "3", "--prec", "8", f"--poly=1+3*t^{degree}"], timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == f"error[DOMAIN_MISMATCH]: degree span {degree} exceeds cap 1024\n"
+
+
 _COMMANDS = ["unit-check", "fixcount", "entropy", "mahler", "detlog", "bogus"]
 _POLYS = [
     "--poly=1+3*x", "--poly=1+3*x+3*y^-1", "--poly=2*t^2-t+2", "--poly=t-4",
     "--poly=[[1+3*t, 3],[0, 1]]", "--poly=1+x", "--poly=x+", "--poly=0", "--poly=",
-    "--poly-file=/nonexistent",
+    "--poly-file=/nonexistent", "--poly=1+3*t^100000000",
 ]
 _OPTIONS = {
     "--p": ["2", "3", "5", "4", "0", "-1", "x", "318665857834031151167461", str(2**61 - 1)],

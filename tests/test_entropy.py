@@ -110,7 +110,13 @@ def test_report_pairwise_distances():
     a = Padic.from_rational(1, 1, 2, 6)
     b = Padic.from_rational(5, 1, 2, 6)  # diff 4: valuation 2
     rep = convergence_report([_dummy_record(1, a), _dummy_record(2, b)], 2, target=1)
-    assert rep.pairwise[(0, 1)] == (2, True)
+    assert rep.distances == [(2, True)]
+    # only consecutive records are compared, in index order; an exact-zero
+    # difference is bounded by the precisions (6)
+    c = Padic.from_rational(5, 1, 2, 8)  # diff to a: valuation 2; to b: zero
+    rep = convergence_report([_dummy_record(3, c), _dummy_record(1, a), _dummy_record(2, b)], 2, 1)
+    assert rep.distances == [(2, True), (6, False)]
+    assert rep.consecutive_distances() is rep.distances
 
 
 # -- entropy sequences --------------------------------------------------------------

@@ -304,23 +304,24 @@ def test_record_json_round_trip():
 # -- Galois orbits of blocks --------------------------------------------------------
 
 
-def _counting_block_det(monkeypatch):
-    """Record the size of every block that quotient_det evaluates."""
+def _counting_block_evaluations(monkeypatch):
+    """Record the size of every block that quotient_det evaluates: each orbit
+    residue evaluates its block once per unit."""
     calls = []
-    real = fixcount._block_det
+    real = fixcount._orbit_residue
 
-    def counted(size, *args):
-        calls.append(size)
-        return real(size, *args)
+    def counted(size, cells, zp, units, *args):
+        calls.extend([size] * len(units))
+        return real(size, cells, zp, units, *args)
 
-    monkeypatch.setattr(fixcount, "_block_det", counted)
+    monkeypatch.setattr(fixcount, "_orbit_residue", counted)
     return calls
 
 
 def test_each_block_evaluated_once_per_batch_prime(monkeypatch):
-    calls = _counting_block_det(monkeypatch)
+    calls = _counting_block_evaluations(monkeypatch)
     quotient_det(F_FAMILY, ZdQuotient((20, 20)))
-    # every Galois orbit of (Z/20)^2 fits under one prime: one call per character
+    # every Galois orbit of (Z/20)^2 fits under one prime: one evaluation per character
     assert len(calls) == 400 and set(calls) == {1}
     calls.clear()
     quotient_det(F_FAMILY, HeisenbergQuotient(8))
@@ -332,7 +333,7 @@ def test_each_block_evaluated_once_per_batch_prime(monkeypatch):
 
 def test_hadamard_budget_evaluates_fewer_heisenberg_blocks(monkeypatch):
     # the l1 budget took 371 block evaluations over heis:2..8 and 1756 at heis(16)
-    calls = _counting_block_det(monkeypatch)
+    calls = _counting_block_evaluations(monkeypatch)
     for n in range(2, 9):
         quotient_det(F_FAMILY, HeisenbergQuotient(n))
     assert len(calls) <= 299
@@ -428,16 +429,16 @@ def test_galois_orbits_partition_the_labels(labels):
 
 
 @pytest.mark.parametrize(
-    "f, q, stops_early",
+    "f, q",
     [
-        (1 + W + W**2, ZdQuotient((6,)), False),
-        (1 + X + X**2, ZdQuotient((6, 6)), False),
-        (10 * (1 + X + X**2), ZdQuotient((6, 6)), True),
-        (1 + Z3 + Z3**2, HeisenbergQuotient(6), True),
+        (1 + W + W**2, ZdQuotient((6,))),
+        (1 + X + X**2, ZdQuotient((6, 6))),
+        (10 * (1 + X + X**2), ZdQuotient((6, 6))),
+        (1 + Z3 + Z3**2, HeisenbergQuotient(6)),
     ],
     ids=["Z/6", "(Z/6)^2", "(Z/6)^2-batches", "heis(6)"],
 )
-def test_vanishing_on_a_middle_orbit(f, q, stops_early, monkeypatch):
+def test_vanishing_on_a_middle_orbit(f, q, monkeypatch):
     # f vanishes where x (on Z^d) or the central character (on Heisenberg)
     # has order 3, that is where that label coordinate is 2 or 4 mod 6
     if isinstance(q, ZdQuotient):
@@ -448,11 +449,12 @@ def test_vanishing_on_a_middle_orbit(f, q, stops_early, monkeypatch):
         orbits, coordinate, size = [o for _, group in groups for o in group], 1, q.n
     vanishes = [j[coordinate] in (2, 4) for j, units in orbits]
     assert any(vanishes) and not vanishes[0] and not vanishes[-1]
-    calls = _counting_block_det(monkeypatch)
+    calls = _counting_block_evaluations(monkeypatch)
     assert quotient_det(f, q) == 0
-    # the batches after the first vanishing one are never evaluated
-    blocks = sum(len(units) for _, units in orbits)
-    assert (calls.count(size) < blocks) == stops_early
+    # each orbit up to the first vanishing one is evaluated under one prime,
+    # and nothing after it
+    first = vanishes.index(True)
+    assert calls.count(size) == sum(len(units) for _, units in orbits[: first + 1])
     with pytest.raises(InfiniteFixedPointSet) as exc:
         fix_count(f, q, p=3, prec=4)
     assert exc.value.quotient == q and q.label() in str(exc.value)
@@ -480,12 +482,30 @@ def _label_shapes():
     shapes = [(n,) for n in range(1, 25)] + [(n, n) for n in range(1, 25)]
     shapes += [(rng.randint(1, 24), rng.randint(1, 24)) for _ in range(20)]
     shapes += [tuple(rng.randint(1, 8) for _ in range(3)) for _ in range(12)]
-    return shapes + [(24, 1, 3), (1, 1, 1), (2, 12, 24)]
+    shapes += [(24, 1, 3), (1, 1, 1), (2, 12, 24), (1, 7), (12, 18, 8), (2, 3, 4, 5)]
+    return shapes + [(64, 64), (192, 192), (1000,), (4096,)]
 
 
 def test_galois_orbits_equal_the_set_based_enumeration():
     for labels in _label_shapes():
         assert fixcount._galois_orbits(labels) == _set_based_galois_orbits(labels), labels
+
+
+def _jordan_totient(k, m):
+    """J_k(m): the number of k-tuples mod m that generate Z/m."""
+    return sum(
+        math.gcd(math.gcd(*t), m) == 1 for t in itertools.product(range(m), repeat=k)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_orbits_of_the_square_are_its_cyclic_subgroups(n):
+    # an orbit of (Z/n)^* on (Z/n)^2 is the set of generators of one cyclic
+    # subgroup, and there are sum over m | n of J_2(m) / phi(m) of those
+    cyclic = sum(
+        _jordan_totient(2, m) // _jordan_totient(1, m) for m in range(1, n + 1) if n % m == 0
+    )
+    assert len(fixcount._galois_orbits((n, n))) == cyclic
 
 
 def _orbit_norm(F, q, labels, block, j, units):
@@ -551,7 +571,7 @@ def test_hadamard_bound_holds_for_every_orbit_norm(q):
 
 def test_zero_row_vanishes_before_any_block(monkeypatch):
     F = RingMatrix([[1 + X3, Z3], [LaurentPoly(3, {}), LaurentPoly(3, {})]])
-    calls = _counting_block_det(monkeypatch)
+    calls = _counting_block_evaluations(monkeypatch)
     for q in (HeisenbergQuotient(3), ZdQuotient((2, 2, 2))):
         assert quotient_det(F, q) == 0 == _dense_det(F, q)
     assert calls == []
@@ -580,8 +600,9 @@ def test_conjugate_characters_give_equal_block_determinants(n):
         F = RingMatrix.wrap(_random_input(rng, r, 3))
         block = fixcount._character_blocks(F, HeisenbergQuotient(n))[2]
         for beta, gamma in itertools.product(range(n), repeat=2):
-            here = fixcount._block_det(*block((beta, gamma)), zp, 1, n, prime)
-            there = fixcount._block_det(*block(((beta + gamma) % n, gamma)), zp, 1, n, prime)
+            here = fixcount._orbit_residue(*block((beta, gamma)), zp, (1,), n, prime)
+            conjugate = block(((beta + gamma) % n, gamma))
+            there = fixcount._orbit_residue(*conjugate, zp, (1,), n, prime)
             assert here == there, (r, beta, gamma)
             nonzero += here != 0
     assert nonzero
@@ -602,8 +623,7 @@ def _full_label_heisenberg_det(f, q):
             zp = _zeta_powers(prime, L)
             total = 1
             for size, cells, units in batch:
-                for u in units:
-                    total = total * fixcount._block_det(size, cells, zp, u, L, prime) % prime
+                total = total * fixcount._orbit_residue(size, cells, zp, units, L, prime) % prime
             return total
 
         return fixcount._crt_signed(primes_one_mod(L), bound, residue)
@@ -669,7 +689,7 @@ def test_gamma_zero_blocks_are_the_characters_of_the_abelianization(n):
             zp = _zeta_powers(prime, n)
             total = 1
             for size, cells in blocks:
-                total = total * fixcount._block_det(size, cells, zp, 1, n, prime) % prime
+                total = total * fixcount._orbit_residue(size, cells, zp, (1,), n, prime) % prime
             return total
 
         bound = fixcount._norm_bound(fixcount._hadamard_square(*blocks[0]), n)
@@ -703,7 +723,7 @@ def test_class_orbits_partition_the_reduced_labels(n):
 def test_one_block_per_class_orbit_conjugate(monkeypatch):
     # the full-label route took 299 evaluations of blocks larger than 1 x 1
     # over heis:2..8 and 1324 at heis(16)
-    calls = _counting_block_det(monkeypatch)
+    calls = _counting_block_evaluations(monkeypatch)
     for n in range(2, 9):
         quotient_det(F_FAMILY, HeisenbergQuotient(n))
     assert sum(size > 1 for size in calls) == 48

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from padic_entropy import (
     slope_split,
 )
 from padic_entropy import mahler
-from padic_entropy.errors import NotPrimitive, ZeroPolynomial, ZeroSlopePresent
+from padic_entropy.errors import DomainMismatch, NotPrimitive, ZeroPolynomial, ZeroSlopePresent
 
 import helpers
 
@@ -314,6 +315,21 @@ def test_mahler_accepts_laurent_input():
 def test_mahler_zero_slope_rejected():
     with pytest.raises(ZeroSlopePresent):
         mahler_1d([1, 1], 2, 6)
+
+
+def test_degree_span_past_the_cap_refused_before_any_list():
+    cap = mahler.DEGREE_CAP
+    at_cap = LaurentPoly(1, {(-3,): 1, (cap - 3,): 3})  # 1 + 3t^cap, shifted
+    assert mahler_1d(at_cap, 3, 4) == mahler_1d({0: 1, cap: 3}, 3, 4)
+    past_cap = [
+        LaurentPoly(1, {(-3,): 1, (cap - 2,): 3}),
+        {0: 1, 10**12: 3},  # a dense list this long would not fit in memory
+        [1] + [0] * cap + [3],
+    ]
+    routes = [newton_polygon, lambda f, p: slope_split(f, p, 4), lambda f, p: mahler_1d(f, p, 4)]
+    for f, route in itertools.product(past_cap, routes):
+        with pytest.raises(DomainMismatch, match=r"^degree span \d+ exceeds cap 1024$"):
+            route(f, 3)
 
 
 def test_mahler_multiplicative_and_matches_logdet():
