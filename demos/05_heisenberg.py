@@ -25,7 +25,7 @@ hq = HeisenbergQuotient(2)
 g = build_quotient_group(hq)
 print(f"heis(2): order {g.m}, abelian: {g.is_abelian()}")
 xi, yi, zi = hq.project((1, 0, 0)), hq.project((0, 1, 0)), hq.project((0, 0, 1))
-comm = g.mul[g.mul[g.mul[xi, yi], g.inv[xi]], g.inv[yi]]
+comm = g.mul(g.mul(g.mul(xi, yi), g.inv[xi]), g.inv[yi])
 print(f"x y x^-1 y^-1 = element {comm}, central generator z = element {zi}")
 
 print()

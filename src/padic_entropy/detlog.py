@@ -16,8 +16,9 @@ and builds only the powers up to cap/2.  Group elements are int keys and
 the group law is data: the move of an element h carries the key of g to
 the key of g*h.  On Z^d a key packs the exponent, a move is the int offset
 key(h) - key(0) and the inverse key is 2 key(0) - key(g); on a finite group
-a key is the element's index, a move is column h of the multiplication
-table and inverse keys come from the inverse table.  Each step of the
+a key is the element's index, a move is the column g -> g*h of the
+quotient's own law, listed once for each h in X's support, and inverse keys
+come from the group's inverse list.  Each step of the
 kernel costs at most r * |supp X| * |G| products on a finite group ring,
 so there the series is refused above ``FINITE_SERIES_CAP`` products, as the
 exponent box is above ``SERIES_CELL_CAP`` cells on Z^d.
@@ -30,8 +31,9 @@ group formula (1/|G|) log det(rho), and ``det_laurent_matrix`` links the
 matrix and scalar cases over the commutative algebra.
 
 numpy is imported only by the dense ``Z^d`` kernel (small boxes while p^w
-fits a machine word) and, through group tables and ``det_exact``, by the
-finite-group route; the paired kernel and unit normalization run without it.
+fits a machine word) and, through ``det_exact``'s CRT branch, by the
+finite-group formula on large matrices; the paired kernel and unit
+normalization run without it.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def _sparse_step(power, xmat, r: int, pw: int):
     """One multiplication power * X over int-keyed dicts; each entry is reduced mod pw once.
 
     ``xmat[u][t]`` lists (move, c); whether a move is an int offset or a
-    table column is checked once per support element, outside the loop over
+    law column is checked once per support element, outside the loop over
     the entries of the power.
     """
     out = []
@@ -213,7 +215,7 @@ def _kernel_paired(xmat, one: int, inv, r: int, pw: int, cap: int) -> list[int]:
     """Pairs powers, so only X^1 .. X^ceil(cap/2) are built, two at a time.
 
     ``one`` is the identity's key and ``inv`` the int 2 key(0) on Z^d or the
-    inverse table of a finite group.
+    inverse list of a finite group.
     """
     power = [
         [
@@ -255,15 +257,16 @@ def _kernel_zd_sparse(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
 def _kernel_finite(coeffs, group, r: int, pw: int, cap: int) -> list[int]:
     """The paired kernel on a finite group ring; ``coeffs[s][t]`` lists X's coefficients by element.
 
-    Table columns are built only for X's support.
+    The column g -> g*h of the group law is listed only for h in X's support.
     """
     support = {h for row in coeffs for entry in row for h, c in enumerate(entry) if c}
-    cols = {h: group.mul[:, h].tolist() for h in support}
+    mul = group.mul
+    cols = {h: [mul(g, h) for g in range(group.m)] for h in support}
     xmat = [
         [[(cols[h], c) for h, c in enumerate(coeffs[s][t]) if c] for t in range(r)]
         for s in range(r)
     ]
-    return _kernel_paired(xmat, group.identity, group.inv.tolist(), r, pw, cap)
+    return _kernel_paired(xmat, group.identity, group.inv, r, pw, cap)
 
 
 def _refuse_costly_finite_series(r: int, cells: int, m: int, cap: int) -> None:

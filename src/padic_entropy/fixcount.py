@@ -226,12 +226,6 @@ def _det_mod(m, q: int) -> int:
     return det * pow(scale, -1, q) % q
 
 
-def _roots_of_unity(q: int, n: int) -> int:
-    """Element of exact multiplicative order n in F_q, for a prime q of
-    ``primes_one_mod(n)``: a power of the root the pool keeps for q."""
-    return pool_root(q, n)
-
-
 def _character_blocks(F: RingMatrix, q):
     """(L, labels, block) with det rho(F) = prod over j of det(block(j) at zeta_L).
 
@@ -481,7 +475,7 @@ def quotient_det(f, q) -> int:
 
     def zpow(prime: int) -> list:
         if prime not in powers:
-            z = _roots_of_unity(prime, L)
+            z = pool_root(prime, L)
             table = [1] * L
             for k in range(1, L):
                 table[k] = table[k - 1] * z % prime

@@ -2,20 +2,16 @@
 matrices over both, the * involution, sup norms and reduction maps.
 
 Laurent polynomials are sparse dictionaries from exponent vectors to
-coefficients (ints, Fractions, or Padic scalars at a shared prime).  Finite
-groups are explicit multiplication/inverse tables, verified on construction.
-Reduction to a finite quotient folds exponent vectors through the quotient
-map and sums coefficients landing in the same coset.
-
-numpy is imported inside the functions that build and verify group tables,
-not at module level: Laurent arithmetic and the quotient objects themselves
-do not need it, so a process that never builds a table never loads it.
+coefficients (ints, Fractions, or Padic scalars at a shared prime).  A
+finite quotient multiplies its element indices by its own arithmetic (a
+mixed-radix add on Z^d, the unitriangular matrix product on Heisenberg), so
+no multiplication table is ever built.  Reduction to a finite quotient folds
+exponent vectors through the quotient map and sums coefficients landing in
+the same coset.  The module needs no numpy.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,10 +25,8 @@ from .errors import (
 )
 from .padic import Padic
 
-# Bounds r * |G|: the order of a group table and the size of a dense rho matrix.
+# Bounds r * |G|: the order of a group and the size of a dense rho matrix.
 DEFAULT_SIZE_CAP = 4096
-# Distinct quotients whose tables are kept; a family or a selftest run uses fewer.
-GROUP_CACHE_SIZE = 32
 
 
 def _is_scalar(x) -> bool:
@@ -187,81 +181,24 @@ class LaurentPoly:
 
 
 class FiniteGroup:
-    """Explicit finite group of a quotient: indexed elements plus mul/inverse
-    tables.
+    """The finite group of a quotient: elements are the indices 0..m-1 of
+    ``project``, 0 is the identity, ``mul(i, j)`` is the quotient's own
+    arithmetic and ``inv`` lists the inverse of each index.
 
-    Group laws are verified exactly on construction, with Light's
-    associativity test over the quotient's generators.
+    Building one costs O(m), the length of the inverse list.
     """
 
     def __init__(self, q):
-        import numpy as np
-
-        mul, elements = q.multiplication_table()
-        self.mul = np.asarray(mul)
-        self.m = self.mul.shape[0]
-        self.elements = list(elements)
+        q = as_quotient(q)
+        self.m = q.index
+        self.identity = 0
         self.descriptor = q.descriptor()
-        if self.mul.shape != (self.m, self.m):
-            raise InvalidQuotient("multiplication table is not square")
-        self.identity = self._find_identity()
-        self.inv = self._build_inverse()
-        self._verify(np.asarray(q.generators(), dtype=np.int64))
-
-    def _find_identity(self) -> int:
-        import numpy as np
-
-        idx = np.arange(self.m)
-        for e in range(self.m):
-            if np.array_equal(self.mul[e], idx) and np.array_equal(self.mul[:, e], idx):
-                return e
-        raise InvalidQuotient("no identity element in table")
-
-    def _build_inverse(self):
-        """The inverse table: a numpy array with mul[inv[i], i] == identity."""
-        import numpy as np
-
-        inv = np.full(self.m, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self.mul == self.identity)
-        inv[rows] = cols
-        if np.any(inv < 0):
-            raise InvalidQuotient("an element has no inverse")
-        for i in range(self.m):
-            if self.mul[inv[i], i] != self.identity:
-                raise InvalidQuotient("left and right inverses disagree")
-        return inv
-
-    def _verify(self, gens):
-        """Light's test: (x g) y == x (g y) for all x, y and each generator g
-        (a numpy array of generator indices).
-
-        The elements g that pass are closed under products, so once right
-        multiplication by the generators reaches every element from the
-        identity, the whole table is associative.  Rows are checked one at a
-        time: memory stays at the table plus O(len(gens) * m).
-        """
-        import numpy as np
-
-        m, mul = self.m, self.mul
-        reached = np.zeros(m, dtype=bool)
-        reached[self.identity] = True
-        frontier = np.array([self.identity])
-        while frontier.size:
-            hit = np.zeros(m, dtype=bool)
-            hit[mul[np.ix_(frontier, gens)]] = True
-            frontier = np.flatnonzero(hit & ~reached)
-            reached[frontier] = True
-        if not reached.all():
-            raise InvalidQuotient("the generators do not generate the table")
-        g_rows = mul[gens]
-        for x in range(m):
-            if not np.array_equal(mul[mul[x, gens]], mul[x][g_rows]):
-                raise InvalidQuotient(f"associativity fails at element {x}")
+        self.mul = q.multiply
+        self.inv = [q.inverse(i) for i in range(self.m)]
+        self._abelian = isinstance(q, ZdQuotient) or q.n == 1  # in heis(n), [x, y] = z
 
     def is_abelian(self) -> bool:
-        import numpy as np
-
-        return np.array_equal(self.mul, self.mul.T)
+        return self._abelian
 
     def __repr__(self):
         return f"FiniteGroup({self.descriptor}, order={self.m})"
@@ -270,52 +207,8 @@ class FiniteGroup:
 # -- finite quotients ---------------------------------------------------------
 #
 # A quotient knows its index, its fit rule (which Laurent dimensions it
-# reduces), the projection of exponents to element indices and its own
-# multiplication table in that same element order.
-
-
-def _index_dtype(top: int):
-    """The smallest signed numpy integer type that holds 0..top."""
-    import numpy as np
-
-    for dtype in (np.int16, np.int32):
-        if top <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
-
-
-def _digit_sum_table(moduli, cocycle=None):
-    """(table, element digit tuples) of digitwise sums mod ``moduli`` in mixed
-    radix, row-major.
-
-    ``cocycle = (u, v)`` adds u[i]*v[j] to the last digit of entry (i, j).
-    Built in place: the table and one reused m x m term are all it holds,
-    both in the smallest signed type that holds the order m and every
-    digit sum before its reduction (int16 below the order cap).
-    """
-    import numpy as np
-
-    m = math.prod(moduli)
-    top = max(m, 2 * max(moduli))
-    if cocycle is not None:
-        top = max(top, int(cocycle[0].max()) * int(cocycle[1].max()) + 2 * moduli[-1])
-    idx = np.arange(m, dtype=_index_dtype(top))
-    mul = np.zeros((m, m), dtype=idx.dtype)
-    term = np.empty_like(mul)
-    stride = 1
-    for k, n in enumerate(reversed(moduli)):
-        digit = idx // stride % n
-        if k == 0 and cocycle is not None:
-            np.multiply.outer(*cocycle, out=term)
-            term += digit[:, None]
-            term += digit[None, :]
-        else:
-            np.add.outer(digit, digit, out=term)
-        term %= n
-        term *= stride
-        mul += term
-        stride *= n
-    return mul, list(itertools.product(*(range(n) for n in moduli)))
+# reduces), the projection of exponents to element indices and its own group
+# law on those indices, with the identity at index 0.
 
 
 @dataclass(frozen=True)
@@ -347,13 +240,21 @@ class ZdQuotient:
             idx = idx * n + (e % n)
         return idx
 
-    def generators(self) -> list[int]:
-        """Indices of the unit vectors."""
-        return [self.project([int(i == k) for i in range(self.d)]) for k in range(self.d)]
+    def multiply(self, i: int, j: int) -> int:
+        """Digitwise sum of two indices mod the moduli, in mixed radix."""
+        out, stride = 0, 1
+        for n in reversed(self.moduli):
+            out += (i // stride + j // stride) % n * stride
+            stride *= n
+        return out
 
-    def multiplication_table(self):
-        """Mixed-radix addition table in the row-major order of ``project``."""
-        return _digit_sum_table(self.moduli)
+    def inverse(self, i: int) -> int:
+        """Digitwise negation of an index mod the moduli."""
+        out, stride = 0, 1
+        for n in reversed(self.moduli):
+            out += -(i // stride) % n * stride
+            stride *= n
+        return out
 
     def label(self) -> str:
         return "x".join(f"Z/{n}" for n in self.moduli)
@@ -390,21 +291,19 @@ class HeisenbergQuotient:
         aa, bb, cc = a % n, b % n, (a * b + c) % n
         return (aa * n + bb) * n + cc
 
-    def generators(self) -> list[int]:
-        """Indices of x and y; their commutator is z."""
-        return [self.project((1, 0, 0)), self.project((0, 1, 0))]
-
-    def multiplication_table(self):
-        """(a,b,c) <-> [[1,a,c],[0,1,b],[0,0,1]] over Z/n, row-major index.
-
-        (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab'): the digit sums of
-        (Z/n)^3 with the cocycle ab' added to the last digit.
-        """
-        import numpy as np
-
+    def multiply(self, i: int, j: int) -> int:
+        """(a,b,c) <-> [[1,a,c],[0,1,b],[0,0,1]] over Z/n, row-major index:
+        (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab')."""
         n = self.n
-        idx = np.arange(n**3, dtype=_index_dtype(n**3))
-        return _digit_sum_table((n, n, n), cocycle=(idx // (n * n), idx // n % n))
+        a, b, c = i // (n * n), i // n % n, i % n
+        a2, b2, c2 = j // (n * n), j // n % n, j % n
+        return ((a + a2) % n * n + (b + b2) % n) * n + (c + c2 + a * b2) % n
+
+    def inverse(self, i: int) -> int:
+        """(a,b,c)^-1 = (-a, -b, ab - c)."""
+        n = self.n
+        a, b, c = i // (n * n), i // n % n, i % n
+        return (-a % n * n + -b % n) * n + (a * b - c) % n
 
     def label(self) -> str:
         return f"heis({self.n})"
@@ -426,18 +325,9 @@ def check_fits(q, d: int):
 
 
 def build_quotient_group(q) -> FiniteGroup:
-    """The verified multiplication table of the quotient q, as a FiniteGroup.
-
-    Orders above DEFAULT_SIZE_CAP are refused before any table is built.
-    The last GROUP_CACHE_SIZE groups are cached by quotient.
-    """
+    """The finite group of the quotient q; orders above DEFAULT_SIZE_CAP are refused."""
     if as_quotient(q).index > DEFAULT_SIZE_CAP:
         raise OrderOverflow(f"group order {q.index} exceeds cap {DEFAULT_SIZE_CAP}")
-    return _cached_group(q)
-
-
-@functools.lru_cache(maxsize=GROUP_CACHE_SIZE)
-def _cached_group(q) -> FiniteGroup:
     return FiniteGroup(q)
 
 
@@ -517,14 +407,12 @@ class FiniteGroupRingElem:
         self._check(other)
         mul = self.group.mul
         out = [0] * self.group.m
+        right = [(j, b) for j, b in enumerate(other.coeffs) if not _coeff_is_zero(b)]
         for i, a in enumerate(self.coeffs):
             if _coeff_is_zero(a):
                 continue
-            row = mul[i]
-            for j, b in enumerate(other.coeffs):
-                if _coeff_is_zero(b):
-                    continue
-                k = int(row[j])
+            for j, b in right:
+                k = mul(i, j)
                 out[k] = out[k] + _mul_coeff(a, b)
         return FiniteGroupRingElem(self.group, out)
 
@@ -539,7 +427,7 @@ class FiniteGroupRingElem:
         inv = self.group.inv
         out = [0] * self.group.m
         for i, a in enumerate(self.coeffs):
-            out[int(inv[i])] = a
+            out[inv[i]] = a
         return FiniteGroupRingElem(self.group, out)
 
     def __eq__(self, other):
@@ -721,19 +609,23 @@ def reduce_to_quotient(f, q):
 
     f is a LaurentPoly or a RingMatrix over LaurentPoly; q is ZdQuotient or
     HeisenbergQuotient.  Coefficients whose exponents land in the same coset
-    are summed; the sup norm never increases.
+    are summed; the sup norm never increases.  The entries of a matrix share
+    one group.
     """
-    if isinstance(f, RingMatrix):
-        return f.map_entries(lambda e: reduce_to_quotient(e, q))
-    if not isinstance(f, LaurentPoly):
+    proto = RingMatrix.wrap(f).entries[0][0]
+    if not isinstance(proto, LaurentPoly):
         raise DomainMismatch("can only reduce Laurent data")
-    check_fits(q, f.d)
+    check_fits(q, proto.d)
     group = build_quotient_group(q)
-    out = [0] * group.m
-    for e, c in f.terms.items():
-        i = q.project(e)
-        out[i] = out[i] + c
-    return FiniteGroupRingElem(group, out)
+
+    def fold(e: LaurentPoly) -> FiniteGroupRingElem:
+        out = [0] * group.m
+        for x, c in e.terms.items():
+            i = q.project(x)
+            out[i] = out[i] + c
+        return FiniteGroupRingElem(group, out)
+
+    return f.map_entries(fold) if isinstance(f, RingMatrix) else fold(f)
 
 
 def rho_matrix(f):
@@ -742,7 +634,10 @@ def rho_matrix(f):
     Returned as r x r blocks of |G| x |G| scalar matrices, arranged so that
     rho is multiplicative: rho(fg) = rho(f) rho(g).  Block (s, t) has
     (i, j) entry equal to the (s, t) coefficient of f at g_i^{-1} g_j, so for
-    r = 1 this is simply M[i][j] = a_{g_i^{-1} g_j}.
+    r = 1 this is simply M[i][j] = a_{g_i^{-1} g_j}.  Since g_i^{-1} g_j = h
+    exactly when g_j = g_i h, the matrix is filled from f's support: each h
+    writes its coefficients at column g_i h of every row i, and every other
+    entry is 0.
     """
     F = RingMatrix.wrap(f)
     proto = F.entries[0][0]
@@ -750,14 +645,15 @@ def rho_matrix(f):
         raise DomainMismatch("rho needs finite group ring entries (reduce first)")
     group = proto.group
     m, r = group.m, F.r
-    mul, inv = group.mul, group.inv
+    mul = group.mul
     n = r * m
     out = [[0] * n for _ in range(n)]
-    for i in range(m):
-        row = mul[int(inv[i])]
-        for j in range(m):
-            k = int(row[j])
-            for s in range(r):
-                for t in range(r):
-                    out[s * m + i][t * m + j] = F.entries[s][t].coeffs[k]
+    entries = [e for row in F.entries for e in row]
+    support = {h for e in entries for h, c in enumerate(e.coeffs) if not _coeff_is_zero(c)}
+    for h in support:
+        cells = [(s * m, t * m, F.entries[s][t].coeffs[h]) for s in range(r) for t in range(r)]
+        for i in range(m):
+            j = mul(i, h)
+            for si, tj, c in cells:
+                out[si + i][tj + j] = c
     return out

@@ -167,7 +167,7 @@ def _draw_pair(rng, d, grp, r, p):
         gi = rng.randrange(grp.m)
         conj = (
             RingMatrix.wrap(FiniteGroupRingElem.element(grp, gi)),
-            RingMatrix.wrap(FiniteGroupRingElem.element(grp, int(grp.inv[gi]))),
+            RingMatrix.wrap(FiniteGroupRingElem.element(grp, grp.inv[gi])),
         )
         return RingMatrix.wrap(A), RingMatrix.wrap(B), conj
     A = helpers.random_fg_one_unit_matrix(rng, grp, r, p)
@@ -176,7 +176,7 @@ def _draw_pair(rng, d, grp, r, p):
     zero = FiniteGroupRingElem.zero(grp)
     gi = rng.randrange(grp.m)
     gamma = FiniteGroupRingElem.element(grp, gi)
-    gamma_inv = FiniteGroupRingElem.element(grp, int(grp.inv[gi]))
+    gamma_inv = FiniteGroupRingElem.element(grp, grp.inv[gi])
     conj = (
         RingMatrix([[gamma, zero], [zero, one]]),
         RingMatrix([[gamma_inv, zero], [zero, one]]),

@@ -453,6 +453,7 @@ _NUMPY_FREE_JOBS = [
     ["detlog", "--p", "3", "--prec", "24", "--poly=1+3*x+3*y^-1"],  # p^w past 2^31: sparse kernel
     ["fixcount", "--p", "3", "--poly=1+3*x+3*y", "--quotient", "heis:3"],
     ["fixcount", "--p", "3", "--poly=1+3*x+3*y^-1", "--quotient", "5", "--no-crosscheck"],
+    ["fixcount", "--p", "3", "--poly=1+3*x+3*y^-1", "--quotient", "3"],  # 9 x 9: Bareiss
 ]
 
 
@@ -460,7 +461,7 @@ _NUMPY_FREE_JOBS = [
     "dense",
     [
         ["detlog", "--p", "3", "--prec", "6", "--poly=1+3*x"],
-        ["fixcount", "--p", "3", "--poly=1+3*x+3*y^-1", "--quotient", "3"],
+        ["fixcount", "--p", "3", "--poly=1+3*x+3*y^-1", "--quotient", "8"],  # 64 x 64: CRT
     ],
     ids=["dense-detlog", "crosscheck-fixcount"],
 )
@@ -474,6 +475,28 @@ def test_numpy_loaded_only_by_the_dense_routes(dense):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [False] * len(jobs) + [True]
+
+
+_HEIS16_TRACE_LOG = """
+import json, sys, time
+from padic_entropy import HeisenbergQuotient, parse_poly, reduce_to_quotient, tr_log_one_unit
+start = time.perf_counter()
+f = reduce_to_quotient(parse_poly("1+3*x+3*y+3*x^-1*y^-1"), HeisenbergQuotient(16))
+value = tr_log_one_unit(f, 3, 6)
+print(json.dumps([str(value), time.perf_counter() - start, "numpy" in sys.modules]))
+"""
+
+
+def test_finite_trace_log_on_heis16_builds_no_table():
+    # the group law is arithmetic: neither a 4096 x 4096 table nor numpy is needed
+    proc = subprocess.run(
+        [sys.executable, "-c", _HEIS16_TRACE_LOG], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, seconds, numpy_loaded = json.loads(proc.stdout)
+    assert not numpy_loaded
+    assert seconds < 2.0
+    assert value == "1*3^3 + O(3^6)"
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from padic_entropy import (
     rho_matrix,
 )
 from padic_entropy import fixcount
-from padic_entropy._primes import primes_one_mod
+from padic_entropy._primes import pool_root, primes_one_mod
 from padic_entropy.fixcount import _det_bareiss, _det_crt, check_quotient
 from padic_entropy.errors import (
     InfiniteFixedPointSet,
@@ -367,7 +367,7 @@ def _single_crt_quotient_det(f, q):
     blocks = [block(j) for j in itertools.product(*(range(n) for n in labels))]
 
     def residue(prime):
-        z = fixcount._roots_of_unity(prime, L)
+        z = pool_root(prime, L)
         zpow = [1] * L
         for k in range(1, L):
             zpow[k] = zpow[k - 1] * z % prime
@@ -515,7 +515,7 @@ def _orbit_norm(F, q, labels, block, j, units):
     conjugates = [block(tuple(u * x % n for x, n in zip(j, labels))) for u in units]
 
     def residue(prime):
-        z = fixcount._roots_of_unity(prime, L)
+        z = pool_root(prime, L)
         total = 1
         for size, cells in conjugates:
             m = [[0] * size for _ in range(size)]
@@ -581,7 +581,7 @@ def test_zero_row_vanishes_before_any_block(monkeypatch):
 
 
 def _zeta_powers(prime, L):
-    z = fixcount._roots_of_unity(prime, L)
+    z = pool_root(prime, L)
     table = [1] * L
     for k in range(1, L):
         table[k] = table[k - 1] * z % prime

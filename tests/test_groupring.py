@@ -1,6 +1,5 @@
 import itertools
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +18,9 @@ from padic_entropy import (
     rho_matrix,
     sup_norm,
 )
-from padic_entropy import groupring
-from padic_entropy.groupring import GROUP_CACHE_SIZE, _cached_group
 from padic_entropy.errors import (
     DimensionMismatch,
+    DomainMismatch,
     InvalidQuotient,
     OrderOverflow,
 )
@@ -125,13 +123,27 @@ def test_reduce_dimension_checks():
         reduce_to_quotient(helpers.random_laurent(random.Random(0), 4), HeisenbergQuotient(2))
 
 
+def test_reduced_matrix_is_entrywise_over_one_group():
+    rng = random.Random(7)
+    q = HeisenbergQuotient(3)
+    F = RingMatrix([[helpers.random_laurent(rng, 3) for _ in range(2)] for _ in range(2)])
+    R = reduce_to_quotient(F, q)
+    assert R == F.map_entries(lambda e: reduce_to_quotient(e, q))
+    assert len({id(e.group) for row in R.entries for e in row}) == 1
+    with pytest.raises(DomainMismatch):
+        reduce_to_quotient(R, q)
+    with pytest.raises(DomainMismatch):
+        reduce_to_quotient(3, q)
+
+
 # -- groups -------------------------------------------------------------------------
 
 
 def test_cyclic_group():
     g = build_quotient_group(ZdQuotient((2,)))
-    assert g.m == 2
-    assert g.mul[1][1] == 0  # s^2 = e
+    assert g.m == 2 and g.identity == 0
+    assert g.mul(1, 1) == 0  # s^2 = e
+    assert g.inv == [0, 1]
 
 
 def test_product_group_abelian():
@@ -142,17 +154,14 @@ def test_product_group_abelian():
 def test_heisenberg_group_structure():
     g = build_quotient_group(HeisenbergQuotient(2))
     assert g.m == 8 and not g.is_abelian()
-    center = [
-        i
-        for i in range(g.m)
-        if all(g.mul[i, j] == g.mul[j, i] for j in range(g.m))
-    ]
+    center = [i for i in range(g.m) if all(g.mul(i, j) == g.mul(j, i) for j in range(g.m))]
     assert len(center) == 2
     # z = [x, y]
     hq = HeisenbergQuotient(2)
     xi, yi, zi = hq.project((1, 0, 0)), hq.project((0, 1, 0)), hq.project((0, 0, 1))
-    comm = g.mul[g.mul[g.mul[xi, yi], g.inv[xi]], g.inv[yi]]
+    comm = g.mul(g.mul(g.mul(xi, yi), g.inv[xi]), g.inv[yi])
     assert comm == zi
+    assert center == [0, zi]
 
 
 def test_heisenberg_orders():
@@ -166,59 +175,67 @@ def test_order_cap(monkeypatch):
     with pytest.raises(OrderOverflow):
         build_quotient_group(HeisenbergQuotient(100))
 
-    def no_table(self):
-        raise AssertionError("a table was built past the cap")
+    def no_inverse(self, i):
+        raise AssertionError("a group was built past the cap")
 
-    # order 4913 is refused before its table is built
-    monkeypatch.setattr(HeisenbergQuotient, "multiplication_table", no_table)
+    # order 4913 is refused before any element of its group is formed
+    monkeypatch.setattr(HeisenbergQuotient, "inverse", no_inverse)
     with pytest.raises(OrderOverflow, match=r"^group order 4913 exceeds cap 4096$"):
         build_quotient_group(HeisenbergQuotient(17))
 
 
+def test_finite_group_refuses_what_is_not_a_quotient():
+    for spec in ((3, 3), "heis:2", 8, None):
+        with pytest.raises(InvalidQuotient) as err:
+            FiniteGroup(spec)
+        assert err.value.code == "INVALID_QUOTIENT"
+
+
 @pytest.mark.parametrize("moduli", [(2, 3), (3, 3), (2, 2, 2)])
 def test_zd_table_matches_projection(moduli):
+    # the law is exponent addition on a box that wraps every modulus
     q = ZdQuotient(moduli)
     g = build_quotient_group(q)
     assert g.m == q.index and g.is_abelian()
     box = list(itertools.product(*(range(-n, n + 1) for n in moduli)))
     for a in box:
+        neg = tuple(-x for x in a)
+        assert g.inv[q.project(a)] == q.project(neg)
         for b in box:
             ab = tuple(x + y for x, y in zip(a, b))
-            assert g.mul[q.project(a)][q.project(b)] == q.project(ab)
-    assert [q.project(e) for e in g.elements] == list(range(g.m))
+            assert g.mul(q.project(a), q.project(b)) == q.project(ab)
+    digits = itertools.product(*(range(n) for n in moduli))
+    assert [q.project(e) for e in digits] == list(range(g.m))  # row-major
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def _unitriangular(a, b, c, n):
+    one = 1 % n
+    return [[one, a, c], [0, one, b], [0, 0, one]]
+
+
+def _matmul_mod(x, y, n):
+    return [[sum(x[i][k] * y[k][j] for k in range(3)) % n for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_heisenberg_table_equals_matrix_product_formula(n):
-    idx = np.arange(n**3)
-    a, b, c = idx // (n * n), idx // n % n, idx % n
-    aa = (a[:, None] + a[None, :]) % n
-    bb = (b[:, None] + b[None, :]) % n
-    cc = (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % n
-    mul, elements = HeisenbergQuotient(n).multiplication_table()
-    assert np.array_equal(mul, (aa * n + bb) * n + cc)
-    assert elements == list(itertools.product(range(n), repeat=3))
+    # index (a*n + b)*n + c is the matrix [[1,a,c],[0,1,b],[0,0,1]] over Z/n
+    g = build_quotient_group(HeisenbergQuotient(n))
+    mats = [_unitriangular(a, b, c, n) for a, b, c in itertools.product(range(n), repeat=3)]
+    ident = mats[0]
+    for i, x in enumerate(mats):
+        assert _matmul_mod(x, mats[g.inv[i]], n) == ident
+        for j, y in enumerate(mats):
+            assert mats[g.mul(i, j)] == _matmul_mod(x, y, n)
 
 
-@pytest.mark.parametrize("q", [HeisenbergQuotient(10), ZdQuotient((32, 32))])
-def test_tables_are_built_in_place(q):
-    tracemalloc.start()
-    try:
-        mul, _ = q.multiplication_table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * mul.nbytes
+_SMALL_QUOTIENTS = [ZdQuotient(m) for m in ((1,), (7,), (100,), (4, 6), (3, 40), (2, 3, 4), (5, 5))]
+_SMALL_QUOTIENTS += [HeisenbergQuotient(n) for n in range(1, 7)]
 
 
-def test_index_dtype_is_the_narrowest_that_holds_the_order():
-    # chosen from the order alone, before any table is built
-    assert groupring._index_dtype(4096) is np.int16  # the order cap
-    assert groupring._index_dtype(2 * 4096) is np.int16  # digit sums at the cap
-    assert groupring._index_dtype(32767) is np.int16
-    assert groupring._index_dtype(32768) is np.int32
-    assert groupring._index_dtype(40000) is np.int32
-    assert groupring._index_dtype(2**31) is np.int64
+def _law_table(g):
+    """The group law read into a narrow (int16) table, one product at a time."""
+    return np.array([[g.mul(i, j) for j in range(g.m)] for i in range(g.m)], dtype=np.int16)
 
 
 def _int64_digit_sum_table(moduli, cocycle=None):
@@ -236,10 +253,6 @@ def _int64_digit_sum_table(moduli, cocycle=None):
     return mul
 
 
-_SMALL_QUOTIENTS = [ZdQuotient(m) for m in ((1,), (7,), (100,), (4, 6), (3, 40), (2, 3, 4), (5, 5))]
-_SMALL_QUOTIENTS += [HeisenbergQuotient(n) for n in range(1, 7)]
-
-
 def _reference_table(q):
     if isinstance(q, ZdQuotient):
         return _int64_digit_sum_table(q.moduli)
@@ -250,36 +263,80 @@ def _reference_table(q):
 
 @pytest.mark.parametrize("q", _SMALL_QUOTIENTS, ids=lambda q: q.label())
 def test_narrow_tables_equal_the_int64_construction(q):
-    mul, _ = q.multiplication_table()
-    assert mul.dtype == np.int16
-    assert np.array_equal(mul, _reference_table(q))
+    # the arithmetic law, entry for entry, against the vectorized digit sums
+    assert np.array_equal(_law_table(FiniteGroup(q)), _reference_table(q))
+
+
+@pytest.mark.parametrize("q", _SMALL_QUOTIENTS, ids=lambda q: q.label())
+def test_group_axioms_by_brute_force(q):
     g = FiniteGroup(q)
-    assert g.mul.dtype == np.int16 and np.array_equal(g.mul, mul)
+    assert g.m == q.index <= 216
+    mul = _law_table(g)
+    idx = np.arange(g.m)
+    assert np.array_equal(mul[0], idx) and np.array_equal(mul[:, 0], idx)
+    inv = np.array(g.inv)
+    assert (mul[idx, inv] == 0).all() and (mul[inv, idx] == 0).all()
+    for x in range(g.m):  # (x y) z == x (y z) for every y, z
+        assert np.array_equal(mul[mul[x]], mul[x][mul]), x
+    assert g.is_abelian() == np.array_equal(mul, mul.T)
 
 
-def test_digit_sums_widen_the_table_type(monkeypatch):
-    # with int8 as the narrowest type, Z/100 (order 100, digit sums up to 198)
-    # must still be built without overflow
-    def from_int8(top):
-        for dtype in (np.int8, np.int16, np.int32):
-            if top <= np.iinfo(dtype).max:
-                return dtype
-        return np.int64
+def _light_test(mul, gens):
+    """Light's test: (x g) y == x (g y) for all x, y and each generator g.
 
-    monkeypatch.setattr(groupring, "_index_dtype", from_int8)
-    for q in _SMALL_QUOTIENTS:
-        mul, _ = q.multiplication_table()
-        assert np.array_equal(mul, _reference_table(q)), q.label()
-    assert ZdQuotient((4, 6)).multiplication_table()[0].dtype == np.int8
+    The elements g that pass are closed under products, so once right
+    multiplication by the generators reaches every element from the
+    identity 0, the whole table is associative.
+    """
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [h for h in {int(mul[x, s]) for x in frontier for s in gens} if h not in reached]
+        reached.update(frontier)
+    assert len(reached) == len(mul), "the generators do not generate the table"
+    g_rows = mul[gens]
+    for x in range(len(mul)):
+        assert np.array_equal(mul[mul[x, gens]], mul[x][g_rows]), f"associativity fails at {x}"
 
 
-class _SwappedPair(ZdQuotient):
-    """Z^2/(24, 24), order 576, with 1*2 and 1*3 swapped in its table."""
+@pytest.mark.parametrize(
+    "q, gens",
+    [
+        (HeisenbergQuotient(8), [(1, 0, 0), (0, 1, 0)]),
+        (ZdQuotient((24, 24)), [(1, 0), (0, 1)]),
+        (ZdQuotient((4, 6, 10)), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ],
+    ids=["heis(8)", "Z/24xZ/24", "Z/4xZ/6xZ/10"],
+)
+def test_larger_quotients_pass_lights_test(q, gens):
+    g = FiniteGroup(q)
+    mul = _law_table(g)
+    _light_test(mul, [q.project(e) for e in gens])
+    assert (mul[np.arange(g.m), g.inv] == 0).all()
 
-    def multiplication_table(self):
-        mul, elements = super().multiplication_table()
-        mul[1, [2, 3]] = mul[1, [3, 2]]
-        return mul, elements
+
+# The next three tests show that the Light's-test oracle above is sharp.
+
+
+def test_verification_is_exact_past_order_512():
+    # identity and inverses are intact; only associativity can catch it
+    mul = _law_table(FiniteGroup(ZdQuotient((24, 24))))
+    _light_test(mul, [1, 24])
+    mul[1, [2, 3]] = mul[1, [3, 2]]
+    with pytest.raises(AssertionError, match="associativity"):
+        _light_test(mul, [1, 24])
+
+
+# The smallest non-associative loop (order 5, every element its own inverse).
+_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_verification_checks_every_generator():
+    # Z/2 x L, element (a, u) at index 5a + u; the first generator (1, e)
+    # passes Light's test, only L's fail it
+    a, u = np.arange(10) // 5, np.arange(10) % 5
+    mul = 5 * ((a[:, None] + a[None, :]) % 2) + np.array(_LOOP)[u[:, None], u[None, :]]
+    with pytest.raises(AssertionError, match="associativity"):
+        _light_test(mul, [5, 1, 2])
 
 
 class _OddGenerators(ZdQuotient):
@@ -291,62 +348,24 @@ class _OddGenerators(ZdQuotient):
 
 class _XOnly(HeisenbergQuotient):
     def generators(self):
-        return super().generators()[:1]
-
-
-def test_verification_is_exact_past_order_512():
-    # identity and inverses are intact; only associativity can catch it
-    with pytest.raises(InvalidQuotient, match="associativity") as err:
-        build_quotient_group(_SwappedPair((24, 24)))
-    assert err.value.code == "INVALID_QUOTIENT"
-
-
-class _LoopTimesZ2:
-    """Z/2 x L, element (a, u) at index 5a + u, with L the smallest
-    non-associative loop (order 5, every element its own inverse).
-
-    The first generator (1, e) passes Light's test; only L's fail it.
-    """
-
-    LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-
-    def multiplication_table(self):
-        a, u = np.arange(10) // 5, np.arange(10) % 5
-        mul = 5 * ((a[:, None] + a[None, :]) % 2) + np.array(self.LOOP)[u[:, None], u[None, :]]
-        return mul, list(range(10))
-
-    def descriptor(self):
-        return {"kind": "loop"}
-
-    def generators(self):
-        return [5, 1, 2]
-
-
-def test_verification_checks_every_generator():
-    with pytest.raises(InvalidQuotient, match="associativity"):
-        FiniteGroup(_LoopTimesZ2())
+        return [self.project((1, 0, 0))]
 
 
 @pytest.mark.parametrize("q", [_OddGenerators((4,)), _XOnly(3)])
 def test_verification_refuses_generators_that_do_not_generate(q):
-    with pytest.raises(InvalidQuotient, match="do not generate"):
-        FiniteGroup(q)
-
-
-def test_group_cache_returns_one_object_and_stays_bounded():
-    assert build_quotient_group(ZdQuotient((3, 4))) is build_quotient_group(ZdQuotient((3, 4)))
-    assert build_quotient_group(ZdQuotient([5])) is build_quotient_group(ZdQuotient((5,)))
-    for n in range(1, GROUP_CACHE_SIZE + 10):
-        build_quotient_group(ZdQuotient((n,)))
-    assert _cached_group.cache_info().currsize <= GROUP_CACHE_SIZE
+    with pytest.raises(AssertionError, match="do not generate"):
+        _light_test(_law_table(FiniteGroup(q)), q.generators())
 
 
 def test_group_element_tuples_row_major():
-    g = build_quotient_group(HeisenbergQuotient(3))
-    assert g.elements[0] == (0, 0, 0)
-    assert g.elements[1] == (0, 0, 1)
-    assert g.elements[3] == (0, 1, 0)
-    assert g.elements[9] == (1, 0, 0)
+    # index (a*n + b)*n + c holds the matrix-entry triple (a, b, c), and the
+    # word x^a y^b z^c is the triple (a, b, ab + c)
+    q = HeisenbergQuotient(3)
+    assert q.project((0, 0, 0)) == 0
+    assert q.project((0, 0, 1)) == 1
+    assert q.project((0, 1, 0)) == 3
+    assert q.project((1, 0, 0)) == 9
+    assert q.project((1, 1, 0)) == 13  # xy = (1, 1, 1)
 
 
 # -- rho ------------------------------------------------------------------------------
@@ -355,6 +374,43 @@ def test_group_element_tuples_row_major():
 def test_rho_example():
     r = reduce_to_quotient(F_EXAMPLE, ZdQuotient((2,)))
     assert rho_matrix(r) == [[4, -1], [-1, 4]]
+
+
+def _dense_rho(F, g):
+    """Reference: block (s, t) has entry a^(s,t) at g_i^-1 g_j in cell (i, j)."""
+    m, r = g.m, F.r
+    return [
+        [F.entries[s][t].coeffs[g.mul(g.inv[i], j)] for t in range(r) for j in range(m)]
+        for s in range(r)
+        for i in range(m)
+    ]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [ZdQuotient((7,)), ZdQuotient((4, 6)), HeisenbergQuotient(2), HeisenbergQuotient(3)],
+    ids=lambda q: q.label(),
+)
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("density", [1.0, 0.1])
+def test_rho_matrix_equals_the_dense_formula(q, r, density):
+    rng = random.Random(f"{q.label()} {r} {density}")
+    g = build_quotient_group(q)
+    for _ in range(4):
+        F = RingMatrix(
+            [
+                [
+                    FiniteGroupRingElem(
+                        g, [rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(g.m)]
+                    )
+                    for _ in range(r)
+                ]
+                for _ in range(r)
+            ]
+        )
+        assert rho_matrix(F) == _dense_rho(F, g)
+        if r == 1:
+            assert rho_matrix(F.entries[0][0]) == _dense_rho(F, g)
 
 
 def test_rho_identity_and_group_element():

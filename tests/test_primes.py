@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from padic_entropy import _primes, fixcount
-from padic_entropy._primes import is_prime, primes_one_mod
+from padic_entropy import _primes
+from padic_entropy._primes import is_prime, pool_root, primes_one_mod
 from padic_entropy.errors import NotPrime
 from padic_entropy.fixcount import fix_count
 from padic_entropy.groupring import HeisenbergQuotient, LaurentPoly, ZdQuotient
@@ -119,7 +119,7 @@ def test_pool_primes_carry_roots_of_exact_order(orders):
         for q in itertools.islice(primes_one_mod(L), 2):
             assert (q - 1) % L == 0 and q >= 2**59
             assert _strong_probable_prime(q)
-            assert _order(fixcount._roots_of_unity(q, L), q, L)
+            assert _order(pool_root(q, L), q, L)
 
 
 def test_orders_dividing_lcm_1_to_22_share_their_first_prime():
@@ -134,7 +134,7 @@ def test_a_prime_outside_the_pools_has_no_root():
     # 7 and 101 are = 1 mod these orders but in no pool
     for q, L in ((7, 3), (101, 4), (101, 25)):
         with pytest.raises(ValueError):
-            fixcount._roots_of_unity(q, L)
+            pool_root(q, L)
 
 
 def _cold_pool(monkeypatch):
