@@ -18,7 +18,11 @@ the key of g*h.  On Z^d a key packs the exponent, a move is the int offset
 key(h) - key(0) and the inverse key is 2 key(0) - key(g); on a finite group
 a key is the element's index, a move is the column g -> g*h of the
 quotient's own law, listed once for each h in X's support, and inverse keys
-come from the group's inverse list.  Each step of the
+come from the group's inverse list.  Every coefficient of X = 1 - F is
+divisible by p, so the kernel stores Y^j = X^j / p^j and keeps only the
+digits of Y^j that a constant mod p^w can still see (p^(w - 2j + 1));
+reduction mod p^k commutes with products, so the constants are the residues
+the powers of X would give.  Each step of the
 kernel costs at most r * |supp X| * |G| products on a finite group ring,
 so there the series is refused above ``FINITE_SERIES_CAP`` products, as the
 exponent box is above ``SERIES_CELL_CAP`` cells on Z^d.
@@ -99,8 +103,9 @@ def _coeff_int_mod(c, p: int, w: int) -> int:
 # -- series kernels -------------------------------------------------------
 #
 # Each kernel receives X = 1 - F with all coefficients divisible by p, as
-# integer data modulo p^w, and returns the identity-coefficients of the
-# matrix traces of X^1 .. X^cap (ints mod p^w).
+# integer data modulo p^w (the dense kernel takes pw = p^w, the paired ones
+# p and w), and returns the identity-coefficients of the matrix traces of
+# X^1 .. X^cap (ints mod p^w).
 
 
 def _shift_slices(shape, exp):
@@ -155,10 +160,10 @@ def _kernel_zd_dense(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
     return consts
 
 
-def _sparse_step(power, xmat, r: int, pw: int):
-    """One multiplication power * X over int-keyed dicts; each entry is reduced mod pw once.
+def _sparse_step(power, ymat, r: int, mod: int):
+    """One multiplication power * Y over int-keyed dicts; each entry is reduced mod ``mod`` once.
 
-    ``xmat[u][t]`` lists (move, c); whether a move is an int offset or a
+    ``ymat[u][t]`` lists (move, c); whether a move is an int offset or a
     law column is checked once per support element, outside the loop over
     the entries of the power.
     """
@@ -170,7 +175,7 @@ def _sparse_step(power, xmat, r: int, pw: int):
             get = acc.get
             for u in range(r):
                 src = row_in[u]
-                for move, c2 in xmat[u][t]:
+                for move, c2 in ymat[u][t]:
                     if isinstance(move, int):
                         for k, c1 in src.items():
                             k += move
@@ -181,7 +186,7 @@ def _sparse_step(power, xmat, r: int, pw: int):
                             acc[k] = get(k, 0) + c1 * c2
             entry = {}
             for k, v in acc.items():
-                v %= pw
+                v %= mod
                 if v:
                     entry[k] = v
             row.append(entry)
@@ -189,8 +194,8 @@ def _sparse_step(power, xmat, r: int, pw: int):
     return out
 
 
-def _pair_const(a, b, r: int, inv, pw: int) -> int:
-    """Identity coefficient of tr(A B): sum over s, u, g of A[s][u][g] * B[u][s][g^-1]."""
+def _pair_const(a, b, r: int, inv, mod: int) -> int:
+    """Identity coefficient of tr(A B) mod ``mod``: sum over s, u, g of A[s][u][g] * B[u][s][g^-1]."""
     total = 0
     for s in range(r):
         for u in range(r):
@@ -208,35 +213,49 @@ def _pair_const(a, b, r: int, inv, pw: int) -> int:
                     c2 = get(inv[k])
                     if c2:
                         total += c * c2
-    return total % pw
+    return total % mod
 
 
-def _kernel_paired(xmat, one: int, inv, r: int, pw: int, cap: int) -> list[int]:
-    """Pairs powers, so only X^1 .. X^ceil(cap/2) are built, two at a time.
+def _kernel_paired(xmat, one: int, inv, r: int, p: int, w: int, cap: int) -> list[int]:
+    """Pairs powers, so only powers 1 .. ceil(cap/2) are built, two at a time.
 
     ``one`` is the identity's key and ``inv`` the int 2 key(0) on Z^d or the
-    inverse list of a finite group.
+    inverse list of a finite group.  Every coefficient of X is divisible by
+    p, so the kernel stores Y^j = X^j / p^j and keeps of it only the digits
+    that a later constant can see: c_nu = p^nu * const tr Y^nu mod p^w needs
+    const tr Y^nu mod p^(w - nu) alone (none at all once nu >= w).  Y^j
+    enters the pairings for nu = 2j - 1, 2j and 2j + 1, so it is kept mod
+    p^(w - 2j + 1), and the step Y^(j+1) = Y^j * Y works mod p^(w - 2j - 1).
+    Reduction mod a power of p commutes with the ring operations, so the
+    constants are the residues of const tr X^nu mod p^w that the powers of
+    X themselves would give, on Z^d and on every finite group ring alike.
     """
+    ymat = [[[(move, c // p) for move, c in xmat[s][t]] for t in range(r)] for s in range(r)]
     power = [
         [
-            {(one + move if isinstance(move, int) else move[one]): c for move, c in xmat[s][t]}
+            {(one + move if isinstance(move, int) else move[one]): c for move, c in ymat[s][t]}
             for t in range(r)
         ]
         for s in range(r)
     ]
-    consts = [sum(power[s][s].get(one, 0) for s in range(r)) % pw]
+    consts = [p * sum(power[s][s].get(one, 0) for s in range(r)) % p**w]
+    nu = 1
     while len(consts) < cap:
-        # power = X^j: const tr X^(2j) = <X^j, X^j>, const tr X^(2j+1) = <X^j, X^(j+1)>
-        consts.append(_pair_const(power, power, r, inv, pw))
+        # power = Y^j with nu = 2j - 1: c_2j = p^2j <Y^j, Y^j> and
+        # c_(2j+1) = p^(2j+1) <Y^j, Y^(j+1)>
+        nu += 1
+        consts.append(p**nu * _pair_const(power, power, r, inv, p ** max(w - nu, 0)))
         if len(consts) == cap:
             break
-        nxt = _sparse_step(power, xmat, r, pw)
-        consts.append(_pair_const(power, nxt, r, inv, pw))
+        nu += 1
+        mod = p ** max(w - nu, 0)
+        nxt = _sparse_step(power, ymat, r, mod)
+        consts.append(p**nu * _pair_const(power, nxt, r, inv, mod))
         power = nxt
     return consts
 
 
-def _kernel_zd_sparse(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
+def _kernel_zd_sparse(supports, d: int, r: int, p: int, w: int, cap: int) -> list[int]:
     """The paired kernel on Z^d, for any p^w.
 
     An exponent e is packed into the int key(e) = sum_a (e_a + R) * B^a with
@@ -251,10 +270,10 @@ def _kernel_zd_sparse(supports, d: int, r: int, pw: int, cap: int) -> list[int]:
         [[(sum(x * w for x, w in zip(e, weights)), c) for e, c in supports[s][t]] for t in range(r)]
         for s in range(r)
     ]
-    return _kernel_paired(xmat, zero, 2 * zero, r, pw, cap)
+    return _kernel_paired(xmat, zero, 2 * zero, r, p, w, cap)
 
 
-def _kernel_finite(coeffs, group, r: int, pw: int, cap: int) -> list[int]:
+def _kernel_finite(coeffs, group, r: int, p: int, w: int, cap: int) -> list[int]:
     """The paired kernel on a finite group ring; ``coeffs[s][t]`` lists X's coefficients by element.
 
     The column g -> g*h of the group law is listed only for h in X's support.
@@ -266,7 +285,7 @@ def _kernel_finite(coeffs, group, r: int, pw: int, cap: int) -> list[int]:
         [[(cols[h], c) for h, c in enumerate(coeffs[s][t]) if c] for t in range(r)]
         for s in range(r)
     ]
-    return _kernel_paired(xmat, group.identity, group.inv, r, pw, cap)
+    return _kernel_paired(xmat, group.identity, group.inv, r, p, w, cap)
 
 
 def _refuse_costly_finite_series(r: int, cells: int, m: int, cap: int) -> None:
@@ -281,16 +300,17 @@ def _refuse_costly_finite_series(r: int, cells: int, m: int, cap: int) -> None:
 def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     """Group-trace of log F for a 1-unit F; absolute precision prec.
 
-    Powers of 1 - F are accumulated with coefficients reduced modulo
+    The identity coefficients of the powers of 1 - F are found modulo
     p^(prec+guard); terms beyond the cutoff -- and whole powers once the
     valuation passes the working precision -- provably vanish there.  The
-    paired kernel reads const tr X^(2j) = <X^j, X^j> and
-    const tr X^(2j+1) = <X^j, X^(j+1)> (pairing in the module docstring), so
-    it multiplies about cap/2 times; small Z^d boxes with p^w in a machine
-    word take the dense kernel instead.  The constants c_nu are divided by nu
-    and summed in integers (``padic._neg_sum_over_nu``).  For p = 2 a unit
-    that is only 1 mod 2 is squared first (the value is half the value at
-    the square, which lies in 1 + 4A).  Series the caps would let grow
+    paired kernel stores the j-th power divided by p^j and reads
+    const tr X^(2j) = <X^j, X^j> and const tr X^(2j+1) = <X^j, X^(j+1)>
+    (pairing in the module docstring), so it multiplies about cap/2 times;
+    small Z^d boxes with p^w in a machine word take the dense kernel
+    instead.  The constants c_nu are divided by nu and summed in integers
+    (``padic._neg_sum_over_nu``).  For p = 2 a unit that is only 1 mod 2 is
+    squared first (the value is half the value at the square, which lies in
+    1 + 4A).  Series the caps would let grow
     without bound are refused with DomainMismatch before any power is built:
     over Z^d by the cells of the exponent box (``SERIES_CELL_CAP``), on a
     finite group ring by the products of the kernel (``FINITE_SERIES_CAP``;
@@ -330,7 +350,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
         ]
         cells = sum(1 for row in coeffs for entry in row for c in entry if c)
         _refuse_costly_finite_series(r, cells, proto.group.m, cap)
-        consts = _kernel_finite(coeffs, proto.group, r, pw, cap)
+        consts = _kernel_finite(coeffs, proto.group, r, p, w, cap)
     elif isinstance(proto, LaurentPoly):
         d = proto.d
         supports = [
@@ -360,7 +380,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
         if pw < (1 << 31) and cells <= _DENSE_CELL_CAP:
             consts = _kernel_zd_dense(supports, d, r, pw, cap)
         else:
-            consts = _kernel_zd_sparse(supports, d, r, pw, cap)
+            consts = _kernel_zd_sparse(supports, d, r, p, w, cap)
     else:
         raise DomainMismatch("unsupported ring for the trace-log series")
 

@@ -4,10 +4,11 @@ The Newton polygon (lower convex hull of coefficient valuations) separates
 roots inside and outside the p-adic unit disk; a zero-slope segment means a
 root sits on the unit circle and the measure is undefined (ZeroSlopePresent).
 Otherwise a quadratic Hensel lift splits f = g*h with g monic collecting the
-inside roots and h the outside ones.  The lift runs through p^k for k on
-a schedule built down from the working precision by k -> ceil(k/2), and the
-inverse of h modulo g is carried from one step to the next and lifted by
-one Newton step each time.  The measure itself only ever needs the
+inside roots and h the outside ones.  Only g is lifted, through p^k for k
+on a schedule built down from the working precision by k -> ceil(k/2): each
+step divides f by g once, and the inverse of the cofactor modulo g is
+carried from one step to the next and lifted by one Newton step each time.
+h is divided out of f once, at the end.  The measure itself only ever needs the
 *products* of the inside (resp. outside) roots, which are +-g(0) and a
 ratio of coefficients of h -- rational numbers, so no extension-field
 arithmetic appears.  Both defining expressions are evaluated and must
@@ -16,16 +17,15 @@ agree.
 The hull is built on integer valuations, and the slope split reads the
 p-content and the unit coefficient off the polygon, so it computes each
 coefficient's valuation once.  The polynomial products and divisions of
-the lift sum their products unreduced and reduce modulo p^w once per
-output coefficient (for a division: once per eliminated leading
-coefficient and once per remainder coefficient), not after every product.
+the lift sum their products unreduced and reduce once per output
+coefficient (for a division: once per eliminated leading coefficient and
+once per remainder coefficient), not after every product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 from ._util import rational_residue, strip_p_content, vp_fraction
 from .errors import (
@@ -153,21 +153,11 @@ def _poly_divmod_monic(a: list[int], g: list[int], mod: int):
     return q, [x % mod for x in a[:dg]]
 
 
-def _trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _sub_mod(a: list[int], b: list[int], mod: int) -> list[int]:
-    """(a - b) mod ``mod``, coefficientwise; the shorter list is padded with 0."""
-    return [(x - y) % mod for x, y in zip_longest(a, b, fillvalue=0)]
-
-
 def _newton_inverse_step(z: list[int], h: list[int], g: list[int], mod: int) -> list[int]:
     """z(2 - hz) mod (g, mod): squares the error 1 - hz modulo g."""
-    hz = _poly_divmod_monic(_poly_mul_mod(h, z, mod), g, mod)[1]
-    return _poly_divmod_monic(_poly_mul_mod(z, _sub_mod([2], hz, mod), mod), g, mod)[1]
+    t = [-c for c in _poly_divmod_monic(_poly_mul_mod(h, z, mod), g, mod)[1]]
+    t[0] += 2
+    return _poly_divmod_monic(_poly_mul_mod(z, t, mod), g, mod)[1]
 
 
 def _lift_exponents(prec: int) -> list[int]:
@@ -189,20 +179,25 @@ def slope_split(f, p: int, prec: int):
     """Hensel split f = g*h mod p^prec: g monic carries the inside roots.
 
     Preconditions: f primitive (no p-content) and no zero-slope segment,
-    i.e. f mod p is exactly c*T^s.  The seed factorization (T^s, f/T^s mod p)
-    is coprime and lifts quadratically (von zur Gathen-Gerhard, Alg. 15.10).
-    The moduli are p^k over ``_lift_exponents(prec)``, built down from prec
-    by k -> ceil(k/2), so no step lifts past p^prec and then again to it.
-    The Bezout datum z = 1/h mod g is carried along: it starts as c^-1 mod p,
-    and each later step, from factors correct mod ``prev`` to mod
-    m <= prev^2, first lifts it by one Newton step z <- z(2 - hz) mod
-    (g, prev).  That is all the precision it needs: the error e = gh - f is
-    divisible by prev, so z*e mod (g, m) depends on z only mod (g, prev).
-    The factors are unique mod p^prec (Hensel), so the schedule does not
-    change them.
+    i.e. f mod p is exactly c*T^s.  The seed g = T^s divides f mod p with a
+    cofactor coprime to it, and only g is lifted.  The moduli are p^k over
+    ``_lift_exponents(prec)``, built down from prec by k -> ceil(k/2), so no
+    step lifts past p^prec and then again to it.  A step from g correct mod
+    ``prev`` = p^k' to mod m = p^k (k <= 2k') divides f by g once mod m:
+    f = q*g + e, where q is the cofactor mod prev and e is divisible by prev.
+    The Bezout datum z = 1/q mod g starts as c^-1 mod p and each later step
+    lifts it by one Newton step z <- z(2 - qz) mod (g, prev); that is all the
+    precision it needs, since e is divisible by prev.  The step then sets
+    g <- g + prev*((z*e/prev) mod g), worked mod m/prev, and g divides f
+    mod m.  The cofactor h = f div g is divided out once, at the
+    end, and the zero remainder of that division is the re-expansion
+    f = g*h mod p^prec.  The factors are unique mod p^prec (Hensel), so the
+    schedule does not change them.
 
     Returns (g, h) as ascending-coefficient lists of Padic values at absolute
-    precision prec (g monic of degree s with exact leading 1).
+    precision prec (g monic of degree s with exact leading 1).  A lift drops
+    the top coefficients of h that vanish mod p^prec; at prec 1 no step runs
+    and h keeps f's length.
     """
     coeffs, _ = _coeff_list(f)
     # The polygon's lowest vertex carries the least valuation.  With that at
@@ -219,33 +214,30 @@ def slope_split(f, p: int, prec: int):
     assert (s, 0) in np_data.vertices
     mod = p**prec
     fc = [rational_residue(c, p, mod) for c in coeffs]
-    deg = len(fc) - 1
-    cbar = fc[s] % p
     if s == 0:
         g = [1]
         h = fc[:]
     else:
         g = [0] * s + [1]  # T^s
-        h = [fc[s + i] % p for i in range(deg - s + 1)]  # = cbar as a constant
-        z = [pow(cbar, -1, p)]
-        prev = p
+        z = [pow(fc[s], -1, p)]
+        k_prev = 1
         for k in _lift_exponents(prec):
-            if prev > p:
-                z = _newton_inverse_step(z, h, g, prev)
-            m = p**k
-            e = _sub_mod(_poly_mul_mod(g, h, m), fc, m)  # divisible by prev
-            # g <- g - eg and h <- h - eh with e = g*eh + h*eg
-            eg = _poly_divmod_monic(_poly_mul_mod(z, e, m), g, m)[1]
-            eh, rem = _poly_divmod_monic(_sub_mod(e, _poly_mul_mod(h, eg, m), m), g, m)
-            if any(rem):
-                raise ArithmeticError("slope split lost exact divisibility")
-            g = _trim(_sub_mod(g, eg, m))
-            h = _trim(_sub_mod(h, eh, m))
-            if len(g) != s + 1 or g[-1] != 1:
-                raise ArithmeticError("inside factor stopped being monic")
-            prev = m
-        if any(_sub_mod(fc, _poly_mul_mod(g, h, mod), mod)):
+            prev, m, step = p**k_prev, p**k, p ** (k - k_prev)
+            q, e = _poly_divmod_monic(fc, g, m)  # e is divisible by prev
+            if k_prev > 1:
+                z = _newton_inverse_step(z, [c % prev for c in q], g, prev)
+            eg = _poly_divmod_monic(_poly_mul_mod(z, [c // prev for c in e], step), g, step)[1]
+            for i, c in enumerate(eg):  # g[i] < prev and c < step: stays reduced mod m
+                g[i] += prev * c
+            k_prev = k
+        if len(g) != s + 1 or g[-1] != 1:
+            raise ArithmeticError("inside factor stopped being monic")
+        h, rem = _poly_divmod_monic(fc, g, mod)
+        if any(rem):
             raise ArithmeticError("slope split does not re-expand to f")
+        if prec > 1:
+            while len(h) > 1 and not h[-1]:
+                h.pop()
     gp = [Padic.from_int_mod(c, p, prec) for c in g[:-1]] + [Padic.one(p, prec)]
     hp = [Padic.from_int_mod(c, p, prec) for c in h]
     return gp, hp

@@ -2,10 +2,12 @@
 ``tests/test_cli.py::test_replayed_jobs_keep_their_output_bytes`` replays.
 
 The jobs are the README command lines in their default, table and json forms
-(plus the README's own csv form of ``entropy``) and the jobs of the four
-benchmark workloads at seed 3.  Each entry holds the argv, the exit status
-and the SHA-256 of stdout and of stderr of ``cli.main``.  Run it from the
-repository root at the commit whose output the replay should pin:
+(plus the README's own csv form of ``entropy``), the jobs of the four
+benchmark workloads at seed 3, and a few jobs on the edges of the series
+kernels and the Hensel lift (``EDGE_ARGV``).  Each entry holds the argv, the
+exit status and the SHA-256 of stdout and of stderr of ``cli.main``.  Run
+it from the repository root at the commit whose output the replay should
+pin:
 
     PYTHONPATH=src:.:tests python3 tests/make_cli_replay.py
 """
@@ -15,6 +17,20 @@ from pathlib import Path
 
 from helpers import cli_output_digest
 from perfbench.workloads import README_COMMANDS, WORKLOADS, build_jobs
+
+
+# The p = 2 squaring route and a matrix on the sparse trace-log kernel, and
+# Mahler measures at 256 digits with no inside root (s = 0), with only
+# inside roots (s = deg) and of degree 200.
+_DEGREE_200 = "+".join(f"{3 if i == 90 else 2 * (i % 5 + 1)}*t^{i}" for i in range(201))
+EDGE_ARGV = [
+    ["detlog", "--p", "2", "--prec", "32", "--poly=1+2*x+2*y+2*x^-1*y^-1"],
+    ["detlog", "--p", "2", "--prec", "48", "--poly=1+2*x-2*y+4*x^-1*y^-1"],
+    ["detlog", "--p", "3", "--prec", "24", "--poly=[[1+3*x,3*y],[3*x^-1,1+3*y^-1]]"],
+    ["mahler", "--p", "3", "--prec", "256", "--poly=1+3*t-6*t^2+3*t^5-12*t^9+6*t^14"],
+    ["mahler", "--p", "5", "--prec", "256", "--poly=5-10*t+15*t^3+5*t^7-2*t^12"],
+    ["mahler", "--p", "2", "--prec", "256", f"--poly={_DEGREE_200}"],
+]
 
 
 def replay_argv() -> list[list[str]]:
@@ -28,7 +44,7 @@ def replay_argv() -> list[list[str]]:
         argvs += [argv, argv + ["--output", "table"], argv + ["--output", "json"]]
     for workload in WORKLOADS:
         argvs += [job["argv"] for job in build_jobs(workload, 3)]
-    return argvs
+    return argvs + EDGE_ARGV
 
 
 if __name__ == "__main__":

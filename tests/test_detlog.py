@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -193,7 +194,7 @@ def test_kernel_dense_sparse_agree():
         x = LaurentPoly.one(2) - f
         supp = [[sorted((e, c % pw) for e, c in x.terms.items())]]
         dense = _kernel_zd_dense(supp, 2, 1, pw, cap)
-        sparse = _kernel_zd_sparse(supp, 2, 1, pw, cap)
+        sparse = _kernel_zd_sparse(supp, 2, 1, p, w, cap)
         assert dense == sparse
 
 
@@ -238,23 +239,25 @@ def test_sparse_kernel_matches_dense_and_every_power(r, d):
     rng = random.Random(100 * r + d)
     for cap in (1, 2, 3, 4, 7, 8) if r * d < 9 else (1, 2, 5, 6):
         p = rng.choice((2, 3, 5))
-        pw = p ** rng.randint(2, 9)
+        w = rng.randint(2, 9)
+        pw = p**w
         supports = _random_supports(rng, r, d, p, pw, span=1 if d == 3 else 2)
         want = _every_power_reference(supports, d, r, pw, cap)
-        assert _kernel_zd_sparse(supports, d, r, pw, cap) == want
+        assert _kernel_zd_sparse(supports, d, r, p, w, cap) == want
         assert _kernel_zd_dense(supports, d, r, pw, cap) == want
 
 
 def test_sparse_kernel_edge_supports():
-    pw = 3**6
+    p, w = 3, 6
+    pw = p**w
     empty = [[[], []], [[], []]]
-    assert _kernel_zd_sparse(empty, 2, 2, pw, 5) == [0] * 5
+    assert _kernel_zd_sparse(empty, 2, 2, p, w, 5) == [0] * 5
     # only the constant term: the packed radius is zero
     const = [[[((0, 0), 3)]]]
-    assert _kernel_zd_sparse(const, 2, 1, pw, 6) == [3**k % pw for k in range(1, 7)]
+    assert _kernel_zd_sparse(const, 2, 1, p, w, 6) == [3**k % pw for k in range(1, 7)]
     # exponents -2 and 2 only: the identity recurs at every even power
     swing = [[[((-2,), 3), ((2,), 6)]]]
-    assert _kernel_zd_sparse(swing, 1, 1, pw, 5) == _every_power_reference(swing, 1, 1, pw, 5)
+    assert _kernel_zd_sparse(swing, 1, 1, p, w, 5) == _every_power_reference(swing, 1, 1, pw, 5)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 10, 11, 40])
@@ -268,12 +271,12 @@ def test_sparse_kernel_builds_half_the_powers(cap, monkeypatch):
 
     monkeypatch.setattr(detlog, "_sparse_step", counting)
     supports = [[[((1, 0), 3), ((0, 1), 6), ((-1, -1), 3)]]]
-    _kernel_zd_sparse(supports, 2, 1, 3**45, cap)
+    _kernel_zd_sparse(supports, 2, 1, 3, 45, cap)
     assert len(steps) == (cap - 1) // 2  # at most ceil(cap/2); all powers need cap - 1
     # the same pairing on a finite group ring
     steps.clear()
     group = build_quotient_group(HeisenbergQuotient(3))
-    _kernel_finite([[[3 if h in (1, 3, 9) else 0 for h in range(group.m)]]], group, 1, 3**45, cap)
+    _kernel_finite([[[3 if h in (1, 3, 9) else 0 for h in range(group.m)]]], group, 1, 3, 45, cap)
     assert len(steps) == (cap - 1) // 2
 
 
@@ -316,7 +319,8 @@ def test_finite_kernel_matches_every_power(q, r):
     for cap in (1, 2, 3, 4, 7, 8, 11):
         for density in (0.25, 1.0):
             p = rng.choice((2, 3, 5))
-            pw = p ** rng.randint(2, 9)
+            w = rng.randint(2, 9)
+            pw = p**w
             coeffs = [
                 [
                     [p * rng.randint(1, pw) % pw if rng.random() < density else 0 for _ in range(group.m)]
@@ -325,7 +329,87 @@ def test_finite_kernel_matches_every_power(q, r):
                 for _ in range(r)
             ]
             want = _every_power_finite(coeffs, group, r, pw, cap)
-            assert _kernel_finite(coeffs, group, r, pw, cap) == want
+            assert _kernel_finite(coeffs, group, r, p, w, cap) == want
+
+
+def _largest_coefficient(power):
+    return max((c for row in power for entry in row for c in entry.values()), default=0)
+
+
+@pytest.mark.parametrize("w, cap", [(12, 12), (20, 9), (7, 6)])
+def test_paired_kernel_keeps_only_the_digits_each_power_adds(w, cap, monkeypatch):
+    # the kernel stores Y^j = X^j / p^j: Y^j mod p^(w-2j+1), the step to
+    # Y^(j+1) mod p^(w-2j-1), and the pairing for c_nu mod p^(w-nu)
+    steps, pairs = [], []
+    real_step, real_pair = detlog._sparse_step, detlog._pair_const
+
+    def step(power, ymat, r, mod):
+        out = real_step(power, ymat, r, mod)
+        steps.append((mod, _largest_coefficient(out)))
+        return out
+
+    def pair(a, b, r, inv, mod):
+        pairs.append((mod, _largest_coefficient(a), _largest_coefficient(b)))
+        return real_pair(a, b, r, inv, mod)
+
+    monkeypatch.setattr(detlog, "_sparse_step", step)
+    monkeypatch.setattr(detlog, "_pair_const", pair)
+    rng = random.Random(w * cap)
+    group = build_quotient_group(HeisenbergQuotient(3))
+    for p in (2, 3, 5):
+        pw = p**w
+        supports = _random_supports(rng, 2, 2, p, pw)
+        coeffs = [[[p * rng.randint(1, pw) % pw for _ in range(group.m)] for _ in range(2)] for _ in range(2)]
+        runs = [
+            (lambda: _kernel_zd_sparse(supports, 2, 2, p, w, cap),
+             lambda: _every_power_reference(supports, 2, 2, pw, cap)),
+            (lambda: _kernel_finite(coeffs, group, 2, p, w, cap),
+             lambda: _every_power_finite(coeffs, group, 2, pw, cap)),
+        ]
+        for kernel, reference in runs:
+            steps.clear()
+            pairs.clear()
+            assert kernel() == reference()
+            assert [mod for mod, _ in steps] == [p ** (w - 2 * j - 1) for j in range(1, (cap + 1) // 2)]
+            assert [mod for mod, _, _ in pairs] == [p ** (w - nu) for nu in range(2, cap + 1)]
+            # Y^1 enters the first pairing, and the step to Y^(j+1) stores it
+            assert pairs[0][1] < p ** (w - 1)
+            for j, (_, largest) in enumerate(steps, start=1):
+                assert largest < p ** (w - 2 * (j + 1) + 1)
+
+
+def _simplex_log_oracle(coeffs, p, prec):
+    """Constant term of log f mod p^prec, f = 1 + c_1 t_1 + ... + c_d t_d + c_0 (t_1...t_d)^-1.
+
+    ``coeffs`` is (c_0, c_1, ..., c_d), each divisible by p.  A monomial of
+    (f - 1)^k is constant only when each of the d + 1 terms is taken the same
+    number m of times, so const (f - 1)^k is 0 unless k = (d+1)m, and then
+    it is the multinomial k!/(m!)^(d+1) times (c_0 c_1 ... c_d)^m.  That term
+    of the log series has valuation at least (d+1)m - log_p k >= prec once
+    m > prec, so m = 1..prec gives every digit below p^prec.
+    """
+    n = len(coeffs)
+    prod = math.prod(coeffs)
+    total = Fraction(0)
+    for m in range(1, prec + 1):
+        k = n * m
+        multinomial = math.factorial(k) // math.factorial(m) ** n
+        total += Fraction((-1) ** (k + 1) * multinomial * prod**m, k)
+    return helpers.reduce_fraction_mod(total, p, prec)
+
+
+@pytest.mark.parametrize("p, prec, d", [(3, 96, 2), (5, 64, 2), (3, 36, 3)])
+def test_trlog_simplex_closed_form_at_series_precision(p, prec, d):
+    # the shapes and precisions of the benchmark's high-precision detlog jobs
+    rng = random.Random(prec + d)
+    for _ in range(2):
+        coeffs = [p * rng.choice((1, 2, -1, -2)) for _ in range(d + 1)]
+        f = LaurentPoly.one(d) + LaurentPoly.monomial((-1,) * d, coeffs[0])
+        for a in range(d):
+            f = f + LaurentPoly.monomial(tuple(int(i == a) for i in range(d)), coeffs[a + 1])
+        got = logdet_unit(f, p, prec)
+        assert int(got.abs_prec) >= prec
+        assert got.lift() % p**prec == _simplex_log_oracle(coeffs, p, prec)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])

@@ -222,11 +222,44 @@ def _random_split_case(rng):
     return coeffs, p, rng.randint(1, 80)
 
 
+def _series_split_cases(rng):
+    """The benchmark's Mahler shapes at mahler_1d's working precision w = 260.
+
+    Degree 10-40, p = 2, 3, 5, one unit coefficient near the middle and p
+    times a unit everywhere else.
+    """
+    for p, deg in itertools.product((2, 3, 5), (10, 17, 25, 40)):
+        s = deg // 2 + rng.randint(-2, 2)
+        units = [c for c in range(-9, 10) if c % p]
+        coeffs = [p * rng.choice(units) for _ in range(deg + 1)]
+        coeffs[s] //= p
+        yield coeffs, p, 260
+
+
+def _edge_split_cases(rng):
+    """No inside root (s = 0), only inside roots (s = deg), and prec 1 and 2.
+
+    At prec 1 no lift step runs; with s < deg the top coefficient of h is
+    then 0 mod p and stays in the list.
+    """
+    for _ in range(60):
+        coeffs, p, prec = _random_split_case(rng)
+        units = [c for c in coeffs if c % p]
+        deg = len(coeffs) - 1
+        for s in (0, deg, rng.randint(0, deg)):
+            moved = [p * rng.randint(1, p**2) for _ in range(deg + 1)]
+            moved[s] = units[0]
+            for k in (1, 2, prec):
+                yield moved, p, k
+
+
 def test_slope_split_equals_reinverting_reference():
     # most precisions are not powers of two, so the last doubling is capped
     rng = random.Random(34)
-    for _ in range(2000):
-        coeffs, p, prec = _random_split_case(rng)
+    cases = [_random_split_case(rng) for _ in range(2000)]
+    cases += _series_split_cases(rng)
+    cases += _edge_split_cases(rng)
+    for coeffs, p, prec in cases:
         g, h = slope_split(coeffs, p, prec)
         assert ([c.lift() for c in g], [c.lift() for c in h]) == _reference_split(
             coeffs, p, prec
@@ -261,23 +294,38 @@ def _top_down_exponents(prec):
 
 
 def test_slope_split_lifts_straight_to_the_working_precision(monkeypatch):
-    # mahler_1d on a series job works at w = 260: the lift goes through p^130,
-    # never through p^256 (doubling up from p) and then once more to p^260
-    moduli = set()
-    real = mahler._poly_mul_mod
+    # mahler_1d on a series job works at w = 260.  Each lift step divides f
+    # once at full precision p^k, for k on the chain built down from 260
+    # (through p^130, never through p^256 and then once more to p^260); the
+    # correction of g works mod p^(k - k_prev) and the Newton step of the
+    # inverse mod p^k_prev.  A last division at p^260 gives h.
+    divisions, products = [], set()
+    real_div, real_mul = mahler._poly_divmod_monic, mahler._poly_mul_mod
 
-    def recorded(a, b, mod):
-        moduli.add(mod)
-        return real(a, b, mod)
+    def div(a, g, mod):
+        divisions.append((list(a), mod))
+        return real_div(a, g, mod)
 
-    monkeypatch.setattr(mahler, "_poly_mul_mod", recorded)
+    def mul(a, b, mod):
+        products.add(mod)
+        return real_mul(a, b, mod)
+
+    monkeypatch.setattr(mahler, "_poly_divmod_monic", div)
+    monkeypatch.setattr(mahler, "_poly_mul_mod", mul)
+    chain = [2, 3, 5, 9, 17, 33, 65, 130, 260]
+    assert _top_down_exponents(260) == chain
     for p in (2, 3, 5):
-        moduli.clear()
-        slope_split([p, 1, p, p**2, 3 * p, p**3, p], p, 260)  # one inside root
-        chain = [2, 3, 5, 9, 17, 33, 65, 130, 260]
-        assert _top_down_exponents(260) == chain
-        assert moduli == {p**k for k in chain}
-        assert p**256 not in moduli
+        divisions.clear()
+        products.clear()
+        f = [p, 1, p, p**2, 3 * p, p**3, p]  # one inside root
+        slope_split(f, p, 260)
+        fc = [c % p**260 for c in f]
+        assert [mod for a, mod in divisions if a == fc] == [p**k for k in chain] + [p**260]
+        corrections = {p ** (k - j) for j, k in zip([1] + chain, chain)}
+        newton = {p**k for k in chain[:-1]}
+        assert products == corrections | newton
+        assert {mod for a, mod in divisions if a != fc} == corrections | newton
+        assert p**256 not in products | {mod for _, mod in divisions}
 
 
 def test_slope_split_rejections():
