@@ -21,17 +21,19 @@ from padic_entropy import (
 
 print(__doc__)
 
-hq = HeisenbergQuotient(2)
-g = build_quotient_group(hq)
-print(f"heis(2): order {g.m}, abelian: {g.is_abelian()}")
+# the quotient is its own group: elements are the indices 0..order-1, 0 is
+# the identity, and multiply / inverse are its matrix arithmetic mod n
+hq = build_quotient_group(HeisenbergQuotient(2))
+print(f"heis(2): order {hq.index}")
 xi, yi, zi = hq.project((1, 0, 0)), hq.project((0, 1, 0)), hq.project((0, 0, 1))
-comm = g.mul(g.mul(g.mul(xi, yi), g.inv[xi]), g.inv[yi])
+print(f"x y = element {hq.multiply(xi, yi)}, y x = element {hq.multiply(yi, xi)}")
+comm = hq.multiply(hq.multiply(hq.multiply(xi, yi), hq.inverse(xi)), hq.inverse(yi))
 print(f"x y x^-1 y^-1 = element {comm}, central generator z = element {zi}")
 
 print()
 print("the trace-log homomorphism survives noncommutativity (sample):")
-a = FiniteGroupRingElem.one(g) + 3 * FiniteGroupRingElem(g, [1, -2, 0, 1, 2, 0, -1, 1])
-b = FiniteGroupRingElem.one(g) + 3 * FiniteGroupRingElem(g, [0, 1, 1, -1, 0, 2, 1, 0])
+a = FiniteGroupRingElem.one(hq) + 3 * FiniteGroupRingElem(hq, [1, -2, 0, 1, 2, 0, -1, 1])
+b = FiniteGroupRingElem.one(hq) + 3 * FiniteGroupRingElem(hq, [0, 1, 1, -1, 0, 2, 1, 0])
 lhs = tr_log_one_unit(a * b, 3, 6)
 rhs = tr_log_one_unit(a, 3, 6) + tr_log_one_unit(b, 3, 6)
 print(f"  tr log(AB) = {lhs}")

@@ -24,7 +24,6 @@ from .detlog import (
 )
 from .fixcount import FixCountRecord, det_exact, fix_count, fix_count_char_crt, quotient_det
 from .groupring import (
-    FiniteGroup,
     FiniteGroupRingElem,
     HeisenbergQuotient,
     LaurentPoly,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceReport",
-    "FiniteGroup",
     "FiniteGroupRingElem",
     "FixCountRecord",
     "HeisenbergQuotient",

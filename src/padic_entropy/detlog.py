@@ -16,9 +16,10 @@ and builds only the powers up to cap/2.  Group elements are int keys and
 the group law is data: the move of an element h carries the key of g to
 the key of g*h.  On Z^d a key packs the exponent, a move is the int offset
 key(h) - key(0) and the inverse key is 2 key(0) - key(g); on a finite group
-a key is the element's index, a move is the column g -> g*h of the
-quotient's own law, listed once for each h in X's support, and inverse keys
-come from the group's inverse list.  Every coefficient of X = 1 - F is
+a key is the element's index in the quotient, a move is the column
+g -> g*h of the quotient's own law, listed once for each h in X's support,
+and inverse keys come from one list of the quotient's ``inverse``, built by
+the kernel for each series.  Every coefficient of X = 1 - F is
 divisible by p, so the kernel stores Y^j = X^j / p^j and keeps only the
 digits of Y^j that a constant mod p^w can still see (p^(w - 2j + 1));
 reduction mod p^k commutes with products, so the constants are the residues
@@ -276,16 +277,20 @@ def _kernel_zd_sparse(supports, d: int, r: int, p: int, w: int, cap: int) -> lis
 def _kernel_finite(coeffs, group, r: int, p: int, w: int, cap: int) -> list[int]:
     """The paired kernel on a finite group ring; ``coeffs[s][t]`` lists X's coefficients by element.
 
-    The column g -> g*h of the group law is listed only for h in X's support.
+    ``group`` is the quotient.  The column g -> g*h of its law is listed only
+    for h in X's support, and the inverse of every element once, for the
+    pairings.
     """
     support = {h for row in coeffs for entry in row for h, c in enumerate(entry) if c}
-    mul = group.mul
-    cols = {h: [mul(g, h) for g in range(group.m)] for h in support}
+    elements = range(group.index)
+    mul = group.multiply
+    cols = {h: [mul(g, h) for g in elements] for h in support}
+    inverses = [group.inverse(g) for g in elements]
     xmat = [
         [[(cols[h], c) for h, c in enumerate(coeffs[s][t]) if c] for t in range(r)]
         for s in range(r)
     ]
-    return _kernel_paired(xmat, group.identity, group.inv, r, p, w, cap)
+    return _kernel_paired(xmat, 0, inverses, r, p, w, cap)
 
 
 def _refuse_costly_finite_series(r: int, cells: int, m: int, cap: int) -> None:
@@ -329,7 +334,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
         if isinstance(proto, FiniteGroupRingElem):
             # bound the series on the square before forming it:
             # 1 - F^2 = 2X - X^2 has at most |supp X| + |supp X|^2 cells
-            m = proto.group.m
+            m = proto.group.index
             cells = sum(not _coeff_is_zero(c) for row in X.entries for e in row for c in e.coeffs)
             w, cutoff = series_guard(2, prec + 1)
             _refuse_costly_finite_series(r, min(cells + cells**2, r * r * m), m, min(cutoff, w))
@@ -349,7 +354,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
             for s in range(r)
         ]
         cells = sum(1 for row in coeffs for entry in row for c in entry if c)
-        _refuse_costly_finite_series(r, cells, proto.group.m, cap)
+        _refuse_costly_finite_series(r, cells, proto.group.index, cap)
         consts = _kernel_finite(coeffs, proto.group, r, p, w, cap)
     elif isinstance(proto, LaurentPoly):
         d = proto.d
@@ -517,7 +522,7 @@ def logdet_finite(f, p: int, prec: int) -> Padic:
     proto = F.entries[0][0]
     if not isinstance(proto, FiniteGroupRingElem):
         raise DomainMismatch("finite-group formula needs finite group ring entries")
-    m = proto.group.m
+    m = proto.group.index
     vq = vp_int(m, p) if m % p == 0 else 0
     exact = all(
         isinstance(c, int) for row in F.entries for e in row for c in e.coeffs

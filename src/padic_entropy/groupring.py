@@ -3,9 +3,12 @@ matrices over both, the * involution, sup norms and reduction maps.
 
 Laurent polynomials are sparse dictionaries from exponent vectors to
 coefficients (ints, Fractions, or Padic scalars at a shared prime).  A
-finite quotient multiplies its element indices by its own arithmetic (a
-mixed-radix add on Z^d, the unitriangular matrix product on Heisenberg), so
-no multiplication table is ever built.  Reduction to a finite quotient folds
+finite quotient is its own group: its elements are the indices 0..index-1,
+0 is the identity, and ``multiply`` and ``inverse`` are its own arithmetic
+(a mixed-radix add on Z^d, the unitriangular matrix product on Heisenberg),
+so no multiplication table or inverse list is ever built.  An element of a
+finite group ring holds its quotient as ``group``; elements over equal
+quotients mix, others are refused.  Reduction to a finite quotient folds
 exponent vectors through the quotient map and sums coefficients landing in
 the same coset.  The module needs no numpy.
 """
@@ -163,9 +166,6 @@ class LaurentPoly:
         """Involution: exponents negated (group elements inverted)."""
         return LaurentPoly(self.d, {tuple(-x for x in e): c for e, c in self.terms.items()})
 
-    def map_coefficients(self, fn) -> "LaurentPoly":
-        return LaurentPoly(self.d, {e: fn(c) for e, c in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -178,30 +178,6 @@ class LaurentPoly:
         from .poly_io import print_poly
 
         return print_poly(self)
-
-
-class FiniteGroup:
-    """The finite group of a quotient: elements are the indices 0..m-1 of
-    ``project``, 0 is the identity, ``mul(i, j)`` is the quotient's own
-    arithmetic and ``inv`` lists the inverse of each index.
-
-    Building one costs O(m), the length of the inverse list.
-    """
-
-    def __init__(self, q):
-        q = as_quotient(q)
-        self.m = q.index
-        self.identity = 0
-        self.descriptor = q.descriptor()
-        self.mul = q.multiply
-        self.inv = [q.inverse(i) for i in range(self.m)]
-        self._abelian = isinstance(q, ZdQuotient) or q.n == 1  # in heis(n), [x, y] = z
-
-    def is_abelian(self) -> bool:
-        return self._abelian
-
-    def __repr__(self):
-        return f"FiniteGroup({self.descriptor}, order={self.m})"
 
 
 # -- finite quotients ---------------------------------------------------------
@@ -324,11 +300,15 @@ def check_fits(q, d: int):
     as_quotient(q).check_fits(d)
 
 
-def build_quotient_group(q) -> FiniteGroup:
-    """The finite group of the quotient q; orders above DEFAULT_SIZE_CAP are refused."""
+def build_quotient_group(q) -> ZdQuotient | HeisenbergQuotient:
+    """The finite group of the quotient q, which is q itself.
+
+    Anything but a finite quotient is refused with InvalidQuotient, and
+    orders above DEFAULT_SIZE_CAP with OrderOverflow.
+    """
     if as_quotient(q).index > DEFAULT_SIZE_CAP:
         raise OrderOverflow(f"group order {q.index} exceeds cap {DEFAULT_SIZE_CAP}")
-    return FiniteGroup(q)
+    return q
 
 
 def diagonal_family(d: int, ns) -> list[ZdQuotient]:
@@ -343,31 +323,35 @@ def heisenberg_family(ns) -> list[HeisenbergQuotient]:
 
 
 class FiniteGroupRingElem:
-    """Element of R[G] for an explicit finite group: a length-|G| coefficient
-    vector in the element basis."""
+    """Element of R[G] for a finite quotient G: a length-|G| coefficient
+    vector in the element basis, indexed as the quotient indexes its elements.
+
+    ``group`` is the quotient itself (``ZdQuotient`` or
+    ``HeisenbergQuotient``), whose ``multiply`` and ``inverse`` give the
+    products and the involution; the identity is index 0.  Two elements mix
+    only when their quotients are equal.
+    """
 
     __slots__ = ("group", "coeffs")
 
-    def __init__(self, group: FiniteGroup, coeffs):
+    def __init__(self, group: ZdQuotient | HeisenbergQuotient, coeffs):
         coeffs = list(coeffs)
-        if len(coeffs) != group.m:
+        if len(coeffs) != group.index:
             raise DimensionMismatch("coefficient vector length != group order")
         self.group = group
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, group: FiniteGroup):
-        return cls(group, [0] * group.m)
+    def zero(cls, group: ZdQuotient | HeisenbergQuotient):
+        return cls(group, [0] * group.index)
 
     @classmethod
-    def one(cls, group: FiniteGroup):
-        c = [0] * group.m
-        c[group.identity] = 1
-        return cls(group, c)
+    def one(cls, group: ZdQuotient | HeisenbergQuotient):
+        return cls.element(group, 0)
 
     @classmethod
-    def element(cls, group: FiniteGroup, i: int, coeff=1):
-        c = [0] * group.m
+    def element(cls, group: ZdQuotient | HeisenbergQuotient, i: int, coeff=1):
+        c = [0] * group.index
         c[i] = coeff
         return cls(group, c)
 
@@ -375,10 +359,10 @@ class FiniteGroupRingElem:
         return all(_coeff_is_zero(c) for c in self.coeffs)
 
     def constant_coefficient(self):
-        return self.coeffs[self.group.identity]
+        return self.coeffs[0]
 
     def _check(self, other):
-        if self.group is not other.group and self.group.descriptor != other.group.descriptor:
+        if self.group != other.group:
             raise DomainMismatch("elements live over different groups")
 
     def __add__(self, other):
@@ -405,8 +389,8 @@ class FiniteGroupRingElem:
                 self.group, [_mul_coeff(a, other) for a in self.coeffs]
             )
         self._check(other)
-        mul = self.group.mul
-        out = [0] * self.group.m
+        mul = self.group.multiply
+        out = [0] * self.group.index
         right = [(j, b) for j, b in enumerate(other.coeffs) if not _coeff_is_zero(b)]
         for i, a in enumerate(self.coeffs):
             if _coeff_is_zero(a):
@@ -424,16 +408,18 @@ class FiniteGroupRingElem:
         return NotImplemented
 
     def star(self) -> "FiniteGroupRingElem":
-        inv = self.group.inv
-        out = [0] * self.group.m
+        """Involution: the coefficient at g moves to g^-1, zeros included, so
+        a coefficient known only to be O(p^k) keeps its precision."""
+        inverse = self.group.inverse
+        out = [0] * self.group.index
         for i, a in enumerate(self.coeffs):
-            out[inv[i]] = a
+            out[inverse(i)] = a
         return FiniteGroupRingElem(self.group, out)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroupRingElem):
             return NotImplemented
-        return self.group.descriptor == other.group.descriptor and all(
+        return self.group == other.group and all(
             _coeff_is_zero(a - b) for a, b in zip(self.coeffs, other.coeffs)
         )
 
@@ -464,10 +450,7 @@ class RingMatrix:
                     if not isinstance(x, LaurentPoly) or x.d != proto.d:
                         raise DomainMismatch("entries mix dimensions or rings")
                 elif isinstance(proto, FiniteGroupRingElem):
-                    if (
-                        not isinstance(x, FiniteGroupRingElem)
-                        or x.group.descriptor != proto.group.descriptor
-                    ):
+                    if not isinstance(x, FiniteGroupRingElem) or x.group != proto.group:
                         raise DomainMismatch("entries mix groups or rings")
         self.r = r
         self.entries = entries
@@ -608,9 +591,10 @@ def reduce_to_quotient(f, q):
     """Image of f under the reduction map to the finite quotient q.
 
     f is a LaurentPoly or a RingMatrix over LaurentPoly; q is ZdQuotient or
-    HeisenbergQuotient.  Coefficients whose exponents land in the same coset
+    HeisenbergQuotient, and the result's ``group`` is q itself.  Coefficients
+    whose exponents land in the same coset (the index ``q.project`` gives)
     are summed; the sup norm never increases.  The entries of a matrix share
-    one group.
+    one group.  No group law is evaluated.
     """
     proto = RingMatrix.wrap(f).entries[0][0]
     if not isinstance(proto, LaurentPoly):
@@ -619,7 +603,7 @@ def reduce_to_quotient(f, q):
     group = build_quotient_group(q)
 
     def fold(e: LaurentPoly) -> FiniteGroupRingElem:
-        out = [0] * group.m
+        out = [0] * group.index
         for x, c in e.terms.items():
             i = q.project(x)
             out[i] = out[i] + c
@@ -637,15 +621,16 @@ def rho_matrix(f):
     r = 1 this is simply M[i][j] = a_{g_i^{-1} g_j}.  Since g_i^{-1} g_j = h
     exactly when g_j = g_i h, the matrix is filled from f's support: each h
     writes its coefficients at column g_i h of every row i, and every other
-    entry is 0.
+    entry is 0.  |G| is the quotient's ``index`` and g_i h its ``multiply``;
+    no inverse is needed.
     """
     F = RingMatrix.wrap(f)
     proto = F.entries[0][0]
     if not isinstance(proto, FiniteGroupRingElem):
         raise DomainMismatch("rho needs finite group ring entries (reduce first)")
     group = proto.group
-    m, r = group.m, F.r
-    mul = group.mul
+    m, r = group.index, F.r
+    mul = group.multiply
     n = r * m
     out = [[0] * n for _ in range(n)]
     entries = [e for row in F.entries for e in row]

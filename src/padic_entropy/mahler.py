@@ -195,9 +195,9 @@ def slope_split(f, p: int, prec: int):
     schedule does not change them.
 
     Returns (g, h) as ascending-coefficient lists of Padic values at absolute
-    precision prec (g monic of degree s with exact leading 1).  A lift drops
-    the top coefficients of h that vanish mod p^prec; at prec 1 no step runs
-    and h keeps f's length.
+    precision prec (g monic of degree s with exact leading 1).  h always has
+    deg f - s + 1 coefficients, and h[-1] is lead(f) mod p^prec, which is
+    O(p^prec) when p^prec divides lead(f).
     """
     coeffs, _ = _coeff_list(f)
     # The polygon's lowest vertex carries the least valuation.  With that at
@@ -235,9 +235,6 @@ def slope_split(f, p: int, prec: int):
         h, rem = _poly_divmod_monic(fc, g, mod)
         if any(rem):
             raise ArithmeticError("slope split does not re-expand to f")
-        if prec > 1:
-            while len(h) > 1 and not h[-1]:
-                h.pop()
     gp = [Padic.from_int_mod(c, p, prec) for c in g[:-1]] + [Padic.one(p, prec)]
     hp = [Padic.from_int_mod(c, p, prec) for c in h]
     return gp, hp

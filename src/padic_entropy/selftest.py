@@ -129,14 +129,14 @@ def check_reduction_homomorphism(rng):
 def check_rho_multiplicative(rng):
     grp = build_quotient_group(HeisenbergQuotient(2))
     for _ in range(8):
-        a = FiniteGroupRingElem(grp, [rng.randint(-3, 3) for _ in range(grp.m)])
-        b = FiniteGroupRingElem(grp, [rng.randint(-3, 3) for _ in range(grp.m)])
+        a = FiniteGroupRingElem(grp, [rng.randint(-3, 3) for _ in range(grp.index)])
+        b = FiniteGroupRingElem(grp, [rng.randint(-3, 3) for _ in range(grp.index)])
         ma, mb, mab = rho_matrix(a), rho_matrix(b), rho_matrix(a * b)
-        n = grp.m
+        n = grp.index
         for i in range(n):
             for j in range(n):
                 assert mab[i][j] == sum(ma[i][k] * mb[k][j] for k in range(n))
-        assert a.constant_coefficient() * grp.m == sum(ma[i][i] for i in range(n))
+        assert a.constant_coefficient() * grp.index == sum(ma[i][i] for i in range(n))
 
 
 def check_det_routes(rng):
@@ -173,7 +173,7 @@ def check_finite_formula(rng):
     for p in (2, 3, 5):
         for _ in range(4):
             f = FiniteGroupRingElem.one(grp) + p * FiniteGroupRingElem(
-                grp, [rng.randint(-2, 2) for _ in range(grp.m)]
+                grp, [rng.randint(-2, 2) for _ in range(grp.index)]
             )
             assert tr_log_one_unit(f, p, 5).eq_mod(logdet_finite(f, p, 5), 5)
 

@@ -106,7 +106,7 @@ def random_one_unit_matrix(rng, r: int, d: int, p: int, span: int = 1, cmax: int
 def random_fg_one_unit(rng, group, p: int, cmax: int = 2):
     from padic_entropy import FiniteGroupRingElem
 
-    g = FiniteGroupRingElem(group, [rng.randint(-cmax, cmax) for _ in range(group.m)])
+    g = FiniteGroupRingElem(group, [rng.randint(-cmax, cmax) for _ in range(group.index)])
     return FiniteGroupRingElem.one(group) + p * g
 
 
@@ -119,7 +119,7 @@ def random_fg_one_unit_matrix(rng, group, r: int, p: int, cmax: int = 2):
     g = RingMatrix(
         [
             [
-                FiniteGroupRingElem(group, [rng.randint(-cmax, cmax) for _ in range(group.m)])
+                FiniteGroupRingElem(group, [rng.randint(-cmax, cmax) for _ in range(group.index)])
                 for _ in range(r)
             ]
             for _ in range(r)

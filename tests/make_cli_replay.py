@@ -4,10 +4,10 @@
 The jobs are the README command lines in their default, table and json forms
 (plus the README's own csv form of ``entropy``), the jobs of the four
 benchmark workloads at seed 3, and a few jobs on the edges of the series
-kernels and the Hensel lift (``EDGE_ARGV``).  Each entry holds the argv, the
-exit status and the SHA-256 of stdout and of stderr of ``cli.main``.  Run
-it from the repository root at the commit whose output the replay should
-pin:
+kernels and the Hensel lift, and the selftest battery at a few seeds
+(``EDGE_ARGV``).  Each entry holds the argv, the exit status and the SHA-256
+of stdout and of stderr of ``cli.main``.  Run it from the repository root at
+the commit whose output the replay should pin:
 
     PYTHONPATH=src:.:tests python3 tests/make_cli_replay.py
 """
@@ -19,9 +19,11 @@ from helpers import cli_output_digest
 from perfbench.workloads import README_COMMANDS, WORKLOADS, build_jobs
 
 
-# The p = 2 squaring route and a matrix on the sparse trace-log kernel, and
+# The p = 2 squaring route and a matrix on the sparse trace-log kernel;
 # Mahler measures at 256 digits with no inside root (s = 0), with only
-# inside roots (s = deg) and of degree 200.
+# inside roots (s = deg) and of degree 200; and the selftest battery, the
+# CLI's only path through finite group-ring products, star and
+# logdet_finite, at three more seeds.
 _DEGREE_200 = "+".join(f"{3 if i == 90 else 2 * (i % 5 + 1)}*t^{i}" for i in range(201))
 EDGE_ARGV = [
     ["detlog", "--p", "2", "--prec", "32", "--poly=1+2*x+2*y+2*x^-1*y^-1"],
@@ -30,6 +32,9 @@ EDGE_ARGV = [
     ["mahler", "--p", "3", "--prec", "256", "--poly=1+3*t-6*t^2+3*t^5-12*t^9+6*t^14"],
     ["mahler", "--p", "5", "--prec", "256", "--poly=5-10*t+15*t^3+5*t^7-2*t^12"],
     ["mahler", "--p", "2", "--prec", "256", f"--poly={_DEGREE_200}"],
+    ["selftest", "--seed", "1"],
+    ["selftest", "--seed", "7"],
+    ["selftest", "--seed", "42"],
 ]
 
 

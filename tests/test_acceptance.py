@@ -164,19 +164,19 @@ def _draw_pair(rng, d, grp, r, p):
     if r == 1:
         A = helpers.random_fg_one_unit(rng, grp, p)
         B = helpers.random_fg_one_unit(rng, grp, p)
-        gi = rng.randrange(grp.m)
+        gi = rng.randrange(grp.index)
         conj = (
             RingMatrix.wrap(FiniteGroupRingElem.element(grp, gi)),
-            RingMatrix.wrap(FiniteGroupRingElem.element(grp, grp.inv[gi])),
+            RingMatrix.wrap(FiniteGroupRingElem.element(grp, grp.inverse(gi))),
         )
         return RingMatrix.wrap(A), RingMatrix.wrap(B), conj
     A = helpers.random_fg_one_unit_matrix(rng, grp, r, p)
     B = helpers.random_fg_one_unit_matrix(rng, grp, r, p)
     one = FiniteGroupRingElem.one(grp)
     zero = FiniteGroupRingElem.zero(grp)
-    gi = rng.randrange(grp.m)
+    gi = rng.randrange(grp.index)
     gamma = FiniteGroupRingElem.element(grp, gi)
-    gamma_inv = FiniteGroupRingElem.element(grp, grp.inv[gi])
+    gamma_inv = FiniteGroupRingElem.element(grp, grp.inverse(gi))
     conj = (
         RingMatrix([[gamma, zero], [zero, one]]),
         RingMatrix([[gamma_inv, zero], [zero, one]]),
@@ -199,7 +199,7 @@ def test_criterion_4_finite_group_formula():
             else:
                 f = helpers.random_fg_one_unit_matrix(rng, grp, r, p)
             assert tr_log_one_unit(f, p, 6).eq_mod(logdet_finite(f, p, 6), 6), (
-                grp.descriptor,
+                grp.descriptor(),
                 p,
                 r,
             )
@@ -293,7 +293,7 @@ def test_criterion_8_scale_and_branch_invariances():
             assert v.is_zero and v.zprec >= 8
         # logdet of group elements over finite quotients is exactly zero
         grp = build_quotient_group(HeisenbergQuotient(2))
-        for gi in range(grp.m):
+        for gi in range(grp.index):
             v = logdet_finite(FiniteGroupRingElem.element(grp, gi), 3, 6)
             assert v.is_zero and v.zprec >= 6
         # branch normalization log_p(p) = 0

@@ -290,11 +290,11 @@ def test_byte_identical_output_across_runs():
 
 
 def test_replayed_jobs_keep_their_output_bytes():
-    # the README command lines, the benchmark jobs at seed 3 and the series
-    # and lift edge jobs, with the exit status and output digests recorded by
-    # tests/make_cli_replay.py
+    # the README command lines, the benchmark jobs at seed 3, the series and
+    # lift edge jobs and three selftest seeds, with the exit status and output
+    # digests recorded by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 354
+    assert len(jobs) == 357
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 

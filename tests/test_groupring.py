@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from padic_entropy import (
-    FiniteGroup,
     FiniteGroupRingElem,
     HeisenbergQuotient,
     LaurentPoly,
@@ -141,32 +140,33 @@ def test_reduced_matrix_is_entrywise_over_one_group():
 
 def test_cyclic_group():
     g = build_quotient_group(ZdQuotient((2,)))
-    assert g.m == 2 and g.identity == 0
-    assert g.mul(1, 1) == 0  # s^2 = e
-    assert g.inv == [0, 1]
+    assert g.index == 2 and g.multiply(0, 1) == g.multiply(1, 0) == 1  # 0 is e
+    assert g.multiply(1, 1) == 0  # s^2 = e
+    assert [g.inverse(i) for i in range(2)] == [0, 1]
 
 
 def test_product_group_abelian():
     g = build_quotient_group(ZdQuotient((3, 3)))
-    assert g.m == 9 and g.is_abelian()
+    assert g.index == 9
+    assert all(g.multiply(i, j) == g.multiply(j, i) for i in range(9) for j in range(9))
 
 
 def test_heisenberg_group_structure():
     g = build_quotient_group(HeisenbergQuotient(2))
-    assert g.m == 8 and not g.is_abelian()
-    center = [i for i in range(g.m) if all(g.mul(i, j) == g.mul(j, i) for j in range(g.m))]
+    assert g.index == 8
+    center = [i for i in range(8) if all(g.multiply(i, j) == g.multiply(j, i) for j in range(8))]
     assert len(center) == 2
     # z = [x, y]
     hq = HeisenbergQuotient(2)
     xi, yi, zi = hq.project((1, 0, 0)), hq.project((0, 1, 0)), hq.project((0, 0, 1))
-    comm = g.mul(g.mul(g.mul(xi, yi), g.inv[xi]), g.inv[yi])
+    comm = g.multiply(g.multiply(g.multiply(xi, yi), g.inverse(xi)), g.inverse(yi))
     assert comm == zi
     assert center == [0, zi]
 
 
 def test_heisenberg_orders():
     for n in (2, 3):
-        assert build_quotient_group(HeisenbergQuotient(n)).m == n**3
+        assert build_quotient_group(HeisenbergQuotient(n)).index == n**3
 
 
 def test_order_cap(monkeypatch):
@@ -187,7 +187,7 @@ def test_order_cap(monkeypatch):
 def test_finite_group_refuses_what_is_not_a_quotient():
     for spec in ((3, 3), "heis:2", 8, None):
         with pytest.raises(InvalidQuotient) as err:
-            FiniteGroup(spec)
+            build_quotient_group(spec)
         assert err.value.code == "INVALID_QUOTIENT"
 
 
@@ -196,16 +196,16 @@ def test_zd_table_matches_projection(moduli):
     # the law is exponent addition on a box that wraps every modulus
     q = ZdQuotient(moduli)
     g = build_quotient_group(q)
-    assert g.m == q.index and g.is_abelian()
+    assert g is q
     box = list(itertools.product(*(range(-n, n + 1) for n in moduli)))
     for a in box:
         neg = tuple(-x for x in a)
-        assert g.inv[q.project(a)] == q.project(neg)
+        assert g.inverse(q.project(a)) == q.project(neg)
         for b in box:
             ab = tuple(x + y for x, y in zip(a, b))
-            assert g.mul(q.project(a), q.project(b)) == q.project(ab)
+            assert g.multiply(q.project(a), q.project(b)) == q.project(ab)
     digits = itertools.product(*(range(n) for n in moduli))
-    assert [q.project(e) for e in digits] == list(range(g.m))  # row-major
+    assert [q.project(e) for e in digits] == list(range(g.index))  # row-major
 
 
 def _unitriangular(a, b, c, n):
@@ -224,9 +224,9 @@ def test_heisenberg_table_equals_matrix_product_formula(n):
     mats = [_unitriangular(a, b, c, n) for a, b, c in itertools.product(range(n), repeat=3)]
     ident = mats[0]
     for i, x in enumerate(mats):
-        assert _matmul_mod(x, mats[g.inv[i]], n) == ident
+        assert _matmul_mod(x, mats[g.inverse(i)], n) == ident
         for j, y in enumerate(mats):
-            assert mats[g.mul(i, j)] == _matmul_mod(x, y, n)
+            assert mats[g.multiply(i, j)] == _matmul_mod(x, y, n)
 
 
 _SMALL_QUOTIENTS = [ZdQuotient(m) for m in ((1,), (7,), (100,), (4, 6), (3, 40), (2, 3, 4), (5, 5))]
@@ -234,8 +234,9 @@ _SMALL_QUOTIENTS += [HeisenbergQuotient(n) for n in range(1, 7)]
 
 
 def _law_table(g):
-    """The group law read into a narrow (int16) table, one product at a time."""
-    return np.array([[g.mul(i, j) for j in range(g.m)] for i in range(g.m)], dtype=np.int16)
+    """The quotient's law read into a narrow (int16) table, one product at a time."""
+    elements = range(g.index)
+    return np.array([[g.multiply(i, j) for j in elements] for i in elements], dtype=np.int16)
 
 
 def _int64_digit_sum_table(moduli, cocycle=None):
@@ -264,21 +265,20 @@ def _reference_table(q):
 @pytest.mark.parametrize("q", _SMALL_QUOTIENTS, ids=lambda q: q.label())
 def test_narrow_tables_equal_the_int64_construction(q):
     # the arithmetic law, entry for entry, against the vectorized digit sums
-    assert np.array_equal(_law_table(FiniteGroup(q)), _reference_table(q))
+    assert np.array_equal(_law_table(q), _reference_table(q))
 
 
 @pytest.mark.parametrize("q", _SMALL_QUOTIENTS, ids=lambda q: q.label())
 def test_group_axioms_by_brute_force(q):
-    g = FiniteGroup(q)
-    assert g.m == q.index <= 216
-    mul = _law_table(g)
-    idx = np.arange(g.m)
+    assert q.index <= 216
+    mul = _law_table(q)
+    idx = np.arange(q.index)
     assert np.array_equal(mul[0], idx) and np.array_equal(mul[:, 0], idx)
-    inv = np.array(g.inv)
+    inv = np.array([q.inverse(i) for i in range(q.index)])
     assert (mul[idx, inv] == 0).all() and (mul[inv, idx] == 0).all()
-    for x in range(g.m):  # (x y) z == x (y z) for every y, z
+    for x in range(q.index):  # (x y) z == x (y z) for every y, z
         assert np.array_equal(mul[mul[x]], mul[x][mul]), x
-    assert g.is_abelian() == np.array_equal(mul, mul.T)
+    assert np.array_equal(mul, mul.T) == (isinstance(q, ZdQuotient) or q.n == 1)
 
 
 def _light_test(mul, gens):
@@ -308,10 +308,9 @@ def _light_test(mul, gens):
     ids=["heis(8)", "Z/24xZ/24", "Z/4xZ/6xZ/10"],
 )
 def test_larger_quotients_pass_lights_test(q, gens):
-    g = FiniteGroup(q)
-    mul = _law_table(g)
+    mul = _law_table(q)
     _light_test(mul, [q.project(e) for e in gens])
-    assert (mul[np.arange(g.m), g.inv] == 0).all()
+    assert (mul[np.arange(q.index), [q.inverse(i) for i in range(q.index)]] == 0).all()
 
 
 # The next three tests show that the Light's-test oracle above is sharp.
@@ -319,7 +318,7 @@ def test_larger_quotients_pass_lights_test(q, gens):
 
 def test_verification_is_exact_past_order_512():
     # identity and inverses are intact; only associativity can catch it
-    mul = _law_table(FiniteGroup(ZdQuotient((24, 24))))
+    mul = _law_table(ZdQuotient((24, 24)))
     _light_test(mul, [1, 24])
     mul[1, [2, 3]] = mul[1, [3, 2]]
     with pytest.raises(AssertionError, match="associativity"):
@@ -354,7 +353,7 @@ class _XOnly(HeisenbergQuotient):
 @pytest.mark.parametrize("q", [_OddGenerators((4,)), _XOnly(3)])
 def test_verification_refuses_generators_that_do_not_generate(q):
     with pytest.raises(AssertionError, match="do not generate"):
-        _light_test(_law_table(FiniteGroup(q)), q.generators())
+        _light_test(_law_table(q), q.generators())
 
 
 def test_group_element_tuples_row_major():
@@ -378,9 +377,9 @@ def test_rho_example():
 
 def _dense_rho(F, g):
     """Reference: block (s, t) has entry a^(s,t) at g_i^-1 g_j in cell (i, j)."""
-    m, r = g.m, F.r
+    m, r = g.index, F.r
     return [
-        [F.entries[s][t].coeffs[g.mul(g.inv[i], j)] for t in range(r) for j in range(m)]
+        [F.entries[s][t].coeffs[g.multiply(g.inverse(i), j)] for t in range(r) for j in range(m)]
         for s in range(r)
         for i in range(m)
     ]
@@ -401,7 +400,7 @@ def test_rho_matrix_equals_the_dense_formula(q, r, density):
             [
                 [
                     FiniteGroupRingElem(
-                        g, [rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(g.m)]
+                        g, [rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(g.index)]
                     )
                     for _ in range(r)
                 ]
@@ -431,8 +430,8 @@ def test_rho_multiplicative_and_trace_compat():
     for r in (1, 2):
         for _ in range(6):
             if r == 1:
-                a = FiniteGroupRingElem(g, [rng.randint(-4, 4) for _ in range(g.m)])
-                b = FiniteGroupRingElem(g, [rng.randint(-4, 4) for _ in range(g.m)])
+                a = FiniteGroupRingElem(g, [rng.randint(-4, 4) for _ in range(g.index)])
+                b = FiniteGroupRingElem(g, [rng.randint(-4, 4) for _ in range(g.index)])
                 trace_const = (a * b).constant_coefficient()
             else:
                 a = helpers.random_fg_one_unit_matrix(rng, g, 2, 3)
@@ -442,14 +441,14 @@ def test_rho_multiplicative_and_trace_compat():
             mb = np.array(rho_matrix(b), dtype=object)
             mab = np.array(rho_matrix(a * b), dtype=object)
             assert (ma @ mb == mab).all()
-            assert trace_const * g.m == int(np.trace(mab))
+            assert trace_const * g.index == int(np.trace(mab))
 
 
 def test_star_consistent_through_rho():
     # rho of f* is the transpose of rho of f for scalar elements
     rng = random.Random(6)
     g = build_quotient_group(HeisenbergQuotient(2))
-    a = FiniteGroupRingElem(g, [rng.randint(-4, 4) for _ in range(g.m)])
+    a = FiniteGroupRingElem(g, [rng.randint(-4, 4) for _ in range(g.index)])
     m = np.array(rho_matrix(a), dtype=object)
     ms = np.array(rho_matrix(a.star()), dtype=object)
     assert (ms == m.T).all()
@@ -460,5 +459,47 @@ def test_group_descriptor_json_round_trip():
 
     for q in (ZdQuotient((4,)), ZdQuotient((2, 3)), HeisenbergQuotient(2)):
         g = build_quotient_group(q)
-        doc = json.dumps(g.descriptor)
-        assert json.loads(doc) == g.descriptor == q.descriptor()
+        doc = json.dumps(g.descriptor())
+        assert json.loads(doc) == g.descriptor() == q.descriptor()
+
+
+# -- the quotient as the group of its ring ---------------------------------------------
+
+
+def test_heis16_reduction_needs_no_inverse_and_star_one_per_coefficient(monkeypatch):
+    calls = []
+    inverse = HeisenbergQuotient.inverse
+
+    def counting(self, i):
+        calls.append(i)
+        return inverse(self, i)
+
+    monkeypatch.setattr(HeisenbergQuotient, "inverse", counting)
+    q = HeisenbergQuotient(16)
+    f = reduce_to_quotient(3 + LaurentPoly.monomial((1, -2, 3)) - LaurentPoly.monomial((0, 5, 0)), q)
+    assert f.group is q and calls == []
+    star = f.star()
+    assert sorted(calls) == list(range(q.index))
+    assert star.star() == f
+
+
+def test_elements_over_different_quotients_of_one_order_refuse_to_mix():
+    zd, heis = ZdQuotient((8,)), HeisenbergQuotient(2)
+    assert zd.index == heis.index
+    a = FiniteGroupRingElem.element(zd, 3)
+    b = FiniteGroupRingElem.element(heis, 3)
+    for op in (lambda: a + b, lambda: a * b, lambda: b - a, lambda: RingMatrix([[a, b], [b, a]])):
+        with pytest.raises(DomainMismatch):
+            op()
+    assert a != b
+
+
+def test_elements_over_equal_quotients_built_apart_mix():
+    q1, q2 = ZdQuotient((2, 3)), ZdQuotient((2, 3))
+    assert q1 is not q2 and q1 == q2
+    a = FiniteGroupRingElem(q1, [1, 2, 0, 0, 3, 0])
+    b = FiniteGroupRingElem(q2, [0, 1, 0, 0, 0, 4])
+    assert (a + b).coeffs == [1, 3, 0, 0, 3, 4]
+    assert a * b == b * a == FiniteGroupRingElem(q1, [12, 1, 2, 8, 0, 7])
+    assert RingMatrix([[a, b], [b, a]]).trace() == a + a
+    assert FiniteGroupRingElem.one(q1) == FiniteGroupRingElem.one(q2)

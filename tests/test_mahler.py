@@ -182,7 +182,10 @@ def test_poly_kernels_equal_per_product_reduction():
 
 
 def _reference_split(coeffs, p, prec):
-    """(g, h) as int lists mod p^prec; coeffs integral with one unit at s."""
+    """(g, h) as int lists mod p^prec; coeffs integral with one unit at s.
+
+    h is padded with zeros to deg f - s + 1 coefficients.
+    """
     mod = p**prec
     fc = [c % mod for c in coeffs]
     s = next(i for i, c in enumerate(coeffs) if c % p)
@@ -205,7 +208,7 @@ def _reference_split(coeffs, p, prec):
         assert not any(rem)
         g = _ref_trim(_ref_pad_sub(g, [-x for x in dg], m))
         h = _ref_trim(_ref_pad_sub(h, [-x for x in dh], m))
-    return g, h
+    return g, h + [0] * (len(coeffs) - s - len(h))
 
 
 def _random_split_case(rng):
@@ -239,8 +242,8 @@ def _series_split_cases(rng):
 def _edge_split_cases(rng):
     """No inside root (s = 0), only inside roots (s = deg), and prec 1 and 2.
 
-    At prec 1 no lift step runs; with s < deg the top coefficient of h is
-    then 0 mod p and stays in the list.
+    With s < deg the top coefficient of h is 0 mod p, and at prec 2 often
+    0 mod p^2 as well; it stays in the list at every precision.
     """
     for _ in range(60):
         coeffs, p, prec = _random_split_case(rng)
@@ -326,6 +329,17 @@ def test_slope_split_lifts_straight_to_the_working_precision(monkeypatch):
         assert products == corrections | newton
         assert {mod for a, mod in divisions if a != fc} == corrections | newton
         assert p**256 not in products | {mod for _, mod in divisions}
+
+
+def test_slope_split_h_keeps_its_length_when_the_top_vanishes():
+    # h = f div g has deg f - s + 1 coefficients and ends in lead(f) mod p^prec
+    for coeffs, s in (([1, 3**5], 0), ([3, 1, 3**5], 1)):
+        for prec in (1, 2, 5):
+            g, h = slope_split(coeffs, 3, prec)
+            assert len(g) == s + 1 and len(h) == len(coeffs) - s
+            assert h[-1].is_zero and h[-1].zprec == prec  # O(3^prec)
+    g, h = slope_split([3, 1, 3**5], 3, 8)
+    assert len(h) == 2 and h[-1].lift() == 3**5
 
 
 def test_slope_split_rejections():
