@@ -6,6 +6,11 @@ well formed but the requested quantity does not exist for it -- not a unit,
 zero slope, singular representation, infinite fixed-point set); an argv
 the argument parser rejects is a usage error with code USAGE.  Machine
 output carries the schema tag "padic-entropy/1".
+
+Each command's handler reads the ``argparse.Namespace`` that
+``build_argparser`` parses (``args.p``, ``args.prec``, ``args.poly``, ...);
+``run_command`` makes the checks argparse cannot make and looks the handler
+up in ``_COMMANDS``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from ._primes import is_prime
 from .detlog import c0_unit_normalize, det_laurent_matrix, logdet_unit
@@ -44,33 +48,6 @@ from .selftest import run_selftest
 
 SCHEMA = "padic-entropy/1"
 MAX_PREC = 256
-
-
-@dataclass
-class JobConfig:
-    command: str
-    p: int = 0
-    precision: int = 8
-    poly_text: str = ""
-    family: str = ""
-    quotient: str = ""
-    output: str = "table"
-    seed: int = 0
-    target: int | None = None
-    tail: int = 3
-    crosscheck: bool = True
-
-    def validate(self):
-        if not 1 <= self.precision <= MAX_PREC:
-            raise UsageError(f"precision must lie in [1, {MAX_PREC}]")
-        if self.output not in output_formats(self.command):
-            raise UsageError(f"output format {self.output!r} is not offered by {self.command}")
-        if self.command != "selftest" and not is_prime(self.p):
-            raise NotPrime(f"p = {self.p} is not prime")
-        if self.tail < 2:
-            raise TooFewRecords(f"--tail {self.tail}: the verdict window needs at least two records")
-        if self.target is not None and self.target < 1:
-            raise UsageError(f"--target {self.target}: the verdict needs at least one digit")
 
 
 def output_formats(command: str) -> tuple[str, ...]:
@@ -148,60 +125,65 @@ def parse_quotient(text: str, d: int):
     return ZdQuotient(tuple(parts))
 
 
-def _load_poly(cfg: JobConfig):
-    if not cfg.poly_text:
+def _load_poly(args: argparse.Namespace):
+    if not args.poly:
         raise UsageError("missing --poly (or --poly-file)")
-    return parse_poly(cfg.poly_text)
+    return parse_poly(args.poly)
 
 
-def _emit(doc: dict, cfg: JobConfig, table_lines: list[str]) -> str:
-    if cfg.output == "json":
+def _emit(doc: dict, args: argparse.Namespace, table_lines: list[str]) -> str:
+    if args.output == "json":
         return json.dumps(doc, indent=2) + "\n"
     return "\n".join(table_lines) + "\n"
 
 
-def run_command(cfg: JobConfig) -> tuple[int, str]:
-    """Dispatch a validated JobConfig; returns (exit status, document)."""
-    cfg.validate()
+def run_command(args: argparse.Namespace) -> tuple[int, str]:
+    """Run one command on its parsed argv; returns (exit status, document).
+
+    ``--poly-file`` is read into ``args.poly`` first.  A refusal made before
+    the run -- both --poly and --poly-file, an unreadable file, the precision
+    range, a p that is not prime, --tail and --target, in that order -- is
+    raised to the caller; one made during the run becomes the document.
+    """
+    if args.command != "selftest":
+        if args.poly and args.poly_file:
+            raise UsageError("give either --poly or --poly-file, not both")
+        if args.poly_file:
+            try:
+                with open(args.poly_file, "r", encoding="utf-8") as fh:
+                    args.poly = fh.read()
+            except (OSError, UnicodeDecodeError) as ex:
+                raise UnreadableFile(f"cannot read --poly-file {args.poly_file!r}: {ex}") from ex
+        if not 1 <= args.prec <= MAX_PREC:
+            raise UsageError(f"precision must lie in [1, {MAX_PREC}]")
+        if not is_prime(args.p):
+            raise NotPrime(f"p = {args.p} is not prime")
+    if args.command == "entropy":
+        if args.tail < 2:
+            raise TooFewRecords(f"--tail {args.tail}: the verdict window needs at least two records")
+        if args.target is not None and args.target < 1:
+            raise UsageError(f"--target {args.target}: the verdict needs at least one digit")
     try:
-        if cfg.command == "selftest":
-            return _cmd_selftest(cfg)
-        return 0, _dispatch(cfg)
+        return _COMMANDS[args.command](args)
     except PadicEntropyError as ex:
         doc = {
             "schema": SCHEMA,
-            "command": cfg.command,
+            "command": args.command,
             "error": {"code": ex.code, "message": str(ex)},
         }
-        if cfg.output == "json":
-            return ex.exit_status, json.dumps(doc, indent=2) + "\n"
-        return ex.exit_status, f"error[{ex.code}]: {ex}\n"
+        return ex.exit_status, _emit(doc, args, [f"error[{ex.code}]: {ex}"])
 
 
-def _dispatch(cfg: JobConfig) -> str:
-    if cfg.command == "unit-check":
-        return _cmd_unit_check(cfg)
-    if cfg.command == "fixcount":
-        return _cmd_fixcount(cfg)
-    if cfg.command == "entropy":
-        return _cmd_entropy(cfg)
-    if cfg.command == "mahler":
-        return _cmd_mahler(cfg)
-    if cfg.command == "detlog":
-        return _cmd_detlog(cfg)
-    raise UsageError(f"unknown command {cfg.command!r}")
-
-
-def _cmd_unit_check(cfg: JobConfig) -> str:
-    f = _load_poly(cfg)
+def _cmd_unit_check(args: argparse.Namespace) -> tuple[int, str]:
+    f = _load_poly(args)
     if isinstance(f, RingMatrix):
         raise UsageError("unit-check takes a scalar polynomial")
-    dec = c0_unit_normalize(f, cfg.p, cfg.precision)
+    dec = c0_unit_normalize(f, args.p, args.prec)
     doc = {
         "schema": SCHEMA,
         "command": "unit-check",
-        "p": cfg.p,
-        "precision": cfg.precision,
+        "p": args.p,
+        "precision": args.prec,
         "poly": print_poly(f),
         "unit": True,
         "p_power": dec.a,
@@ -210,33 +192,33 @@ def _cmd_unit_check(cfg: JobConfig) -> str:
         "one_unit_support": len(dec.g.terms),
     }
     lines = [
-        f"unit of c0(Z^{f.d}) at p={cfg.p}: yes",
-        f"  f = {cfg.p}^{dec.a} * ({dec.c}) * t^{dec.nu} * (1 + {cfg.p}*g)",
-        f"  g has {len(dec.g.terms)} term(s) at precision {cfg.precision}",
+        f"unit of c0(Z^{f.d}) at p={args.p}: yes",
+        f"  f = {args.p}^{dec.a} * ({dec.c}) * t^{dec.nu} * (1 + {args.p}*g)",
+        f"  g has {len(dec.g.terms)} term(s) at precision {args.prec}",
     ]
-    return _emit(doc, cfg, lines)
+    return 0, _emit(doc, args, lines)
 
 
-def _cmd_fixcount(cfg: JobConfig) -> str:
-    f = _load_poly(cfg)
+def _cmd_fixcount(args: argparse.Namespace) -> tuple[int, str]:
+    f = _load_poly(args)
     d = f.entries[0][0].d if isinstance(f, RingMatrix) else f.d
-    if not cfg.quotient:
+    if not args.quotient:
         raise UsageError("missing --quotient")
-    q = parse_quotient(cfg.quotient, d)
-    rec = fix_count(f, q, cfg.p, cfg.precision)
+    q = parse_quotient(args.quotient, d)
+    rec = fix_count(f, q, args.p, args.prec)
     doc = {
         "schema": SCHEMA,
         "command": "fixcount",
-        "p": cfg.p,
-        "precision": cfg.precision,
+        "p": args.p,
+        "precision": args.prec,
         "record": rec.to_json(),
     }
     lines = [
         f"quotient {rec.label}: |Fix| = {rec.fix_count}",
-        f"  v_{cfg.p} = {rec.p_valuation}, unit residue {rec.unit_residue}",
+        f"  v_{args.p} = {rec.p_valuation}, unit residue {rec.unit_residue}",
         f"  normalized log = {rec.normalized}",
     ]
-    if cfg.crosscheck and isinstance(q, ZdQuotient):
+    if not args.no_crosscheck and isinstance(q, ZdQuotient):
         # the record came from the character product; the dense determinant
         # of the regular representation is the independent route
         signed = rec.det_sign * rec.fix_count
@@ -244,21 +226,21 @@ def _cmd_fixcount(cfg: JobConfig) -> str:
         doc["character_product"] = str(signed)
         doc["crosscheck_ok"] = ok
         lines.append(f"  character product: {signed} (|.| matches: {ok})")
-    return _emit(doc, cfg, lines)
+    return 0, _emit(doc, args, lines)
 
 
-def _cmd_entropy(cfg: JobConfig) -> str:
-    f = _load_poly(cfg)
+def _cmd_entropy(args: argparse.Namespace) -> tuple[int, str]:
+    f = _load_poly(args)
     d = f.entries[0][0].d if isinstance(f, RingMatrix) else f.d
     family = (
-        parse_family(cfg.family, cfg.p, d) if cfg.family else default_family(cfg.p, d)
+        parse_family(args.family, args.p, d) if args.family else default_family(args.p, d)
     )
     rep = entropy_sequence(
-        f, family, cfg.p, cfg.precision, target=cfg.target, tail=cfg.tail
+        f, family, args.p, args.prec, target=args.target, tail=args.tail
     )
     doc = {"schema": SCHEMA, "command": "entropy", "report": rep.to_json()}
-    if cfg.output == "csv":
-        return rep.to_csv()
+    if args.output == "csv":
+        return 0, rep.to_csv()
     lines = [f"{r.label}: |Fix|={r.fix_count} normalized={r.normalized}" for r in rep.records]
     lines.append(
         f"verdict: {rep.verdict} (stable digits: {rep.stable_digits}, "
@@ -268,23 +250,23 @@ def _cmd_entropy(cfg: JobConfig) -> str:
     lines.append(f"stabilized value: {sv}")
     if not sv.is_zero:
         lines.append(
-            f"stabilized digits (base {cfg.p}, valuation {sv.v}): "
+            f"stabilized digits (base {args.p}, valuation {sv.v}): "
             + " ".join(str(d_) for d_ in sv.digits())
         )
-    return _emit(doc, cfg, lines)
+    return 0, _emit(doc, args, lines)
 
 
-def _cmd_mahler(cfg: JobConfig) -> str:
-    f = _load_poly(cfg)
+def _cmd_mahler(args: argparse.Namespace) -> tuple[int, str]:
+    f = _load_poly(args)
     if isinstance(f, RingMatrix) or f.d != 1:
         raise UsageError("mahler takes a one-variable polynomial")
-    np_data = newton_polygon(f, cfg.p)
-    val = mahler_1d(f, cfg.p, cfg.precision)
+    np_data = newton_polygon(f, args.p)
+    val = mahler_1d(f, args.p, args.prec)
     doc = {
         "schema": SCHEMA,
         "command": "mahler",
-        "p": cfg.p,
-        "precision": cfg.precision,
+        "p": args.p,
+        "precision": args.prec,
         "poly": print_poly(f),
         "newton_slopes": [[str(s), length] for s, length in np_data.segments],
         "value": val.to_json(),
@@ -293,36 +275,36 @@ def _cmd_mahler(cfg: JobConfig) -> str:
         f"newton polygon slopes: {[(str(s), l) for s, l in np_data.segments]}",
         f"p-adic mahler measure: {val}",
     ]
-    return _emit(doc, cfg, lines)
+    return 0, _emit(doc, args, lines)
 
 
-def _cmd_detlog(cfg: JobConfig) -> str:
-    f = _load_poly(cfg)
+def _cmd_detlog(args: argparse.Namespace) -> tuple[int, str]:
+    f = _load_poly(args)
     if isinstance(f, RingMatrix):
         scalar = det_laurent_matrix(f)
         route = "det of matrix, then scalar unit route"
     else:
         scalar = f
         route = "scalar unit route"
-    val = logdet_unit(scalar, cfg.p, cfg.precision)
+    val = logdet_unit(scalar, args.p, args.prec)
     doc = {
         "schema": SCHEMA,
         "command": "detlog",
-        "p": cfg.p,
-        "precision": cfg.precision,
+        "p": args.p,
+        "precision": args.prec,
         "route": route,
         "value": val.to_json(),
     }
-    return _emit(doc, cfg, [f"log-determinant ({route}): {val}"])
+    return 0, _emit(doc, args, [f"log-determinant ({route}): {val}"])
 
 
-def _cmd_selftest(cfg: JobConfig) -> tuple[int, str]:
-    results = run_selftest(cfg.seed)
+def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
+    results = run_selftest(args.seed)
     ok = all(r[1] for r in results)
     doc = {
         "schema": SCHEMA,
         "command": "selftest",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "passed": ok,
         "checks": [
             {"name": n, "ok": good, "detail": detail} for n, good, detail in results
@@ -333,8 +315,18 @@ def _cmd_selftest(cfg: JobConfig) -> tuple[int, str]:
         f"{n.ljust(width)}  {'PASS' if good else 'FAIL'}{('  ' + detail) if detail else ''}"
         for n, good, detail in results
     ]
-    lines.append(f"selftest (seed {cfg.seed}): {'PASS' if ok else 'FAIL'}")
-    return (0 if ok else 1), _emit(doc, cfg, lines)
+    lines.append(f"selftest (seed {args.seed}): {'PASS' if ok else 'FAIL'}")
+    return (0 if ok else 1), _emit(doc, args, lines)
+
+
+_COMMANDS = {
+    "unit-check": _cmd_unit_check,
+    "fixcount": _cmd_fixcount,
+    "entropy": _cmd_entropy,
+    "mahler": _cmd_mahler,
+    "detlog": _cmd_detlog,
+    "selftest": _cmd_selftest,
+}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -393,38 +385,10 @@ def build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args: argparse.Namespace) -> JobConfig:
-    cfg = JobConfig(command=args.command)
-    cfg.output = getattr(args, "output", "table")
-    cfg.seed = getattr(args, "seed", 0)
-    if args.command != "selftest":
-        cfg.p = args.p
-        cfg.precision = args.prec
-        text = getattr(args, "poly", None)
-        path = getattr(args, "poly_file", None)
-        if text and path:
-            raise UsageError("give either --poly or --poly-file, not both")
-        if path:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as ex:
-                raise UnreadableFile(f"cannot read --poly-file {path!r}: {ex}") from ex
-        cfg.poly_text = text or ""
-    cfg.family = getattr(args, "family", "") or ""
-    cfg.quotient = getattr(args, "quotient", "") or ""
-    cfg.target = getattr(args, "target", None)
-    cfg.tail = getattr(args, "tail", 3)
-    cfg.crosscheck = not getattr(args, "no_crosscheck", False)
-    return cfg
-
-
 def main(argv=None) -> int:
     ap = build_argparser()
     try:
-        args = ap.parse_args(argv)
-        cfg = config_from_args(args)
-        status, doc = run_command(cfg)
+        status, doc = run_command(ap.parse_args(argv))
     except PadicEntropyError as ex:
         sys.stderr.write(f"error[{ex.code}]: {ex}\n")
         return ex.exit_status

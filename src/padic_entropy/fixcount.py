@@ -32,7 +32,8 @@ entry of a block is a sum of c * zeta^k over its cells, so Hadamard's
 inequality bounds the square of every conjugate determinant by
 H = prod_rows sum_cols (sum of |c| over the entry's cells)^2.  The cell
 positions do not depend on the label, so one H serves the whole quotient,
-and an orbit of phi(m) blocks has |norm| <= ceil(H^(phi(m)/2)).
+and an orbit of phi(m) blocks has |norm| <= ceil(H^(phi(m)/2)); H = 0 (a
+row with no cell) proves every block singular.
 ``quotient_det`` lists one label per orbit (``_galois_orbits`` walks the
 orbits coordinate by coordinate, so its work follows the number of orbits,
 not of labels), evaluates the orbit's norm in F_q with zeta_L of exact
@@ -436,34 +437,10 @@ def _at_central_one(F: RingMatrix) -> RingMatrix:
 def quotient_det(f, q) -> int:
     """Signed integer det rho(f) for a ZdQuotient or a HeisenbergQuotient.
 
-    The blocks (character tuples for Z^d, induced characters for
-    Heisenberg) are grouped into Galois orbits.  Over one orbit the product
-    of the block determinants is the norm from Q(zeta_m) to Q of one of
-    them, a rational integer.  A block's cell positions do not depend on
-    its label, so one Hadamard square H = prod_rows sum_cols (sum |c|)^2
-    serves every block, and an orbit of phi(m) blocks has |norm| at most
-    ceil(H^(phi(m)/2)).  H = 0 (a row with no cell) proves every block
-    singular, and 0 is returned at once.  Each orbit's norm is evaluated
-    modulo the primes of the pool ``primes_one_mod(L)`` (q = 1 mod M =
-    lcm(L, lcm(1..22)) and q >= 2^59), with zeta_L the pool's root of exact
-    order M for q raised to M / L, and rebuilt by ``_crt_signed`` under its
-    bound: when the bound is below q / 2 for the first prime q, that one
-    residue lifted to the symmetric range is the norm.  The product of
-    the norms is returned, or 0 at the first orbit that vanishes, so no
-    block after it is evaluated.  It equals the dense
-    det_exact(rho_matrix(...)) of the reduced element, sign included.
-
-    On heis(n) most induced blocks are isomorphic.  Conjugation by x sends
-    chi_{beta,gamma} to chi_{beta-gamma,gamma}, so det Ind chi_{beta,gamma}
-    depends only on (beta mod g, gamma), g = gcd(gamma, n), and each such
-    class occurs n/g times.  For gamma = 0, Ind chi_{beta,0} is the sum of
-    the characters psi_{alpha,beta} of G/Z = (Z/n)^2, so those n blocks
-    together are quotient_det(F(x, y, 1), (Z/n)^2).  The classes with
-    gamma != 0 fall into orbits of (Z/n)^* (``_class_orbits``), whose
-    products are again integer norms under the same H; the orbits of one g
-    run through the orbit loop once, and their product is raised to the
-    power n/g.  So a prime evaluates Pillai(n) - n blocks of size rn, not
-    n^2.
+    It is the product of the Galois-orbit norms of the blocks (see the
+    module docstring), or 0 at the first orbit that vanishes, so no block
+    after it is evaluated.  It equals det_exact(rho_matrix(...)) of the
+    reduced element, sign included.
     """
     F = RingMatrix.wrap(f)
     _require_integer_coeffs(F)

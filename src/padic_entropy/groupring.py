@@ -84,9 +84,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), 0)
-
     def constant_coefficient(self):
         return self.terms.get((0,) * self.d, 0)
 

@@ -35,6 +35,20 @@ EDGE_ARGV = [
     ["selftest", "--seed", "1"],
     ["selftest", "--seed", "7"],
     ["selftest", "--seed", "42"],
+    # Refusals made before the run print error[CODE] on stderr under every
+    # --output, in this order: both --poly and --poly-file, an unreadable
+    # file, precision, prime, tail and target.  A refusal made during the
+    # run (no --poly) is a json document on stdout.
+    ["unit-check", "--p", "3", "--prec", "0", "--poly=1+3*x", "--output", "json"],
+    ["detlog", "--p", "3", "--prec", "257", "--poly=1+3*x", "--output", "json"],
+    ["fixcount", "--p", "4", "--poly=1+3*x", "--quotient", "3", "--output", "json"],
+    ["entropy", "--p", "2", "--poly=2*t^2-t+2", "--family", "1,3,5", "--tail", "1", "--output", "json"],
+    ["entropy", "--p", "3", "--poly=1+3*x", "--family", "1..3", "--target", "0", "--output", "json"],
+    ["mahler", "--p", "2", "--poly=t-4", "--poly-file=/nonexistent", "--output", "json"],
+    ["detlog", "--p", "3", "--poly-file=/nonexistent", "--output", "json"],
+    ["mahler", "--p", "4", "--prec", "0", "--poly-file=/nonexistent", "--output", "json"],
+    ["mahler", "--p", "4", "--prec", "0", "--poly=t-4", "--output", "json"],
+    ["unit-check", "--p", "3", "--output", "json"],
 ]
 
 

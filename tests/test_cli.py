@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from padic_entropy import LaurentPoly, RingMatrix, parse_poly, print_poly
 from padic_entropy.cli import (
-    JobConfig,
-    config_from_args,
     build_argparser,
     default_family,
     parse_family,
@@ -148,9 +146,7 @@ def test_quotient_grammar_refuses_malformed(text):
 
 
 def _run(args):
-    ap = build_argparser()
-    cfg = config_from_args(ap.parse_args(args))
-    return run_command(cfg)
+    return run_command(build_argparser().parse_args(args))
 
 
 def _cli(args, timeout=60):
@@ -259,12 +255,9 @@ def test_detlog_command_matrix_route():
 
 
 def test_precision_bounds_validated():
-    cfg = JobConfig(command="mahler", p=2, precision=0, poly_text="t-4")
-    with pytest.raises(UsageError):
-        cfg.validate()
-    cfg = JobConfig(command="mahler", p=2, precision=300, poly_text="t-4")
-    with pytest.raises(UsageError):
-        cfg.validate()
+    for prec in ("0", "300"):
+        with pytest.raises(UsageError, match="precision must lie in"):
+            _run(["mahler", "--p", "2", "--prec", prec, "--poly", "t-4"])
 
 
 def test_byte_identical_output_across_runs():
@@ -291,10 +284,11 @@ def test_byte_identical_output_across_runs():
 
 def test_replayed_jobs_keep_their_output_bytes():
     # the README command lines, the benchmark jobs at seed 3, the series and
-    # lift edge jobs and three selftest seeds, with the exit status and output
-    # digests recorded by tests/make_cli_replay.py
+    # lift edge jobs, three selftest seeds and the refusals made before the
+    # run, with the exit status and output digests recorded by
+    # tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 357
+    assert len(jobs) == 367
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 
@@ -324,7 +318,7 @@ def test_tail_below_two_refused(tail, capsys):
 
     args = ["entropy", "--p", "2", "--poly", "2*t^2-t+2", "--family", "1,3,5", "--tail", str(tail)]
     with pytest.raises(TooFewRecords):
-        config_from_args(build_argparser().parse_args(args)).validate()
+        _run(args)
     assert main(args) == 1
     assert "error[TOO_FEW_RECORDS]" in capsys.readouterr().err
 
@@ -334,7 +328,7 @@ def test_target_below_one_refused(target, capsys):
     # --target -5 and --target 0 used to end in "verdict: converged"
     args = ["entropy", "--p", "3", "--poly=1+3*x", "--family", "1..3", "--target", str(target)]
     with pytest.raises(UsageError, match="at least one digit"):
-        config_from_args(build_argparser().parse_args(args)).validate()
+        _run(args)
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err == f"error[USAGE]: --target {target}: the verdict needs at least one digit\n"
@@ -422,8 +416,6 @@ def test_csv_output_offered_only_by_entropy(argv, capsys):
     assert main([*argv, "--output", "csv"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error[USAGE]: padic-entropy {argv[0]}: argument --output: invalid choice: 'csv'")
-    with pytest.raises(UsageError, match="not offered by"):
-        JobConfig(command=argv[0], p=3, output="csv").validate()
 
 
 def test_plain_usage_refusal_has_its_own_code(capsys):

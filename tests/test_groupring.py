@@ -175,13 +175,14 @@ def test_order_cap(monkeypatch):
     with pytest.raises(OrderOverflow):
         build_quotient_group(HeisenbergQuotient(100))
 
-    def no_inverse(self, i):
-        raise AssertionError("a group was built past the cap")
+    def no_project(self, exp):
+        raise AssertionError("an exponent was folded past the cap")
 
-    # order 4913 is refused before any element of its group is formed
-    monkeypatch.setattr(HeisenbergQuotient, "inverse", no_inverse)
+    # order 4913 is refused before any exponent is folded into its group
+    monkeypatch.setattr(HeisenbergQuotient, "project", no_project)
+    f = 3 * LaurentPoly.monomial((1, 0, 0)) + 1
     with pytest.raises(OrderOverflow, match=r"^group order 4913 exceeds cap 4096$"):
-        build_quotient_group(HeisenbergQuotient(17))
+        reduce_to_quotient(f, HeisenbergQuotient(17))
 
 
 def test_finite_group_refuses_what_is_not_a_quotient():
