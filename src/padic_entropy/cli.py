@@ -10,7 +10,10 @@ output carries the schema tag "padic-entropy/1".
 Each command's handler reads the ``argparse.Namespace`` that
 ``build_argparser`` parses (``args.p``, ``args.prec``, ``args.poly``, ...);
 ``run_command`` makes the checks argparse cannot make and looks the handler
-up in ``_COMMANDS``.
+up in ``_COMMANDS``.  ``build_argparser(command)`` adds options to
+``command``'s subparser only (to all six when it is None), since argparse
+hands the argv to one subparser alone; ``main`` passes the first argv token
+that names a command, which is the one argparse dispatches on.
 """
 
 from __future__ import annotations
@@ -353,40 +356,62 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def build_argparser() -> argparse.ArgumentParser:
+_COMMAND_HELP = {
+    "unit-check": "convolution-algebra unit test + normal form",
+    "fixcount": "exact fixed-point count for one quotient",
+    "entropy": "normalized counts over a quotient family",
+    "mahler": "one-variable p-adic Mahler measure",
+    "detlog": "log-determinant of a unit over Z^d",
+    "selftest": "run the seeded property battery",
+}
+
+
+def _add_options(sp: argparse.ArgumentParser, name: str) -> None:
+    if name == "selftest":
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--output", choices=output_formats(name), default="table")
+        return
+    sp.add_argument("--p", type=int, required=True, help="the prime p")
+    sp.add_argument("--prec", type=int, default=8, help="precision digits [1,256]")
+    sp.add_argument("--poly", help="polynomial or matrix in the text grammar")
+    sp.add_argument("--poly-file", help="file containing the polynomial text")
+    sp.add_argument("--output", choices=output_formats(name), default="table")
+    if name == "fixcount":
+        sp.add_argument("--quotient", help='e.g. "4", "3,5", or "heis:2"')
+        sp.add_argument("--no-crosscheck", action="store_true")
+    elif name == "entropy":
+        sp.add_argument("--family", help='e.g. "odd:1..25", "2,4,5,7", "heis:2..7"')
+        sp.add_argument("--target", type=int, help="digits required for the verdict")
+        sp.add_argument("--tail", type=int, default=3, help="records in the verdict window")
+
+
+def build_argparser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: all six subparsers, with options on ``command``'s only.
+
+    argparse hands the argv after the command name to that one subparser, so
+    only it needs options: an argv whose command is ``command`` parses, is
+    refused and prints its help exactly as on the parser with every
+    command's options (``command=None``).  The top-level usage, help and
+    invalid-choice errors need only the names and help strings.  A job thus
+    builds one command's options, not six.
+    """
     ap = _ArgumentParser(
         prog="padic-entropy",
         description="Exact p-adic entropy of principal algebraic actions.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text):
+    for name, help_text in _COMMAND_HELP.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--p", type=int, required=True, help="the prime p")
-        sp.add_argument("--prec", type=int, default=8, help="precision digits [1,256]")
-        sp.add_argument("--poly", help="polynomial or matrix in the text grammar")
-        sp.add_argument("--poly-file", help="file containing the polynomial text")
-        sp.add_argument("--output", choices=output_formats(name), default="table")
-        return sp
-
-    command("unit-check", "convolution-algebra unit test + normal form")
-    sp = command("fixcount", "exact fixed-point count for one quotient")
-    sp.add_argument("--quotient", help='e.g. "4", "3,5", or "heis:2"')
-    sp.add_argument("--no-crosscheck", action="store_true")
-    sp = command("entropy", "normalized counts over a quotient family")
-    sp.add_argument("--family", help='e.g. "odd:1..25", "2,4,5,7", "heis:2..7"')
-    sp.add_argument("--target", type=int, help="digits required for the verdict")
-    sp.add_argument("--tail", type=int, default=3, help="records in the verdict window")
-    command("mahler", "one-variable p-adic Mahler measure")
-    command("detlog", "log-determinant of a unit over Z^d")
-    sp = sub.add_parser("selftest", help="run the seeded property battery")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--output", choices=output_formats("selftest"), default="table")
+        if command is None or command == name:
+            _add_options(sp, name)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_argparser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # the top-level parser has no option that takes a value, so the first
+    # token that names a command is the one argparse dispatches on
+    ap = build_argparser(next((token for token in argv if token in _COMMAND_HELP), None))
     try:
         status, doc = run_command(ap.parse_args(argv))
     except PadicEntropyError as ex:

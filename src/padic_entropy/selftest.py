@@ -2,8 +2,11 @@
 
 Each check draws its own data from the given seed and raises AssertionError
 on failure; the runner turns that into a pass/fail table.  The pytest suite
-covers the same ground more thoroughly -- this battery is the quick,
-dependency-free smoke screen shipped with the tool.
+covers the same ground more thoroughly -- this battery is the quick smoke
+screen shipped with the tool.  It is not free of numpy: ``det-dual-routes``
+compares Bareiss with ``_det_crt``, and the trace-log checks on ``Z^d``
+(``trlog-homomorphism``, ``matrix-scalar-consistency``, ``mahler-vs-trlog``)
+run the dense kernel, so every run loads it.
 """
 
 from __future__ import annotations

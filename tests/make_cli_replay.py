@@ -4,7 +4,8 @@
 The jobs are the README command lines in their default, table and json forms
 (plus the README's own csv form of ``entropy``), the jobs of the four
 benchmark workloads at seed 3, and a few jobs on the edges of the series
-kernels and the Hensel lift, and the selftest battery at a few seeds
+kernels and the Hensel lift, the selftest battery at a few seeds, refusals
+made before the run and argv whose first token is not the command
 (``EDGE_ARGV``).  Each entry holds the argv, the exit status and the SHA-256
 of stdout and of stderr of ``cli.main``.  Run it from the repository root at
 the commit whose output the replay should pin:
@@ -49,6 +50,19 @@ EDGE_ARGV = [
     ["mahler", "--p", "4", "--prec", "0", "--poly-file=/nonexistent", "--output", "json"],
     ["mahler", "--p", "4", "--prec", "0", "--poly=t-4", "--output", "json"],
     ["unit-check", "--p", "3", "--output", "json"],
+    # argparse hands argv to the subparser named by its first positional,
+    # which is the first token that names a command: a command name where
+    # the command should be, or none at all, is refused by the top-level
+    # parser; one as the value of --poly, or after the options, is not the
+    # command.
+    [],
+    ["nosuch", "--p", "3"],
+    ["--", "mahler", "--p", "2", "--poly=t-4"],
+    ["--poly=t-4", "mahler", "--p", "2"],
+    ["--output", "json", "mahler", "--p", "2", "--poly=t-4"],
+    ["--poly", "mahler", "fixcount", "--p", "3"],
+    ["fixcount", "--p", "3", "--poly", "mahler", "--quotient", "3", "--output", "json"],
+    ["mahler", "--p", "2", "--poly=t-4", "detlog"],
 ]
 
 

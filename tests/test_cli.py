@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_entropy import LaurentPoly, RingMatrix, parse_poly, print_poly
+from padic_entropy import LaurentPoly, RingMatrix, cli, parse_poly, print_poly
 from padic_entropy.cli import (
     build_argparser,
     default_family,
@@ -284,11 +285,11 @@ def test_byte_identical_output_across_runs():
 
 def test_replayed_jobs_keep_their_output_bytes():
     # the README command lines, the benchmark jobs at seed 3, the series and
-    # lift edge jobs, three selftest seeds and the refusals made before the
-    # run, with the exit status and output digests recorded by
-    # tests/make_cli_replay.py
+    # lift edge jobs, three selftest seeds, the refusals made before the run
+    # and argv whose first token is not the command, with the exit status and
+    # output digests recorded by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 367
+    assert len(jobs) == 375
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 
@@ -427,6 +428,98 @@ def test_plain_usage_refusal_has_its_own_code(capsys):
     assert capsys.readouterr().out.startswith("usage: padic-entropy fixcount")
 
 
+# -- the parser of one command ------------------------------------------------
+
+_COMMAND_NAMES = ("unit-check", "fixcount", "entropy", "mahler", "detlog", "selftest")
+
+
+def _first_command(argv):
+    return next((token for token in argv if token in _COMMAND_NAMES), None)
+
+
+def _parse_outcome(ap, argv):
+    """What a parser makes of argv: a namespace, a refusal, or help and an exit."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(ap.parse_args(argv))
+    except UsageError as ex:
+        return "usage", str(ex)
+    except SystemExit as ex:
+        return "exit", ex.code, out.getvalue()
+
+
+def _assert_parsers_agree(argv):
+    full = _parse_outcome(build_argparser(), argv)
+    assert _parse_outcome(build_argparser(_first_command(argv)), argv) == full, argv
+    return full
+
+
+def test_one_command_parser_agrees_on_every_replayed_argv():
+    # EDGE_ARGV in tests/make_cli_replay.py holds argv whose first token is
+    # not the command
+    jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
+    for job in jobs:
+        _assert_parsers_agree(job["argv"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["--help", "mahler"],
+        ["mahler", "-h"],
+        ["fixcount", "--p", "3", "--help"],
+        ["--poly", "detlog", "entropy", "-h"],
+        ["selftest", "-h"],
+    ],
+)
+def test_one_command_parser_prints_the_same_help(argv):
+    # help depends on the terminal width, so the replay cannot pin it
+    kind, code, text = _assert_parsers_agree(argv)
+    assert (kind, code) == ("exit", 0) and text.startswith("usage: padic-entropy")
+
+
+def test_main_builds_the_options_of_the_first_command_token(monkeypatch, capsys):
+    seen = []
+    build = cli.build_argparser
+
+    def recording(command=None):
+        seen.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_argparser", recording)
+    argvs = [
+        ["mahler", "--p", "2", "--poly", "t-4"],
+        ["--poly", "mahler", "fixcount", "--p", "3"],
+        ["fixcount", "--p", "3", "--poly", "mahler", "--quotient", "3"],
+        ["--", "selftest"],
+        ["nosuch", "--p", "3"],
+        [],
+    ]
+    for argv in argvs:
+        main(argv)
+    capsys.readouterr()
+    assert seen == ["mahler", "mahler", "fixcount", "selftest", None, None]
+
+
+def _subparsers(ap):
+    action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_one_command_parser_leaves_the_other_commands_bare():
+    full = _subparsers(build_argparser())
+    assert list(full) == list(_COMMAND_NAMES)
+    for name in _COMMAND_NAMES:
+        assert set(full[name]._option_string_actions) > {"-h", "--help", "--output"}
+        built = _subparsers(build_argparser(name))
+        assert list(built) == list(_COMMAND_NAMES)
+        for other, sp in built.items():
+            options = set(sp._option_string_actions)
+            assert options == (set(full[name]._option_string_actions) if other == name else {"-h", "--help"})
+
+
 # Run in a fresh interpreter: numpy, once imported, stays in sys.modules.
 _IMPORT_SPY = """
 import contextlib, io, json, sys
@@ -550,12 +643,20 @@ _COMMAND_OPTIONS = {
 }
 
 
+# tokens put before the command: options the top-level parser does not take,
+# "--", stray positionals and command names (which leave the drawn command a
+# stray token)
+_LEADING = ["--", "--poly", "--poly=t-4", "--output", "json", "-1", "mahler", "selftest"]
+
+
 @st.composite
 def _argv(draw):
     """A command, usually --p and a polynomial, then option-value pairs
-    (mostly ones the command takes) and now and then a stray token."""
+    (mostly ones the command takes) and now and then a stray token; now and
+    then a token comes before the command."""
+    argv = [] if draw(st.integers(0, 7)) else [draw(st.sampled_from(_LEADING))]
     command = draw(st.sampled_from(_COMMANDS))
-    argv = [command]
+    argv.append(command)
     if draw(st.integers(0, 4)):
         argv += ["--p", draw(st.sampled_from(_OPTIONS["--p"]))]
     if draw(st.integers(0, 4)):
@@ -580,7 +681,5 @@ def test_argv_fuzz_ends_in_a_coded_exit(argv):
     if status:
         text = out.getvalue() + err.getvalue()
         assert "error[" in text or '"code": "' in text  # table or json
-    try:
-        build_argparser().parse_args(argv)
-    except UsageError:  # argparse rejects the argv before the program runs
+    if _assert_parsers_agree(argv)[0] == "usage":  # refused before the program runs
         assert status == 1 and err.getvalue().startswith("error[USAGE]: padic-entropy")
