@@ -25,8 +25,21 @@ digits of Y^j that a constant mod p^w can still see (p^(w - 2j + 1));
 reduction mod p^k commutes with products, so the constants are the residues
 the powers of X would give.  Each step of the
 kernel costs at most r * |supp X| * |G| products on a finite group ring,
-so there the series is refused above ``FINITE_SERIES_CAP`` products, as the
-exponent box is above ``SERIES_CELL_CAP`` cells on Z^d.
+so there the series is refused above ``FINITE_SERIES_CAP`` products.
+
+A scalar X = sum_i c_i t^(e_i) on Z^d needs no powers at all:
+
+    const X^nu = sum nu!/(n_1! ... n_k!) * c_1^(n_1) ... c_k^(n_k)
+
+over the n in N^k with |n| = nu and sum_i n_i e_i = 0, the lattice points
+of the relation cone of the exponents (the relations that also organise
+Lind-Schmidt-Ward's periodic-point formula).  With rho the rank of the
+exponents, listing them costs about C(cap + k - rho, k - rho) candidates,
+where the paired kernel's powers fill a box of about (2 R cap)^d cells
+(R the largest exponent).
+``tr_log_one_unit`` takes whichever estimate is smaller, a candidate
+counting as ``_LATTICE_POINT_CELLS`` cells, and refuses the series when the
+chosen estimate exceeds ``SERIES_CELL_CAP`` cells.
 
 ``c0_unit_normalize`` factors an integral Laurent element that is a unit of
 the convolution algebra as p^a * c * t^nu * (1 + p*g); ``logdet_unit``
@@ -44,6 +57,7 @@ normalization run without it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,10 +81,18 @@ from .groupring import (
 from .padic import Padic, _ilog, _neg_sum_over_nu, padic_log, series_guard
 
 _DENSE_CELL_CAP = 4_000_000
-# Bounds r * cells, where cells is the exponent box the powers of 1 - F over
-# Z^d can fill (``tr_log_one_unit``).  A d = 3 simplex at prec 128 has about
-# 1.9e7 cells and takes seconds; prec 256 there ran for more than 40 s.
+# Bounds the estimate of the Z^d route ``tr_log_one_unit`` chooses: r * cells,
+# where cells is the exponent box the powers of 1 - F can fill, or the
+# weighted lattice candidates below.  The paired kernel took seconds on a
+# d = 3 simplex at prec 128 (about 1.9e7 cells; it now takes the lattice
+# route), and 1+2x+2y+2z at p = 2, prec 256 ran for more than 40 s.
 SERIES_CELL_CAP = 20_000_000
+# A lattice point of the relation cone counts as this many cells of the
+# exponent box when ``tr_log_one_unit`` picks the cheaper Z^d route.  Measured
+# on a grid of 24 supports (d = 1..3, k - rank = 1..4) at prec 16..128,
+# p = 3: a listed candidate costs about 1-3 us, a cell of the paired kernel
+# 0.005-1.1 us, and 7 gave the least total time (CHANGES.md).
+_LATTICE_POINT_CELLS = 7
 # Bounds r^2 * |supp X| * |G| * ceil(cap/2) on a finite group ring, where
 # |supp X| counts the nonzero (entry, element) cells of X = 1 - F: each of
 # the kernel's ceil(cap/2) steps moves the at most r * |G| cells of a power
@@ -274,6 +296,99 @@ def _kernel_zd_sparse(supports, d: int, r: int, p: int, w: int, cap: int) -> lis
     return _kernel_paired(xmat, zero, 2 * zero, r, p, w, cap)
 
 
+def _relation_basis(exps: list[tuple]) -> tuple[list[int], list[int], list[list[int]], int]:
+    """Integer solution of E n = 0 for the exponent columns ``exps`` of E.
+
+    Returns (pivots, free, rows, den): the columns of one invertible block
+    of E (rank = len(pivots)), the other columns, and integers with
+    E n = 0  iff  den * n[pivots[i]] = sum_j rows[i][j] * n[free[j]]  for every i.
+    The reduced row echelon form of E is computed once, over Q.
+    """
+    k = len(exps)
+    m = [[Fraction(e[a]) for e in exps] for a in range(len(exps[0]) if exps else 0)]
+    pivots = []
+    for col in range(k):
+        rank = len(pivots)
+        lead = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if lead is None:
+            continue
+        m[rank], m[lead] = m[lead], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i, row in enumerate(m):
+            if i != rank and row[col]:
+                m[i] = [x - row[col] * y for x, y in zip(row, m[rank])]
+        pivots.append(col)
+    free = [j for j in range(k) if j not in pivots]
+    den = math.lcm(*(m[i][j].denominator for i in range(len(pivots)) for j in free))
+    rows = [[int(-m[i][j] * den) for j in free] for i in range(len(pivots))]
+    return pivots, free, rows, den
+
+
+def _kernel_zd_lattice(support, p: int, w: int, cap: int) -> list[int]:
+    """const X^nu mod p^w for nu = 1..cap, for a scalar X = sum_i c_i t^(e_i) on Z^d.
+
+    Expanding X^nu, const X^nu = sum nu!/(n_1! ... n_k!) * prod_i c_i^(n_i)
+    over the n in N^k with |n| = nu and sum_i n_i e_i = 0: the lattice points
+    of the relation cone of the exponents.  The free coordinates of
+    ``_relation_basis`` run over the C(cap + k - rank, k - rank) parts with
+    |n_free| <= cap, and the pivot coordinates follow in integers; a point
+    counts when they are integral and non-negative, and the last free
+    coordinate runs only where they are non-negative (an interval, since
+    they are linear in it).  The multinomials are exact, and each term is
+    summed as multinomial * prod (c_i/p)^(n_i), then scaled by p^nu mod p^w,
+    so the list equals ``_kernel_zd_sparse``'s.
+    """
+    sums = [0] * (cap + 1)
+    pivots, free, rows, den = _relation_basis([e for e, _ in support])
+    if free:  # else only n = 0 solves E n = 0
+        pw = p**w
+        fact = [1]
+        for n in range(1, cap + 1):
+            fact.append(fact[-1] * n)
+
+        def powers(c):
+            y, out = c // p, [1]
+            for _ in range(cap):
+                out.append(out[-1] * y % pw)
+            return out
+
+        free_pow = [powers(support[j][1]) for j in free]
+        pivot_pow = [powers(support[i][1]) for i in pivots]
+        cols = [[row[j] for row in rows] for j in range(len(free))]
+        last = len(free) - 1
+
+        def walk(j, acc, size, weight, denom):
+            col, ypow = cols[j], free_pow[j]
+            if j < last:
+                for n in range(cap - size + 1):
+                    walk(j + 1, [a + n * b for a, b in zip(acc, col)], size + n,
+                         weight * ypow[n], denom * fact[n])
+                return
+            lo, hi = 0, cap - size
+            for a, b in zip(acc, col):
+                if b > 0:
+                    lo = max(lo, -(a // b))
+                elif b < 0:
+                    hi = min(hi, a // -b)
+                elif a < 0:
+                    return
+            for n in range(lo, hi + 1):
+                nu, wt, dn = size + n, weight * ypow[n], denom * fact[n]
+                for a, b, ppow in zip(acc, col, pivot_pow):
+                    m, rem = divmod(a + n * b, den)
+                    nu += m
+                    if rem or nu > cap:
+                        break
+                    wt *= ppow[m]
+                    dn *= fact[m]
+                else:
+                    if nu:
+                        sums[nu] += fact[nu] // dn * wt % pw
+
+        walk(0, [0] * len(pivots), 0, 1, 1)
+    return [p**nu * sums[nu] % p**w for nu in range(1, cap + 1)]
+
+
 def _kernel_finite(coeffs, group, r: int, p: int, w: int, cap: int) -> list[int]:
     """The paired kernel on a finite group ring; ``coeffs[s][t]`` lists X's coefficients by element.
 
@@ -310,14 +425,21 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     valuation passes the working precision -- provably vanish there.  The
     paired kernel stores the j-th power divided by p^j and reads
     const tr X^(2j) = <X^j, X^j> and const tr X^(2j+1) = <X^j, X^(j+1)>
-    (pairing in the module docstring), so it multiplies about cap/2 times;
-    small Z^d boxes with p^w in a machine word take the dense kernel
-    instead.  The constants c_nu are divided by nu and summed in integers
-    (``padic._neg_sum_over_nu``).  For p = 2 a unit that is only 1 mod 2 is
-    squared first (the value is half the value at the square, which lies in
-    1 + 4A).  Series the caps would let grow
+    (pairing in the module docstring), so it multiplies about cap/2 times.
+    On Z^d, small boxes (cells <= ``_DENSE_CELL_CAP``) with p^w in a machine
+    word take the dense kernel.  Otherwise a scalar X whose k exponents have
+    rank rho takes the lattice route (``_kernel_zd_lattice``: const X^nu as
+    a sum of multinomials over the lattice points of the relation cone) when
+    its C(cap + k - rho, k - rho) candidates, at ``_LATTICE_POINT_CELLS``
+    cells each, cost fewer cells than the exponent box of the paired kernel;
+    r x r matrices with r > 1 stay on the paired kernel.  Both routes give
+    the same constants.  The constants c_nu are divided by nu and summed in
+    integers (``padic._neg_sum_over_nu``).  For p = 2 a unit that is only
+    1 mod 2 is squared first (the value is half the value at the square,
+    which lies in 1 + 4A).  Series the caps would let grow
     without bound are refused with DomainMismatch before any power is built:
-    over Z^d by the cells of the exponent box (``SERIES_CELL_CAP``), on a
+    over Z^d when the chosen route's estimate exceeds ``SERIES_CELL_CAP``
+    cells (r times the exponent box, or the weighted candidates), on a
     finite group ring by the products of the kernel (``FINITE_SERIES_CAP``;
     for p = 2 this is checked on a bound for the square's support before
     the square is formed).
@@ -378,12 +500,21 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
                 [abs(e[a]) for row in supports for sup in row for e, _ in sup] or [1]
             )
             cells *= 2 * max(1, rad) * cap + 1
-        if r * cells > SERIES_CELL_CAP:
+        dense = pw < (1 << 31) and cells <= _DENSE_CELL_CAP
+        work, lattice = r * cells, False
+        if not dense and r == 1:
+            free = len(_relation_basis([e for e, _ in supports[0][0]])[1])
+            points = _LATTICE_POINT_CELLS * math.comb(cap + free, free)
+            if points < cells:
+                work, lattice = points, True
+        if work > SERIES_CELL_CAP:
             raise DomainMismatch(
-                f"trace-log series over {r * cells} cells exceeds cap {SERIES_CELL_CAP}"
+                f"trace-log series over {work} cells exceeds cap {SERIES_CELL_CAP}"
             )
-        if pw < (1 << 31) and cells <= _DENSE_CELL_CAP:
+        if dense:
             consts = _kernel_zd_dense(supports, d, r, pw, cap)
+        elif lattice:
+            consts = _kernel_zd_lattice(supports[0][0], p, w, cap)
         else:
             consts = _kernel_zd_sparse(supports, d, r, p, w, cap)
     else:

@@ -8,6 +8,7 @@ rationals, and the series oracles sum exact Fractions.
 import contextlib
 import hashlib
 import io
+import math
 from fractions import Fraction
 
 from padic_entropy import LaurentPoly, RingMatrix
@@ -35,6 +36,26 @@ def reduce_fraction_mod(x, p: int, k: int) -> int:
     mod = p**k
     assert x.denominator % p != 0
     return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
+def simplex_log_oracle(coeffs, p: int, prec: int) -> int:
+    """Constant term of log f mod p^prec, f = 1 + c_1 t_1 + ... + c_d t_d + c_0 (t_1...t_d)^-1.
+
+    ``coeffs`` is (c_0, c_1, ..., c_d), each divisible by p.  A monomial of
+    (f - 1)^k is constant only when each of the d + 1 terms is taken the same
+    number m of times, so const (f - 1)^k is 0 unless k = (d+1)m, and then
+    it is the multinomial k!/(m!)^(d+1) times (c_0 c_1 ... c_d)^m.  That term
+    of the log series has valuation at least (d+1)m - log_p k >= prec once
+    m > prec, so m = 1..prec gives every digit below p^prec.
+    """
+    n = len(coeffs)
+    prod = math.prod(coeffs)
+    total = Fraction(0)
+    for m in range(1, prec + 1):
+        k = n * m
+        multinomial = math.factorial(k) // math.factorial(m) ** n
+        total += Fraction((-1) ** (k + 1) * multinomial * prod**m, k)
+    return reduce_fraction_mod(total, p, prec)
 
 
 def sylvester_resultant(a: list, b: list) -> Fraction:

@@ -33,6 +33,16 @@ EDGE_ARGV = [
     ["mahler", "--p", "3", "--prec", "256", "--poly=1+3*t-6*t^2+3*t^5-12*t^9+6*t^14"],
     ["mahler", "--p", "5", "--prec", "256", "--poly=5-10*t+15*t^3+5*t^7-2*t^12"],
     ["mahler", "--p", "2", "--prec", "256", f"--poly={_DEGREE_200}"],
+    # High-precision trace logs on both sides of the route choice: the
+    # lattice points of the relation cone (k - rank = 2 in d = 2, exponents
+    # of rank 1, and the 2 x 2 matrix, whose determinant's cone is {0}) and
+    # the paired kernel (a p = 2 simplex, squared first, and an X with a
+    # constant term, which only the p = 2 square gives on the command line).
+    ["detlog", "--p", "3", "--prec", "64", "--poly=1+3*x+3*y+3*x^-1+3*y^-1"],
+    ["detlog", "--p", "2", "--prec", "64", "--poly=1+2*x+2*x^-1"],
+    ["detlog", "--p", "3", "--prec", "128", "--poly=1+3*x*y+3*x^-2*y^-2"],
+    ["detlog", "--p", "3", "--prec", "200", "--poly=[[1+3*x,3*y],[3*x^-1,1+3*y^-1]]"],
+    ["detlog", "--p", "2", "--prec", "64", "--poly=1+2*x+2*y+2*x^-1*y^-1"],
     ["selftest", "--seed", "1"],
     ["selftest", "--seed", "7"],
     ["selftest", "--seed", "42"],

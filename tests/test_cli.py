@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_entropy import LaurentPoly, RingMatrix, cli, parse_poly, print_poly
+from padic_entropy import LaurentPoly, Padic, RingMatrix, cli, parse_poly, print_poly
 from padic_entropy.cli import (
     build_argparser,
     default_family,
@@ -285,11 +285,12 @@ def test_byte_identical_output_across_runs():
 
 def test_replayed_jobs_keep_their_output_bytes():
     # the README command lines, the benchmark jobs at seed 3, the series and
-    # lift edge jobs, three selftest seeds, the refusals made before the run
+    # lift edge jobs, high-precision trace logs on both Z^d routes, three
+    # selftest seeds, the refusals made before the run
     # and argv whose first token is not the command, with the exit status and
     # output digests recorded by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 375
+    assert len(jobs) == 380
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 
@@ -536,7 +537,8 @@ _NUMPY_FREE_JOBS = [
     ["entropy", "--p", "3", "--poly=1+3*x+3*y^-1", "--family", "1..4"],
     ["entropy", "--p", "3", "--prec", "6", "--poly=1+3*x+3*y+3*x^-1*y^-1", "--family", "heis:2..4"],
     ["unit-check", "--p", "3", "--poly", "1+3*x"],
-    ["detlog", "--p", "3", "--prec", "24", "--poly=1+3*x+3*y^-1"],  # p^w past 2^31: sparse kernel
+    ["detlog", "--p", "3", "--prec", "24", "--poly=1+3*x+3*y^-1"],  # p^w past 2^31: no dense kernel
+    ["detlog", "--p", "3", "--prec", "64", "--poly=1+3*x+3*y+3*z+3*x^-1*y^-1*z^-1"],  # lattice route
     ["fixcount", "--p", "3", "--poly=1+3*x+3*y", "--quotient", "heis:3"],
     ["fixcount", "--p", "3", "--poly=1+3*x+3*y^-1", "--quotient", "5", "--no-crosscheck"],
     ["fixcount", "--p", "3", "--poly=1+3*x+3*y^-1", "--quotient", "3"],  # 9 x 9: Bareiss
@@ -603,15 +605,30 @@ def test_family_past_the_size_cap_refused_at_once(poly, family, size):
 
 @pytest.mark.parametrize(
     "p, poly",
-    [("3", "1+3*x+3*y+3*z+3*x^-1*y^-1*z^-1"), ("2", "1+2*x+2*y+2*z")],
-    ids=["d3-simplex", "p2-squared"],
+    [("3", "1+3*x+3*y+3*z+3*x^-1+3*y^-1+3*z^-1+3*x*y*z"), ("2", "1+2*x+2*y+2*z")],
+    ids=["d3-cross-xyz", "p2-squared"],
 )
 def test_series_past_the_cell_cap_refused_at_once(p, poly):
-    # both ran for more than 40 s before the trace-log series had a cap
+    # both routes refuse these: the exponent box holds more than 10^8 cells,
+    # and the relation cone leaves 4 (7 for the square) free coordinates;
+    # p2-squared ran for more than 40 s before the trace-log series had a cap
     proc = _cli(["detlog", "--p", p, "--prec", "256", f"--poly={poly}"], timeout=30)
     assert proc.returncode == 1
     assert proc.stdout.startswith("error[DOMAIN_MISMATCH]: trace-log series over ")
     assert proc.stdout.endswith(" cells exceeds cap 20000000\n")
+
+
+def test_series_on_a_ray_of_relations_answered_at_once():
+    # both were refused over the cell cap; their relation cones are one ray
+    # (cap + 1 lattice candidates) and {0} (one candidate)
+    simplex = "1+3*x+3*y+3*z+3*x^-1*y^-1*z^-1"
+    proc = _cli(["detlog", "--p", "3", "--prec", "256", f"--poly={simplex}", "--output", "json"], timeout=30)
+    assert proc.returncode == 0, proc.stdout
+    value = Padic.from_json(json.loads(proc.stdout)["value"])
+    assert int(value.abs_prec) == 256
+    assert value.lift() % 3**256 == helpers.simplex_log_oracle([3, 3, 3, 3], 3, 256)
+    proc = _cli(["detlog", "--p", "3", "--prec", "8", "--poly=1+3*x^1000000"], timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "log-determinant (scalar unit route): O(3^8)\n")
 
 
 @pytest.mark.parametrize("degree", ["10000000", "100000000"])

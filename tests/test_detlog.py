@@ -23,8 +23,14 @@ from padic_entropy import (
     tr_log_one_unit,
 )
 from padic_entropy import detlog
-from padic_entropy.detlog import _kernel_finite, _kernel_zd_dense, _kernel_zd_sparse
+from padic_entropy.detlog import (
+    _kernel_finite,
+    _kernel_zd_dense,
+    _kernel_zd_lattice,
+    _kernel_zd_sparse,
+)
 from padic_entropy.errors import DomainMismatch, NotACZeroUnit, NotAOneUnit, SingularRho
+from padic_entropy.padic import _ilog, _neg_sum_over_nu, series_guard
 from padic_entropy.poly_io import parse_poly
 
 import helpers
@@ -183,8 +189,6 @@ def test_trlog_p2_square_device_matches_direct():
 def test_kernel_dense_sparse_agree():
     rng = random.Random(24)
     p, prec = 3, 5
-    from padic_entropy.padic import series_guard
-
     w, cutoff = series_guard(p, prec)
     cap = min(cutoff, w)
     pw = p**w
@@ -257,6 +261,116 @@ def test_sparse_kernel_edge_supports():
     # exponents -2 and 2 only: the identity recurs at every even power
     swing = [[[((-2,), 3), ((2,), 6)]]]
     assert _kernel_zd_sparse(swing, 1, 1, p, w, 5) == _every_power_reference(swing, 1, 1, pw, 5)
+
+
+def _random_scalar_support(rng, d, k, p, pw, constant):
+    """k distinct exponents in [-2, 2]^d, one of them 0 when ``constant``; coefficients p * unit-ish."""
+    exps = {(0,) * d} if constant else set()
+    while len(exps) < k:
+        exps.add(tuple(rng.randint(-2, 2) for _ in range(d)))
+    return sorted((e, p * rng.randint(1, pw // p - 1)) for e in exps)
+
+
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lattice_kernel_matches_every_power_and_paired(d, k):
+    rng = random.Random(10 * d + k)
+    for cap in (1, 2, 3, 6, 7, 12):
+        for constant in (False, True) if k else (False,):
+            p = rng.choice((2, 3, 5))
+            w = rng.randint(2, 14)
+            pw = p**w
+            support = _random_scalar_support(rng, d, k, p, pw, constant)
+            want = _every_power_reference([[support]], d, 1, pw, cap)
+            assert _kernel_zd_lattice(support, p, w, cap) == want
+            assert _kernel_zd_sparse([[support]], d, 1, p, w, cap) == want
+
+
+@pytest.mark.parametrize(
+    "exps, no_relation",
+    [
+        ([(1, 1), (-2, -2)], False),
+        ([(1, -1, 2), (-2, 2, -4), (3, -3, 6)], False),
+        ([(0, 0)], False),
+        ([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], False),
+        ([(1, 0), (0, 1), (1, 1)], True),  # k - rank = 1, but the cone is {0}
+        ([(3,)], True),
+        ([(1, 0), (0, -1)], True),
+        ([(2, -1, 0), (0, 1, 1), (1, 0, 3)], True),  # rank 3
+    ],
+    ids=["rank1-d2", "rank1-d3", "constant", "constant-x-xinv", "pointed-cone", "d1", "d2", "d3"],
+)
+def test_lattice_kernel_edge_exponents(exps, no_relation):
+    rng = random.Random(str(exps))
+    d = len(exps[0])
+    for p, w, cap in ((3, 9, 9), (2, 12, 11), (5, 6, 1), (3, 14, 14), (2, 5, 8)):
+        pw = p**w
+        support = [(e, p * rng.randint(1, pw // p - 1)) for e in exps]
+        want = _every_power_reference([[support]], d, 1, pw, cap)
+        assert _kernel_zd_lattice(support, p, w, cap) == want
+        assert _kernel_zd_sparse([[support]], d, 1, p, w, cap) == want
+        if no_relation:
+            assert want == [0] * cap
+    assert _kernel_zd_lattice([], 3, 6, 5) == [0] * 5
+
+
+def _record_zd_kernels(monkeypatch):
+    calls = []
+    for name in ("_kernel_zd_dense", "_kernel_zd_lattice", "_kernel_zd_sparse"):
+        real = getattr(detlog, name)
+
+        def recording(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(detlog, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p, prec, poly, kernel",
+    [
+        (3, 6, "1+3*x+3*y^-1", "_kernel_zd_dense"),  # p^w in a machine word
+        (3, 64, "1+3*x+3*y+3*z+3*x^-1*y^-1*z^-1", "_kernel_zd_lattice"),  # k - rank = 1
+        (3, 64, "1+3*x*y+3*x^-2*y^-2", "_kernel_zd_lattice"),  # exponents of rank 1
+        (3, 64, "1+3*x+3*y+3*x^-1+3*y^-1", "_kernel_zd_lattice"),  # 7 * 2485 points < 19321 cells
+        (3, 64, "1+3*x+3*y+3*x^-1+3*y^-1+3*x*y", "_kernel_zd_sparse"),  # k - rank = 3
+        # 7 * 148995 points > 571787 cells > 148995 points
+        (3, 36, "1+3*x+3*y+3*z+3*x^-1+3*y^-1+3*z^-1+3*x*y*z", "_kernel_zd_sparse"),
+        (3, 48, "1+3*x+3*x^-1+3*x^2", "_kernel_zd_sparse"),  # d = 1, k - rank = 2
+        (2, 32, "1+2*x+2*y+2*x^-1*y^-1", "_kernel_zd_sparse"),  # the square has k - rank = 7
+        (3, 24, "[[1+3*x,3*y],[3*x^-1,1+3*y^-1]]", "_kernel_zd_sparse"),  # r = 2
+    ],
+)
+def test_trlog_route_choice(p, prec, poly, kernel, monkeypatch):
+    calls = _record_zd_kernels(monkeypatch)
+    f = parse_poly(poly)
+    got = tr_log_one_unit(f, p, prec)
+    assert calls == [kernel]
+    monkeypatch.setattr(detlog, "_LATTICE_POINT_CELLS", 10**30)
+    monkeypatch.setattr(detlog, "_DENSE_CELL_CAP", -1)
+    calls.clear()
+    assert tr_log_one_unit(f, p, prec) == got
+    assert calls == ["_kernel_zd_sparse"]
+
+
+@pytest.mark.parametrize(
+    "poly, estimate",
+    [
+        # the lattice route is cheaper and still over the cap: 7 * C(cap + 3, 3)
+        ("1+3*x+3*y+3*z+3*x^-1+3*y^-1+3*z^-1", lambda cap: 7 * math.comb(cap + 3, 3)),
+        # the paired route is cheaper: (2 cap + 1)^3 cells, against 7 * C(cap + 4, 4)
+        ("1+3*x+3*y+3*z+3*x^-1+3*y^-1+3*z^-1+3*x*y*z", lambda cap: (2 * cap + 1) ** 3),
+    ],
+    ids=["lattice", "paired"],
+)
+def test_trlog_refuses_the_cheaper_route_over_the_cap_at_once(poly, estimate, monkeypatch):
+    calls = _record_zd_kernels(monkeypatch)
+    w, cutoff = series_guard(3, 256)
+    with pytest.raises(DomainMismatch) as err:
+        tr_log_one_unit(parse_poly(poly), 3, 256)
+    assert str(err.value) == f"trace-log series over {estimate(min(cutoff, w))} cells exceeds cap 20000000"
+    assert calls == []
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 10, 11, 40])
@@ -377,38 +491,28 @@ def test_paired_kernel_keeps_only_the_digits_each_power_adds(w, cap, monkeypatch
                 assert largest < p ** (w - 2 * (j + 1) + 1)
 
 
-def _simplex_log_oracle(coeffs, p, prec):
-    """Constant term of log f mod p^prec, f = 1 + c_1 t_1 + ... + c_d t_d + c_0 (t_1...t_d)^-1.
-
-    ``coeffs`` is (c_0, c_1, ..., c_d), each divisible by p.  A monomial of
-    (f - 1)^k is constant only when each of the d + 1 terms is taken the same
-    number m of times, so const (f - 1)^k is 0 unless k = (d+1)m, and then
-    it is the multinomial k!/(m!)^(d+1) times (c_0 c_1 ... c_d)^m.  That term
-    of the log series has valuation at least (d+1)m - log_p k >= prec once
-    m > prec, so m = 1..prec gives every digit below p^prec.
-    """
-    n = len(coeffs)
-    prod = math.prod(coeffs)
-    total = Fraction(0)
-    for m in range(1, prec + 1):
-        k = n * m
-        multinomial = math.factorial(k) // math.factorial(m) ** n
-        total += Fraction((-1) ** (k + 1) * multinomial * prod**m, k)
-    return helpers.reduce_fraction_mod(total, p, prec)
-
-
 @pytest.mark.parametrize("p, prec, d", [(3, 96, 2), (5, 64, 2), (3, 36, 3)])
 def test_trlog_simplex_closed_form_at_series_precision(p, prec, d):
-    # the shapes and precisions of the benchmark's high-precision detlog jobs
+    # the shapes and precisions of the benchmark's high-precision detlog jobs;
+    # logdet_unit takes the lattice route on them, so the paired kernel is
+    # run on the same series directly
     rng = random.Random(prec + d)
+    w, cutoff = series_guard(p, prec)
+    cap = min(cutoff, w)
     for _ in range(2):
         coeffs = [p * rng.choice((1, 2, -1, -2)) for _ in range(d + 1)]
         f = LaurentPoly.one(d) + LaurentPoly.monomial((-1,) * d, coeffs[0])
         for a in range(d):
             f = f + LaurentPoly.monomial(tuple(int(i == a) for i in range(d)), coeffs[a + 1])
+        want = helpers.simplex_log_oracle(coeffs, p, prec)
         got = logdet_unit(f, p, prec)
         assert int(got.abs_prec) >= prec
-        assert got.lift() % p**prec == _simplex_log_oracle(coeffs, p, prec)
+        assert got.lift() % p**prec == want
+        x = [[sorted((e, -c % p**w) for e, c in f.terms.items() if any(e))]]
+        paired = _kernel_zd_sparse(x, d, 1, p, w, cap)
+        assert paired == _kernel_zd_lattice(x[0][0], p, w, cap)
+        series = _neg_sum_over_nu(enumerate(paired, start=1), p, prec, _ilog(cap, p))
+        assert series.lift() % p**prec == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
@@ -474,11 +578,15 @@ def test_trlog_sparse_path_matches_dense_path(monkeypatch):
     dense = [tr_log_one_unit(f, p, prec) for f, p, prec in cases]
     monkeypatch.setattr(detlog, "_DENSE_CELL_CAP", -1)
     assert [tr_log_one_unit(f, p, prec) for f, p, prec in cases] == dense
+    monkeypatch.setattr(detlog, "_LATTICE_POINT_CELLS", 10**30)  # the paired kernel alone
+    assert [tr_log_one_unit(f, p, prec) for f, p, prec in cases] == dense
 
 
-def test_trlog_high_precision_takes_sparse_path():
-    # p^(prec+guard) over int64 forces the big-integer sparse kernel; the
-    # value must refine the low-precision dense-kernel value
+def test_trlog_high_precision_takes_sparse_path(monkeypatch):
+    # p^(prec+guard) over int64 forces a big-integer kernel, and the lattice
+    # route is priced out, so the paired one runs; the value must refine the
+    # low-precision dense-kernel value
+    monkeypatch.setattr(detlog, "_LATTICE_POINT_CELLS", 10**30)
     rng = random.Random(29)
     f = helpers.random_one_unit(rng, 2, 5)
     lo = tr_log_one_unit(f, 5, 6)
