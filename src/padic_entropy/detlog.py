@@ -74,7 +74,6 @@ from .groupring import (
     FiniteGroupRingElem,
     LaurentPoly,
     RingMatrix,
-    _coeff_is_zero,
     rho_matrix,
     sup_norm,
 )
@@ -85,7 +84,7 @@ _DENSE_CELL_CAP = 4_000_000
 # where cells is the exponent box the powers of 1 - F can fill, or the
 # weighted lattice candidates below.  The paired kernel took seconds on a
 # d = 3 simplex at prec 128 (about 1.9e7 cells; it now takes the lattice
-# route), and 1+2x+2y+2z at p = 2, prec 256 ran for more than 40 s.
+# route).
 SERIES_CELL_CAP = 20_000_000
 # A lattice point of the relation cone counts as this many cells of the
 # exponent box when ``tr_log_one_unit`` picks the cheaper Z^d route.  Measured
@@ -333,10 +332,10 @@ def _kernel_zd_lattice(support, p: int, w: int, cap: int) -> list[int]:
     ``_relation_basis`` run over the C(cap + k - rank, k - rank) parts with
     |n_free| <= cap, and the pivot coordinates follow in integers; a point
     counts when they are integral and non-negative, and the last free
-    coordinate runs only where they are non-negative (an interval, since
-    they are linear in it).  The multinomials are exact, and each term is
-    summed as multinomial * prod (c_i/p)^(n_i), then scaled by p^nu mod p^w,
-    so the list equals ``_kernel_zd_sparse``'s.
+    coordinate runs only where they are non-negative and |n| <= cap (an
+    interval, since they and |n| are linear in it).  The multinomials are
+    exact, and each term is summed as multinomial * prod (c_i/p)^(n_i), then
+    scaled by p^nu mod p^w, so the list equals ``_kernel_zd_sparse``'s.
     """
     sums = [0] * (cap + 1)
     pivots, free, rows, den = _relation_basis([e for e, _ in support])
@@ -365,7 +364,8 @@ def _kernel_zd_lattice(support, p: int, w: int, cap: int) -> list[int]:
                          weight * ypow[n], denom * fact[n])
                 return
             lo, hi = 0, cap - size
-            for a, b in zip(acc, col):
+            # den * nu = den * (size + n) + sum(acc) + n * sum(col) <= den * cap
+            for a, b in zip(acc + [den * (cap - size) - sum(acc)], col + [-den - sum(col)]):
                 if b > 0:
                     lo = max(lo, -(a // b))
                 elif b < 0:
@@ -377,7 +377,7 @@ def _kernel_zd_lattice(support, p: int, w: int, cap: int) -> list[int]:
                 for a, b, ppow in zip(acc, col, pivot_pow):
                     m, rem = divmod(a + n * b, den)
                     nu += m
-                    if rem or nu > cap:
+                    if rem:
                         break
                     wt *= ppow[m]
                     dn *= fact[m]
@@ -408,15 +408,6 @@ def _kernel_finite(coeffs, group, r: int, p: int, w: int, cap: int) -> list[int]
     return _kernel_paired(xmat, 0, inverses, r, p, w, cap)
 
 
-def _refuse_costly_finite_series(r: int, cells: int, m: int, cap: int) -> None:
-    """DomainMismatch when the series on a finite group ring may exceed FINITE_SERIES_CAP."""
-    work = r * r * cells * m * ((cap + 1) // 2)
-    if work > FINITE_SERIES_CAP:
-        raise DomainMismatch(
-            f"trace-log series of up to {work} products exceeds cap {FINITE_SERIES_CAP}"
-        )
-
-
 def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     """Group-trace of log F for a 1-unit F; absolute precision prec.
 
@@ -434,15 +425,13 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     cells each, cost fewer cells than the exponent box of the paired kernel;
     r x r matrices with r > 1 stay on the paired kernel.  Both routes give
     the same constants.  The constants c_nu are divided by nu and summed in
-    integers (``padic._neg_sum_over_nu``).  For p = 2 a unit that is only
-    1 mod 2 is squared first (the value is half the value at the square,
-    which lies in 1 + 4A).  Series the caps would let grow
-    without bound are refused with DomainMismatch before any power is built:
-    over Z^d when the chosen route's estimate exceeds ``SERIES_CELL_CAP``
-    cells (r times the exponent box, or the weighted candidates), on a
-    finite group ring by the products of the kernel (``FINITE_SERIES_CAP``;
-    for p = 2 this is checked on a bound for the square's support before
-    the square is formed).
+    integers (``padic._neg_sum_over_nu``); every prime, p = 2 included, takes
+    this one series, since v_p(X^nu / nu) >= nu - v_p(nu).  Series the caps
+    would let grow without bound are refused with DomainMismatch before any
+    power is built: over Z^d when the chosen route's estimate exceeds
+    ``SERIES_CELL_CAP`` cells (r times the exponent box, or the weighted
+    candidates), on a finite group ring by the products of the kernel
+    (``FINITE_SERIES_CAP``).
     """
     F = RingMatrix.wrap(f)
     ident = RingMatrix.identity_like(F)
@@ -452,17 +441,6 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
         raise NotAOneUnit(f"F - 1 has sup norm {norm} > 1/{p}")
     proto = F.entries[0][0]
     r = F.r
-    if p == 2 and norm > Fraction(1, 4):
-        if isinstance(proto, FiniteGroupRingElem):
-            # bound the series on the square before forming it:
-            # 1 - F^2 = 2X - X^2 has at most |supp X| + |supp X|^2 cells
-            m = proto.group.index
-            cells = sum(not _coeff_is_zero(c) for row in X.entries for e in row for c in e.coeffs)
-            w, cutoff = series_guard(2, prec + 1)
-            _refuse_costly_finite_series(r, min(cells + cells**2, r * r * m), m, min(cutoff, w))
-        half = tr_log_one_unit(F * F, 2, prec + 1)
-        return (half / 2).truncate_abs(prec)
-
     w, cutoff = series_guard(p, prec)
     cap = min(cutoff, w)  # X^nu = 0 mod p^w once nu >= w
     pw = p**w
@@ -476,7 +454,11 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
             for s in range(r)
         ]
         cells = sum(1 for row in coeffs for entry in row for c in entry if c)
-        _refuse_costly_finite_series(r, cells, proto.group.index, cap)
+        work = r * r * cells * proto.group.index * ((cap + 1) // 2)
+        if work > FINITE_SERIES_CAP:
+            raise DomainMismatch(
+                f"trace-log series of up to {work} products exceeds cap {FINITE_SERIES_CAP}"
+            )
         consts = _kernel_finite(coeffs, proto.group, r, p, w, cap)
     elif isinstance(proto, LaurentPoly):
         d = proto.d

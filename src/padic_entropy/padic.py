@@ -64,14 +64,13 @@ def series_guard(p: int, n: int) -> tuple[int, int]:
     """(working_abs_precision, cutoff) for a log-type series delivering n digits.
 
     Guard digits absorb the division-by-nu losses: guard = floor(log_p nu_max)+2,
-    plus one extra digit for p = 2 where the square-then-halve rule costs one.
-    The guard and the cutoff depend on each other, so iterate to a fixed point.
+    at every prime.  The guard and the cutoff depend on each other, so
+    iterate to a fixed point.
     """
-    extra = 1 if p == 2 else 0
-    guard = 2 + extra
+    guard = 2
     while True:
         cutoff = log_series_cutoff(p, n + guard)
-        g2 = _ilog(cutoff, p) + 2 + extra
+        g2 = _ilog(cutoff, p) + 2
         if g2 <= guard:
             return n + guard, cutoff
         guard = g2

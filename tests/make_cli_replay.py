@@ -20,11 +20,10 @@ from helpers import cli_output_digest
 from perfbench.workloads import README_COMMANDS, WORKLOADS, build_jobs
 
 
-# The p = 2 squaring route and a matrix on the sparse trace-log kernel;
-# Mahler measures at 256 digits with no inside root (s = 0), with only
-# inside roots (s = deg) and of degree 200; and the selftest battery, the
-# CLI's only path through finite group-ring products, star and
-# logdet_finite, at three more seeds.
+# p = 2 trace logs and a matrix at moderate precision; Mahler measures at
+# 256 digits with no inside root (s = 0), with only inside roots (s = deg)
+# and of degree 200; and the selftest battery, the CLI's only path through
+# finite group-ring products, star and logdet_finite, at three more seeds.
 _DEGREE_200 = "+".join(f"{3 if i == 90 else 2 * (i % 5 + 1)}*t^{i}" for i in range(201))
 EDGE_ARGV = [
     ["detlog", "--p", "2", "--prec", "32", "--poly=1+2*x+2*y+2*x^-1*y^-1"],
@@ -35,14 +34,17 @@ EDGE_ARGV = [
     ["mahler", "--p", "2", "--prec", "256", f"--poly={_DEGREE_200}"],
     # High-precision trace logs on both sides of the route choice: the
     # lattice points of the relation cone (k - rank = 2 in d = 2, exponents
-    # of rank 1, and the 2 x 2 matrix, whose determinant's cone is {0}) and
-    # the paired kernel (a p = 2 simplex, squared first, and an X with a
-    # constant term, which only the p = 2 square gives on the command line).
+    # of rank 1, p = 2 simplices in d = 2 and 3, and the determinants of
+    # 2 x 2 matrices) and the paired kernel (1+2*x+2*x^-1, whose cap + 2
+    # lattice candidates cost more than its 2 cap + 1 cells).
     ["detlog", "--p", "3", "--prec", "64", "--poly=1+3*x+3*y+3*x^-1+3*y^-1"],
     ["detlog", "--p", "2", "--prec", "64", "--poly=1+2*x+2*x^-1"],
     ["detlog", "--p", "3", "--prec", "128", "--poly=1+3*x*y+3*x^-2*y^-2"],
     ["detlog", "--p", "3", "--prec", "200", "--poly=[[1+3*x,3*y],[3*x^-1,1+3*y^-1]]"],
     ["detlog", "--p", "2", "--prec", "64", "--poly=1+2*x+2*y+2*x^-1*y^-1"],
+    ["detlog", "--p", "2", "--prec", "256", "--poly=1+2*x+2*y+2*x^-1*y^-1"],
+    ["detlog", "--p", "2", "--prec", "64", "--poly=[[1+2*x,2*y],[2*x^-1,1+2*y^-1]]"],
+    ["detlog", "--p", "2", "--prec", "32", "--poly=1+2*x+2*y+2*z+2*x^-1*y^-1*z^-1"],
     ["selftest", "--seed", "1"],
     ["selftest", "--seed", "7"],
     ["selftest", "--seed", "42"],

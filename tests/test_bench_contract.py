@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` wraps each function in ``LAYER_FUNCTIONS`` by its
 module and name, and ``perfbench/checks.py`` lowers ``detlog._DENSE_CELL_CAP``
-to force the sparse trace-log kernel; a rename would break the benchmark.
+to keep the trace-log series off the dense kernel (it then takes the lattice
+or the paired route); a rename would break the benchmark.
 """
 
 import importlib

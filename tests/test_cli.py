@@ -290,7 +290,7 @@ def test_replayed_jobs_keep_their_output_bytes():
     # and argv whose first token is not the command, with the exit status and
     # output digests recorded by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 380
+    assert len(jobs) == 383
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 
@@ -605,13 +605,15 @@ def test_family_past_the_size_cap_refused_at_once(poly, family, size):
 
 @pytest.mark.parametrize(
     "p, poly",
-    [("3", "1+3*x+3*y+3*z+3*x^-1+3*y^-1+3*z^-1+3*x*y*z"), ("2", "1+2*x+2*y+2*z")],
-    ids=["d3-cross-xyz", "p2-squared"],
+    [
+        ("3", "1+3*x+3*y+3*z+3*x^-1+3*y^-1+3*z^-1+3*x*y*z"),
+        ("2", "1+2*x+2*y+2*z+2*x^-1+2*y^-1+2*z^-1+2*x*y*z"),
+    ],
+    ids=["d3-cross-xyz", "p2-d3-cross-xyz"],
 )
 def test_series_past_the_cell_cap_refused_at_once(p, poly):
     # both routes refuse these: the exponent box holds more than 10^8 cells,
-    # and the relation cone leaves 4 (7 for the square) free coordinates;
-    # p2-squared ran for more than 40 s before the trace-log series had a cap
+    # and the relation cone leaves 4 free coordinates
     proc = _cli(["detlog", "--p", p, "--prec", "256", f"--poly={poly}"], timeout=30)
     assert proc.returncode == 1
     assert proc.stdout.startswith("error[DOMAIN_MISMATCH]: trace-log series over ")
@@ -619,16 +621,19 @@ def test_series_past_the_cell_cap_refused_at_once(p, poly):
 
 
 def test_series_on_a_ray_of_relations_answered_at_once():
-    # both were refused over the cell cap; their relation cones are one ray
-    # (cap + 1 lattice candidates) and {0} (one candidate)
-    simplex = "1+3*x+3*y+3*z+3*x^-1*y^-1*z^-1"
-    proc = _cli(["detlog", "--p", "3", "--prec", "256", f"--poly={simplex}", "--output", "json"], timeout=30)
-    assert proc.returncode == 0, proc.stdout
-    value = Padic.from_json(json.loads(proc.stdout)["value"])
-    assert int(value.abs_prec) == 256
-    assert value.lift() % 3**256 == helpers.simplex_log_oracle([3, 3, 3, 3], 3, 256)
-    proc = _cli(["detlog", "--p", "3", "--prec", "8", "--poly=1+3*x^1000000"], timeout=30)
-    assert (proc.returncode, proc.stdout) == (0, "log-determinant (scalar unit route): O(3^8)\n")
+    # the exponent boxes exceed the cell cap, but the relation cones are one
+    # ray (cap + 1 lattice candidates) and {0} (one candidate)
+    for p, prec in ((3, 256), (2, 128)):
+        simplex = f"1+{p}*x+{p}*y+{p}*z+{p}*x^-1*y^-1*z^-1"
+        argv = ["detlog", "--p", str(p), "--prec", str(prec), f"--poly={simplex}", "--output", "json"]
+        proc = _cli(argv, timeout=30)
+        assert proc.returncode == 0, proc.stdout
+        value = Padic.from_json(json.loads(proc.stdout)["value"])
+        assert int(value.abs_prec) == prec
+        assert value.lift() % p**prec == helpers.simplex_log_oracle([p] * 4, p, prec)
+    for p, prec, poly in ((3, 8, "1+3*x^1000000"), (2, 256, "1+2*x+2*y+2*z")):
+        proc = _cli(["detlog", "--p", str(p), "--prec", str(prec), f"--poly={poly}"], timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, f"log-determinant (scalar unit route): O({p}^{prec})\n")
 
 
 @pytest.mark.parametrize("degree", ["10000000", "100000000"])

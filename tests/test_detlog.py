@@ -20,6 +20,7 @@ from padic_entropy import (
     padic_log,
     padic_sqrt,
     reduce_to_quotient,
+    sup_norm,
     tr_log_one_unit,
 )
 from padic_entropy import detlog
@@ -174,16 +175,35 @@ def test_trlog_conjugation_invariance():
         assert tr_log_one_unit(gamma * f * gamma_inv, p, 5).eq_mod(base, 5)
 
 
-def test_trlog_p2_square_device_matches_direct():
-    # for u in 1+4A both the direct series and the square-then-halve rule
-    # apply; the implementation squares only when needed, so check them
-    # against each other through the homomorphism property
-    rng = random.Random(23)
-    for _ in range(5):
-        a = helpers.random_one_unit(rng, 1, 2)  # in 1 + 2A
-        v1 = tr_log_one_unit(a, 2, 6)
-        v2 = tr_log_one_unit(a * a, 2, 6)
-        assert (v1 + v1).eq_mod(v2, 6)
+_P2_UNITS = {
+    "zd1": lambda rng: helpers.random_one_unit(rng, 1, 2),
+    "zd2": lambda rng: helpers.random_one_unit(rng, 2, 2, terms=3),
+    "zd3": lambda rng: helpers.random_one_unit(rng, 3, 2, terms=3),
+    "z4": lambda rng: helpers.random_fg_one_unit(rng, ZdQuotient((4,)), 2),
+    "z3xz4": lambda rng: helpers.random_fg_one_unit(rng, ZdQuotient((3, 4)), 2),
+    "z2^3": lambda rng: helpers.random_fg_one_unit(rng, ZdQuotient((2, 2, 2)), 2),
+    "heis2": lambda rng: helpers.random_fg_one_unit(rng, HeisenbergQuotient(2), 2),
+    "heis3": lambda rng: helpers.random_fg_one_unit(rng, HeisenbergQuotient(3), 2),
+    "heis4": lambda rng: helpers.random_fg_one_unit(rng, HeisenbergQuotient(4), 2),
+    "matrix-zd2": lambda rng: helpers.random_one_unit_matrix(rng, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(_P2_UNITS))
+def test_trlog_p2_equals_half_the_log_of_the_square(kind):
+    # for |1 - F| = 1/2 the square F^2 lies in 1 + 4A, and log F = (log F^2) / 2
+    # loses one digit to the halving; the series on F itself must agree
+    rng = random.Random(f"p2-{kind}")
+    done = 0
+    while done < 6:
+        F = _P2_UNITS[kind](rng)
+        wrapped = RingMatrix.wrap(F)
+        if sup_norm(RingMatrix.identity_like(wrapped) - wrapped, 2) != Fraction(1, 2):
+            continue
+        prec = rng.randint(4, 24)
+        half = tr_log_one_unit(F * F, 2, prec + 1) / 2
+        assert tr_log_one_unit(F, 2, prec) == half.truncate_abs(prec)
+        done += 1
 
 
 def test_kernel_dense_sparse_agree():
@@ -297,8 +317,18 @@ def test_lattice_kernel_matches_every_power_and_paired(d, k):
         ([(3,)], True),
         ([(1, 0), (0, -1)], True),
         ([(2, -1, 0), (0, 1, 1), (1, 0, 3)], True),  # rank 3
+        # |n| <= cap cuts the last free coordinate's interval: |n| grows
+        # faster than it, falls as it grows, or does not depend on it
+        ([(-2,), (1,)], False),
+        ([(0, -2), (0, 1), (1, 1), (2, 1)], False),
+        ([(-1, 0), (0, 1), (1, 0), (1, 2)], False),
+        ([(-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)], False),
+        ([(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)], False),
     ],
-    ids=["rank1-d2", "rank1-d3", "constant", "constant-x-xinv", "pointed-cone", "d1", "d2", "d3"],
+    ids=[
+        "rank1-d2", "rank1-d3", "constant", "constant-x-xinv", "pointed-cone", "d1", "d2", "d3",
+        "nu-cut-above", "nu-cut-below", "nu-flat", "d2-cross-xy", "d3-cross",
+    ],
 )
 def test_lattice_kernel_edge_exponents(exps, no_relation):
     rng = random.Random(str(exps))
@@ -338,7 +368,9 @@ def _record_zd_kernels(monkeypatch):
         # 7 * 148995 points > 571787 cells > 148995 points
         (3, 36, "1+3*x+3*y+3*z+3*x^-1+3*y^-1+3*z^-1+3*x*y*z", "_kernel_zd_sparse"),
         (3, 48, "1+3*x+3*x^-1+3*x^2", "_kernel_zd_sparse"),  # d = 1, k - rank = 2
-        (2, 32, "1+2*x+2*y+2*x^-1*y^-1", "_kernel_zd_sparse"),  # the square has k - rank = 7
+        (2, 32, "1+2*x+2*y+2*x^-1*y^-1", "_kernel_zd_lattice"),  # p = 2, k - rank = 1
+        # p = 2, the eight neighbours: k - rank = 6
+        (2, 32, "1+2*x+2*y+2*x^-1+2*y^-1+2*x*y+2*x^-1*y^-1+2*x*y^-1+2*x^-1*y", "_kernel_zd_sparse"),
         (3, 24, "[[1+3*x,3*y],[3*x^-1,1+3*y^-1]]", "_kernel_zd_sparse"),  # r = 2
     ],
 )
