@@ -10,15 +10,17 @@ output carries the schema tag "padic-entropy/1".
 Each command's handler reads the ``argparse.Namespace`` that
 ``build_argparser`` parses (``args.p``, ``args.prec``, ``args.poly``, ...);
 ``run_command`` makes the checks argparse cannot make and looks the handler
-up in ``_COMMANDS``.  ``build_argparser(command)`` adds options to
+up in ``_COMMANDS``.  ``build_argparser(command)`` adds options and ``-h`` to
 ``command``'s subparser only (to all six when it is None), since argparse
 hands the argv to one subparser alone; ``main`` passes the first argv token
-that names a command, which is the one argparse dispatches on.
+that names a command, which is the one argparse dispatches on, so the other
+five subparsers never parse anything and need no help action.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -386,23 +388,36 @@ def _add_options(sp: argparse.ArgumentParser, name: str) -> None:
 
 
 def build_argparser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: all six subparsers, with options on ``command``'s only.
+    """The CLI parser: all six subparsers, with options and ``-h`` on
+    ``command``'s only (on all six when it is None).
 
     argparse hands the argv after the command name to that one subparser, so
-    only it needs options: an argv whose command is ``command`` parses, is
-    refused and prints its help exactly as on the parser with every
-    command's options (``command=None``).  The top-level usage, help and
-    invalid-choice errors need only the names and help strings.  A job thus
-    builds one command's options, not six.
+    only it needs options, and only its ``-h`` can ever run: an argv whose
+    command is ``command`` parses, is refused and prints its help exactly as
+    on the full parser.  The other five are never dispatched to; the
+    top-level usage, help and invalid-choice errors need only their names
+    and help strings.  A job thus builds one command's options, and every
+    parser's help formatter shares one width, read once from the terminal.
     """
+    import shutil  # as argparse.HelpFormatter imports it
+
+    # argparse.HelpFormatter's own default width, read once for every parser
+    # instead of once for each formatter that add_argument makes
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     ap = _ArgumentParser(
         prog="padic-entropy",
         description="Exact p-adic entropy of principal algebraic actions.",
+        formatter_class=formatter,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # Without prog, argparse formats the top-level usage to derive it; that
+    # gives the bare prog only because the top-level parser has no positionals.
+    sub = ap.add_subparsers(dest="command", required=True, prog=ap.prog)
     for name, help_text in _COMMAND_HELP.items():
-        sp = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
+        reached = command is None or command == name
+        sp = sub.add_parser(name, help=help_text, add_help=reached, formatter_class=formatter)
+        if reached:
             _add_options(sp, name)
     return ap
 

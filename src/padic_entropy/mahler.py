@@ -258,13 +258,12 @@ def mahler_1d(f, p: int, prec: int) -> Padic:
     g, h = slope_split(coeffs, p, w)
     s = len(g) - 1
     inside_prod = g[0] if s else Padic.one(p, w)  # +-(product of inside roots)
-    val1 = padic_log(Padic.from_fraction(a_r, p, w)) - padic_log(inside_prod)
+    # one log per expression: the Iwasawa log is a homomorphism, and a
+    # product keeps the least relative precision of its factors, which is the
+    # absolute precision the sum of their logs would have
+    val1 = padic_log(Padic.from_fraction(a_r, p, w) / inside_prod)
     # outside roots: product = +- h(0)/lead(h)
-    val2 = (
-        padic_log(Padic.from_fraction(a_m, p, w))
-        + padic_log(h[0])
-        - padic_log(h[-1])
-    )
+    val2 = padic_log(Padic.from_fraction(a_m, p, w) * h[0] / h[-1])
     if not val1.eq_mod(val2, prec):
         raise ArithmeticError("the two defining expressions disagree")
     return val1.truncate_abs(prec)

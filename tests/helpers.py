@@ -9,7 +9,9 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 from fractions import Fraction
+from unittest import mock
 
 from padic_entropy import LaurentPoly, RingMatrix
 from padic_entropy.cli import main
@@ -177,10 +179,21 @@ def random_expansive_matrix(rng, p: int):
 
 
 def cli_output_digest(argv: list) -> dict:
-    """argv, exit status and the SHA-256 of stdout and of stderr of cli.main(argv)."""
+    """argv, exit status and the SHA-256 of stdout and of stderr of cli.main(argv).
+
+    argparse wraps help to the terminal width, so argv runs with COLUMNS=80;
+    help ends in SystemExit, whose code is the exit status.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(list(argv))
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            status = main(list(argv))
+        except SystemExit as ex:
+            status = ex.code
     return {
         "argv": list(argv),
         "status": status,

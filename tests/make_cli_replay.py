@@ -5,7 +5,7 @@ The jobs are the README command lines in their default, table and json forms
 (plus the README's own csv form of ``entropy``), the jobs of the four
 benchmark workloads at seed 3, and a few jobs on the edges of the series
 kernels and the Hensel lift, the selftest battery at a few seeds, refusals
-made before the run and argv whose first token is not the command
+made before the run, argv whose first token is not the command and help
 (``EDGE_ARGV``).  Each entry holds the argv, the exit status and the SHA-256
 of stdout and of stderr of ``cli.main``.  Run it from the repository root at
 the commit whose output the replay should pin:
@@ -75,6 +75,13 @@ EDGE_ARGV = [
     ["--poly", "mahler", "fixcount", "--p", "3"],
     ["fixcount", "--p", "3", "--poly", "mahler", "--quotient", "3", "--output", "json"],
     ["mahler", "--p", "2", "--poly=t-4", "detlog"],
+    # help, top level and per command, wrapped at the COLUMNS=80 that
+    # helpers.cli_output_digest sets
+    ["-h"],
+    *(
+        [command, "-h"]
+        for command in ("unit-check", "fixcount", "entropy", "mahler", "detlog", "selftest")
+    ),
 ]
 
 

@@ -286,11 +286,11 @@ def test_byte_identical_output_across_runs():
 def test_replayed_jobs_keep_their_output_bytes():
     # the README command lines, the benchmark jobs at seed 3, the series and
     # lift edge jobs, high-precision trace logs on both Z^d routes, three
-    # selftest seeds, the refusals made before the run
-    # and argv whose first token is not the command, with the exit status and
-    # output digests recorded by tests/make_cli_replay.py
+    # selftest seeds, the refusals made before the run, argv whose first
+    # token is not the command and help at 80 columns, with the exit status
+    # and output digests recorded by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 383
+    assert len(jobs) == 390
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 
@@ -476,7 +476,6 @@ def test_one_command_parser_agrees_on_every_replayed_argv():
     ],
 )
 def test_one_command_parser_prints_the_same_help(argv):
-    # help depends on the terminal width, so the replay cannot pin it
     kind, code, text = _assert_parsers_agree(argv)
     assert (kind, code) == ("exit", 0) and text.startswith("usage: padic-entropy")
 
@@ -510,6 +509,7 @@ def _subparsers(ap):
 
 
 def test_one_command_parser_leaves_the_other_commands_bare():
+    # argparse never dispatches to the other five, so not even -h is built
     full = _subparsers(build_argparser())
     assert list(full) == list(_COMMAND_NAMES)
     for name in _COMMAND_NAMES:
@@ -518,7 +518,19 @@ def test_one_command_parser_leaves_the_other_commands_bare():
         assert list(built) == list(_COMMAND_NAMES)
         for other, sp in built.items():
             options = set(sp._option_string_actions)
-            assert options == (set(full[name]._option_string_actions) if other == name else {"-h", "--help"})
+            assert options == (set(full[name]._option_string_actions) if other == name else set())
+
+
+@pytest.mark.parametrize("columns", [50, 200])
+def test_help_wraps_at_the_terminal_width(columns, monkeypatch):
+    # every parser's formatter takes the width argparse's default one reads
+    monkeypatch.setenv("COLUMNS", str(columns))
+    for command in (None, *_COMMAND_NAMES):
+        ap = build_argparser(command)
+        for parser in [ap] + ([_subparsers(ap)[command]] if command else []):
+            text = parser.format_help()
+            parser.formatter_class = argparse.HelpFormatter
+            assert parser.format_help() == text, (command, parser.prog)
 
 
 # Run in a fresh interpreter: numpy, once imported, stays in sys.modules.
