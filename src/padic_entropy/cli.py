@@ -10,11 +10,10 @@ output carries the schema tag "padic-entropy/1".
 Each command's handler reads the ``argparse.Namespace`` that
 ``build_argparser`` parses (``args.p``, ``args.prec``, ``args.poly``, ...);
 ``run_command`` makes the checks argparse cannot make and looks the handler
-up in ``_COMMANDS``.  ``build_argparser(command)`` adds options and ``-h`` to
-``command``'s subparser only (to all six when it is None), since argparse
-hands the argv to one subparser alone; ``main`` passes the first argv token
-that names a command, which is the one argparse dispatches on, so the other
-five subparsers never parse anything and need no help action.
+up in ``_COMMANDS``.  ``main`` parses an argv that starts with a command
+with ``build_argparser(command)``, whose top level holds that command's
+subparser alone, and any other argv with the full parser of all six
+commands, the only one that prints the top-level help or lists the commands.
 """
 
 from __future__ import annotations
@@ -388,16 +387,13 @@ def _add_options(sp: argparse.ArgumentParser, name: str) -> None:
 
 
 def build_argparser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: all six subparsers, with options and ``-h`` on
-    ``command``'s only (on all six when it is None).
+    """The CLI parser: ``command``'s subparser alone, or all six when it is None.
 
-    argparse hands the argv after the command name to that one subparser, so
-    only it needs options, and only its ``-h`` can ever run: an argv whose
-    command is ``command`` parses, is refused and prints its help exactly as
-    on the full parser.  The other five are never dispatched to; the
-    top-level usage, help and invalid-choice errors need only their names
-    and help strings.  A job thus builds one command's options, and every
-    parser's help formatter shares one width, read once from the terminal.
+    argparse hands every token after the command to its subparser, so an argv
+    that starts with ``command`` parses, is refused and prints its help
+    exactly as on the full parser.  The one-command top level refuses only
+    tokens that subparser leaves over ("unrecognized arguments"), and that
+    message, like the subparsers' own, prints no usage and lists no commands.
     """
     import shutil  # as argparse.HelpFormatter imports it
 
@@ -414,19 +410,15 @@ def build_argparser(command: str | None = None) -> argparse.ArgumentParser:
     # Without prog, argparse formats the top-level usage to derive it; that
     # gives the bare prog only because the top-level parser has no positionals.
     sub = ap.add_subparsers(dest="command", required=True, prog=ap.prog)
-    for name, help_text in _COMMAND_HELP.items():
-        reached = command is None or command == name
-        sp = sub.add_parser(name, help=help_text, add_help=reached, formatter_class=formatter)
-        if reached:
-            _add_options(sp, name)
+    for name in _COMMAND_HELP if command is None else (command,):
+        sp = sub.add_parser(name, help=_COMMAND_HELP[name], formatter_class=formatter)
+        _add_options(sp, name)
     return ap
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # the top-level parser has no option that takes a value, so the first
-    # token that names a command is the one argparse dispatches on
-    ap = build_argparser(next((token for token in argv if token in _COMMAND_HELP), None))
+    ap = build_argparser(argv[0] if argv and argv[0] in _COMMAND_HELP else None)
     try:
         status, doc = run_command(ap.parse_args(argv))
     except PadicEntropyError as ex:

@@ -20,6 +20,9 @@ from .groupring import LaurentPoly, RingMatrix
 
 _ALIASES = {"t": 0, "x": 0, "y": 1, "z": 2}
 MAX_VARS = 9
+# ASCII only: str.isdigit() also holds for superscripts, which int() rejects,
+# and for other scripts' digits, which int() reads as 0-9.
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str):
@@ -30,15 +33,15 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
             continue
         if ch in "txyz":
-            if ch == "t" and i + 1 < n and text[i + 1].isdigit():
+            if ch == "t" and i + 1 < n and text[i + 1] in _DIGITS:
                 idx = int(text[i + 1])
                 if not 1 <= idx <= MAX_VARS:
                     raise PolySyntaxError(f"variable t{idx} out of range", i)

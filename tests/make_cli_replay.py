@@ -5,10 +5,11 @@ The jobs are the README command lines in their default, table and json forms
 (plus the README's own csv form of ``entropy``), the jobs of the four
 benchmark workloads at seed 3, and a few jobs on the edges of the series
 kernels and the Hensel lift, the selftest battery at a few seeds, refusals
-made before the run, argv whose first token is not the command and help
-(``EDGE_ARGV``).  Each entry holds the argv, the exit status and the SHA-256
-of stdout and of stderr of ``cli.main``.  Run it from the repository root at
-the commit whose output the replay should pin:
+made before the run, argv whose first token is not the command or with
+tokens left over after it, and help (``EDGE_ARGV``).  Each entry holds the
+argv, the exit status and the SHA-256 of stdout and of stderr of
+``cli.main``.  Run it from the repository root at the commit whose output
+the replay should pin:
 
     PYTHONPATH=src:.:tests python3 tests/make_cli_replay.py
 """
@@ -62,11 +63,16 @@ EDGE_ARGV = [
     ["mahler", "--p", "4", "--prec", "0", "--poly-file=/nonexistent", "--output", "json"],
     ["mahler", "--p", "4", "--prec", "0", "--poly=t-4", "--output", "json"],
     ["unit-check", "--p", "3", "--output", "json"],
-    # argparse hands argv to the subparser named by its first positional,
-    # which is the first token that names a command: a command name where
-    # the command should be, or none at all, is refused by the top-level
-    # parser; one as the value of --poly, or after the options, is not the
-    # command.
+    # the polynomial grammar reads ASCII digits only
+    ["mahler", "--p", "3", "--poly=1+3*t²"],
+    ["mahler", "--p", "3", "--poly=١+3*t"],
+    # cli.main parses an argv whose first token names a command with that
+    # command's parser alone, and any other argv with the parser of all six:
+    # tokens before the command, an unknown command or none at all are
+    # refused by the full top-level parser; a command name as the value of
+    # --poly, or after the options, is not the command; and a command-first
+    # argv reaches the one-command top level only with tokens its subparser
+    # leaves over.
     [],
     ["nosuch", "--p", "3"],
     ["--", "mahler", "--p", "2", "--poly=t-4"],
@@ -75,6 +81,8 @@ EDGE_ARGV = [
     ["--poly", "mahler", "fixcount", "--p", "3"],
     ["fixcount", "--p", "3", "--poly", "mahler", "--quotient", "3", "--output", "json"],
     ["mahler", "--p", "2", "--poly=t-4", "detlog"],
+    ["mahler", "--p", "2", "--poly=t-4", "--bogus"],
+    ["mahler", "mahler", "--p", "2", "--poly=t-4"],
     # help, top level and per command, wrapped at the COLUMNS=80 that
     # helpers.cli_output_digest sets
     ["-h"],

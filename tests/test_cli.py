@@ -71,6 +71,23 @@ def test_parse_syntax_error_carries_position():
     assert exc.value.position == 6
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("1+3*t²", 5),  # superscript digits: int() rejects them
+        ("1+3*t^²", 6),
+        ("1+3*x₂", 5),
+        ("١+3*t", 0),  # Arabic-Indic digits: int() reads them as 0-9
+        ("1+3*t١", 5),
+        ("1+3*t^١", 6),
+    ],
+)
+def test_parse_reads_only_ascii_digits(text, position):
+    with pytest.raises(PolySyntaxError, match="unexpected character") as exc:
+        parse_poly(text)
+    assert exc.value.position == position
+
+
 def test_parse_dimension_inconsistent():
     with pytest.raises(DimensionInconsistent):
         parse_poly("x + y", d=1)
@@ -286,11 +303,12 @@ def test_byte_identical_output_across_runs():
 def test_replayed_jobs_keep_their_output_bytes():
     # the README command lines, the benchmark jobs at seed 3, the series and
     # lift edge jobs, high-precision trace logs on both Z^d routes, three
-    # selftest seeds, the refusals made before the run, argv whose first
-    # token is not the command and help at 80 columns, with the exit status
+    # selftest seeds, the refusals made before the run (non-ASCII digits in
+    # --poly among them), argv whose first token is not the command or with
+    # tokens left over after it, and help at 80 columns, with the exit status
     # and output digests recorded by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 390
+    assert len(jobs) == 394
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 
@@ -435,7 +453,7 @@ _COMMAND_NAMES = ("unit-check", "fixcount", "entropy", "mahler", "detlog", "self
 
 
 def _first_command(argv):
-    return next((token for token in argv if token in _COMMAND_NAMES), None)
+    return argv[0] if argv and argv[0] in _COMMAND_NAMES else None
 
 
 def _parse_outcome(ap, argv):
@@ -458,7 +476,7 @@ def _assert_parsers_agree(argv):
 
 def test_one_command_parser_agrees_on_every_replayed_argv():
     # EDGE_ARGV in tests/make_cli_replay.py holds argv whose first token is
-    # not the command
+    # not the command, and command-first argv with tokens left over
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
     for job in jobs:
         _assert_parsers_agree(job["argv"])
@@ -500,7 +518,38 @@ def test_main_builds_the_options_of_the_first_command_token(monkeypatch, capsys)
     for argv in argvs:
         main(argv)
     capsys.readouterr()
-    assert seen == ["mahler", "mahler", "fixcount", "selftest", None, None]
+    assert seen == ["mahler", None, "fixcount", None, None, None]
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        (["mahler", "--p", "2", "--poly", "t-4"], 2),
+        (["fixcount", "--p", "3", "--poly", "mahler", "--quotient", "3"], 2),
+        (["entropy", "--p", "3", "--bogus"], 2),
+        (["selftest", "-h"], 2),
+        (["mahler", "mahler", "--p", "2"], 2),
+        (["--", "selftest"], 7),
+        (["--poly", "mahler", "fixcount", "--p", "3"], 7),
+        (["nosuch", "--p", "3"], 7),
+        (["-h"], 7),
+        ([], 7),
+    ],
+)
+def test_main_builds_one_subparser_for_a_command_first_argv(argv, parsers, monkeypatch, capsys):
+    built = []
+
+    class Counting(cli._ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    # add_parser builds each subparser with the top-level parser's class
+    monkeypatch.setattr(cli, "_ArgumentParser", Counting)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == parsers, built
 
 
 def _subparsers(ap):
@@ -509,28 +558,28 @@ def _subparsers(ap):
 
 
 def test_one_command_parser_leaves_the_other_commands_bare():
-    # argparse never dispatches to the other five, so not even -h is built
+    # a command-first argv is dispatched to that command, so the other five
+    # are not built at all
     full = _subparsers(build_argparser())
     assert list(full) == list(_COMMAND_NAMES)
     for name in _COMMAND_NAMES:
         assert set(full[name]._option_string_actions) > {"-h", "--help", "--output"}
         built = _subparsers(build_argparser(name))
-        assert list(built) == list(_COMMAND_NAMES)
-        for other, sp in built.items():
-            options = set(sp._option_string_actions)
-            assert options == (set(full[name]._option_string_actions) if other == name else set())
+        assert list(built) == [name]
+        assert set(built[name]._option_string_actions) == set(full[name]._option_string_actions)
 
 
 @pytest.mark.parametrize("columns", [50, 200])
 def test_help_wraps_at_the_terminal_width(columns, monkeypatch):
-    # every parser's formatter takes the width argparse's default one reads
+    # every help main can print, the full parser's top level and each
+    # command's own subparser, takes the width argparse's default formatter reads
     monkeypatch.setenv("COLUMNS", str(columns))
-    for command in (None, *_COMMAND_NAMES):
-        ap = build_argparser(command)
-        for parser in [ap] + ([_subparsers(ap)[command]] if command else []):
-            text = parser.format_help()
-            parser.formatter_class = argparse.HelpFormatter
-            assert parser.format_help() == text, (command, parser.prog)
+    parsers = [build_argparser()]
+    parsers += [_subparsers(build_argparser(command))[command] for command in _COMMAND_NAMES]
+    for parser in parsers:
+        text = parser.format_help()
+        parser.formatter_class = argparse.HelpFormatter
+        assert parser.format_help() == text, parser.prog
 
 
 # Run in a fresh interpreter: numpy, once imported, stays in sys.modules.
@@ -660,7 +709,7 @@ _COMMANDS = ["unit-check", "fixcount", "entropy", "mahler", "detlog", "bogus"]
 _POLYS = [
     "--poly=1+3*x", "--poly=1+3*x+3*y^-1", "--poly=2*t^2-t+2", "--poly=t-4",
     "--poly=[[1+3*t, 3],[0, 1]]", "--poly=1+x", "--poly=x+", "--poly=0", "--poly=",
-    "--poly-file=/nonexistent", "--poly=1+3*t^100000000",
+    "--poly-file=/nonexistent", "--poly=1+3*t^100000000", "--poly=1+3*t²", "--poly=١+3*t",
 ]
 _OPTIONS = {
     "--p": ["2", "3", "5", "4", "0", "-1", "x", "318665857834031151167461", str(2**61 - 1)],
