@@ -1,13 +1,13 @@
-"""Exact p-adic scalars: precision tracking, the Iwasawa logarithm, and
-Hensel square roots.
+"""Exact p-adic scalars: precision tracking, the Iwasawa logarithm, and a
+root found by Hensel lifting.
 
 Every value prints with the precision the computation actually proved.
-Watch the classic example: -15 has a square root in the 2-adic integers,
-and the root (1 + sqrt(-15))/4 of 2T^2 - T + 2 lies *outside* the unit
-disk even though both complex roots sit on the unit circle.
+Watch the classic example: the root (1 + sqrt(-15))/4 of 2T^2 - T + 2 lies
+in Q_2 *outside* the unit disk even though both complex roots sit on the
+unit circle.
 """
 
-from padic_entropy import Padic, padic_log, padic_sqrt, teichmuller
+from padic_entropy import Padic, padic_log, slope_split
 
 print(__doc__)
 
@@ -36,18 +36,14 @@ l3 = padic_log(Padic.from_rational(4, 1, 3, 3))
 print(f"log_3(4) mod 27 = {l3.lift()}   (series 3 - 9/2 + 27/3 mod 27 = 21)")
 
 print()
-print("== Teichmuller representatives ==")
-w = teichmuller(Padic.from_rational(2, 1, 7, 6))
-print(f"omega(2) in Z_7:                 {w}")
-print(f"omega(2)^6:                      {w ** 6}")
-
-print()
-print("== sqrt(-15) in Z_2 and the outside root ==")
-s = padic_sqrt(Padic.from_rational(-15, 1, 2, 16))
-print(f"sqrt(-15):                       {s}")
-print(f"check s^2 + 15:                  {s * s + 15}")
-alpha = (1 + s) / 4
+print("== the outside root of 2T^2 - T + 2 in Q_2 ==")
+# Hensel lifting splits f = g*h with g = T - beta monic carrying the root
+# inside the disk; the roots multiply to 2/2 = 1, so alpha = 1/beta.
+g, _ = slope_split([2, -1, 2], 2, 16)
+alpha = -1 / g[0]
+print(f"inside factor g = T + ({g[0]})")
 print(f"alpha = (1 + sqrt(-15))/4:       {alpha}   (valuation {alpha.v}: |alpha|_2 = 2)")
+print(f"check 2 alpha^2 - alpha + 2:     {2 * alpha * alpha - alpha + 2}")
 print("successive approximations of alpha:  1/2, -3/2, -19/2, -83/2")
 for k, (num, den) in enumerate([(1, 2), (-3, 2), (-19, 2), (-83, 2)]):
     diff = alpha - Padic.from_rational(num, den, 2, 16)

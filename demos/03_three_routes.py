@@ -6,12 +6,12 @@
 3. Mahler route: Newton polygon + Hensel slope factorization; the measure is
    log of the lowest coefficient minus log of the inside-root product.
 
-All three equal log_2 of the outside root (1 + sqrt(-15))/4, computed a
-fourth way via the Hensel square root of -15.
+All three equal log_2 of the outside root alpha = (1 + sqrt(-15))/4.  The
+reference reads alpha off the Hensel slope split f = g*h: g = T - beta
+carries the inside root beta, and alpha * beta = 2/2 = 1.
 """
 
 from padic_entropy import (
-    Padic,
     c0_unit_normalize,
     diagonal_family,
     entropy_sequence,
@@ -19,8 +19,8 @@ from padic_entropy import (
     mahler_1d,
     newton_polygon,
     padic_log,
-    padic_sqrt,
     parse_poly,
+    slope_split,
 )
 
 print(__doc__)
@@ -49,8 +49,9 @@ v3 = mahler_1d(f, p, prec)
 print(f"  value: {v3}")
 
 print()
-print("reference: log_2((1 + sqrt(-15))/4) by Hensel lifting")
-alpha = (1 + padic_sqrt(Padic.from_rational(-15, 1, 2, 12))) / 4
+print("reference: log_2((1 + sqrt(-15))/4), the root read off the slope split")
+g, _ = slope_split([2, -1, 2], p, 12)
+alpha = -1 / g[0]
 v4 = padic_log(alpha)
 print(f"  value: {v4}")
 

@@ -27,7 +27,7 @@ for r in rep.records:
 
 print()
 print("consecutive ultrametric distances (as valuations; higher = closer):")
-for (n1, n2), (v, exact) in zip(zip(ns, ns[1:]), rep.consecutive_distances()):
+for (n1, n2), (v, exact) in zip(zip(ns, ns[1:]), rep.distances):
     kind = "exactly" if exact else "at least"
     print(f"  d(rec[{n1}], rec[{n2}]) = 3^-{v} ({kind})")
 

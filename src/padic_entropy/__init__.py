@@ -13,7 +13,7 @@ All arithmetic is exact; every p-adic value carries the precision actually
 proven by the computation.
 """
 
-from .entropy import ConvergenceReport, convergence_report, entropy_sequence, snirelman_mahler
+from .entropy import ConvergenceReport, convergence_report, entropy_sequence
 from .detlog import (
     UnitDecomposition,
     c0_unit_normalize,
@@ -32,13 +32,12 @@ from .groupring import (
     build_quotient_group,
     diagonal_family,
     heisenberg_family,
-    involution,
     reduce_to_quotient,
     rho_matrix,
     sup_norm,
 )
 from .mahler import NewtonPolygon, mahler_1d, newton_polygon, slope_split
-from .padic import Padic, padic_log, padic_sqrt, series_guard, teichmuller
+from .padic import Padic, padic_log, series_guard
 from .poly_io import parse_poly, print_poly
 
 __version__ = "0.1.0"
@@ -64,13 +63,11 @@ __all__ = [
     "fix_count",
     "fix_count_char_crt",
     "heisenberg_family",
-    "involution",
     "logdet_finite",
     "logdet_unit",
     "mahler_1d",
     "newton_polygon",
     "padic_log",
-    "padic_sqrt",
     "parse_poly",
     "print_poly",
     "quotient_det",
@@ -78,8 +75,6 @@ __all__ = [
     "rho_matrix",
     "series_guard",
     "slope_split",
-    "snirelman_mahler",
     "sup_norm",
-    "teichmuller",
     "tr_log_one_unit",
 ]

@@ -49,9 +49,11 @@ group formula (1/|G|) log det(rho), and ``det_laurent_matrix`` links the
 matrix and scalar cases over the commutative algebra.
 
 numpy is imported only by the dense ``Z^d`` kernel (small boxes while p^w
-fits a machine word) and, through ``det_exact``'s CRT branch, by the
-finite-group formula on large matrices; the paired kernel and unit
-normalization run without it.
+fits a machine word) and by ``det_exact``'s CRT branch (size 64 and up).
+That branch is reached by the finite-group formula on large matrices and by
+the CLI's ``fixcount`` cross-check on a regular representation of that size;
+every ``selftest`` run loads numpy as well.  The paired kernel, the lattice
+route and unit normalization run without it.
 """
 
 from __future__ import annotations

@@ -1,12 +1,7 @@
-"""p-adic entropy as a limit over quotient families, and the root-of-unity
-averaging route to the Mahler measure.
+"""p-adic entropy as a limit over quotient families.
 
 ``entropy_sequence`` computes one exact fixed-point record per quotient and
 assembles a convergence report over the normalized values (1/index)*log|Fix|.
-``snirelman_mahler`` is the same quantity read as an average of log values
-over N-th roots of unity with N coprime to p: the sum of logs over a Galois
-orbit equals the log of the (rational!) orbit product, which is exactly the
-fixed-point count of the diagonal quotient -- so no extension fields appear.
 
 A finite family can never certify the limit: verdicts state agreement of the
 last K records modulo an explicit power of p, nothing more.
@@ -17,15 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    DomainMismatch,
-    InvalidQuotient,
-    ModulusNotCoprimeToP,
-    TooFewRecords,
-    UsageError,
-)
+from .errors import InvalidQuotient, TooFewRecords, UsageError
 from .fixcount import DEFAULT_PREC, FixCountRecord, check_quotient, fix_count
-from .groupring import LaurentPoly, RingMatrix, diagonal_family
 from .padic import Padic
 
 DEFAULT_TAIL = 3
@@ -53,10 +41,6 @@ class ConvergenceReport:
     stable_digits: int = 0
     stabilized_value: Padic | None = None
     verdict: str = "undecided"
-
-    def consecutive_distances(self):
-        """[(valuation, proven_exact)] between successive records."""
-        return self.distances
 
     def to_json(self) -> dict:
         return {
@@ -156,26 +140,3 @@ def entropy_sequence(
     records = [fix_count(f, q, p, prec) for q in family]
     return convergence_report(records, p, target, tail)
 
-
-def snirelman_mahler(
-    f: LaurentPoly,
-    p: int,
-    moduli,
-    prec: int = DEFAULT_PREC,
-    target: int | None = None,
-    tail: int = DEFAULT_TAIL,
-) -> ConvergenceReport:
-    """Root-of-unity averages (1/N^d) log_p |prod f(zeta)| for N coprime to p.
-
-    The orbit product over the full group of N-th roots of unity equals the
-    fixed-point count of the diagonal quotient (N, ..., N), computed exactly;
-    each record is that count's normalized log.
-    """
-    if isinstance(f, RingMatrix):
-        raise DomainMismatch("averaging route takes a scalar Laurent polynomial")
-    moduli = [int(n) for n in moduli]
-    for n in moduli:
-        if n % p == 0:
-            raise ModulusNotCoprimeToP(f"N = {n} shares a factor with p = {p}")
-    family = diagonal_family(f.d, moduli)
-    return entropy_sequence(f, family, p, prec, target, tail)

@@ -86,14 +86,6 @@ class ZeroInput(MathematicalRefusal):
     code = "ZERO_INPUT"
 
 
-class NotAUnit(MathematicalRefusal):
-    code = "NOT_A_UNIT"
-
-
-class NotASquare(MathematicalRefusal):
-    code = "NOT_A_SQUARE"
-
-
 class IndistinguishableAtPrecision(MathematicalRefusal):
     """A comparison or construction would have to guess digits beyond the
     tracked precision.  Raised instead of silently deciding."""
@@ -132,7 +124,3 @@ class ZeroSlopePresent(MathematicalRefusal):
     p-adic unit circle and the expansiveness hypothesis fails."""
 
     code = "ZERO_SLOPE_PRESENT"
-
-
-class ModulusNotCoprimeToP(MathematicalRefusal):
-    code = "MODULUS_NOT_COPRIME_TO_P"

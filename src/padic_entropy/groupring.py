@@ -1,5 +1,5 @@
 """Group rings: Laurent polynomials on Z^d, explicit finite quotients,
-matrices over both, the * involution, sup norms and reduction maps.
+matrices over both, sup norms and reduction maps.
 
 Laurent polynomials are sparse dictionaries from exponent vectors to
 coefficients (ints, Fractions, or Padic scalars at a shared prime).  A
@@ -158,10 +158,6 @@ class LaurentPoly:
             base = base * base
             k >>= 1
         return out
-
-    def star(self) -> "LaurentPoly":
-        """Involution: exponents negated (group elements inverted)."""
-        return LaurentPoly(self.d, {tuple(-x for x in e): c for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -324,9 +320,9 @@ class FiniteGroupRingElem:
     vector in the element basis, indexed as the quotient indexes its elements.
 
     ``group`` is the quotient itself (``ZdQuotient`` or
-    ``HeisenbergQuotient``), whose ``multiply`` and ``inverse`` give the
-    products and the involution; the identity is index 0.  Two elements mix
-    only when their quotients are equal.
+    ``HeisenbergQuotient``), whose ``multiply`` gives the products; the
+    identity is index 0.  Two elements mix only when their quotients are
+    equal.
     """
 
     __slots__ = ("group", "coeffs")
@@ -403,15 +399,6 @@ class FiniteGroupRingElem:
                 self.group, [_mul_coeff(other, a) for a in self.coeffs]
             )
         return NotImplemented
-
-    def star(self) -> "FiniteGroupRingElem":
-        """Involution: the coefficient at g moves to g^-1, zeros included, so
-        a coefficient known only to be O(p^k) keeps its precision."""
-        inverse = self.group.inverse
-        out = [0] * self.group.index
-        for i, a in enumerate(self.coeffs):
-            out[inverse(i)] = a
-        return FiniteGroupRingElem(self.group, out)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroupRingElem):
@@ -508,14 +495,6 @@ class RingMatrix:
     def __rmul__(self, other):
         return RingMatrix([[other * e for e in row] for row in self.entries])
 
-    def star(self) -> "RingMatrix":
-        """(f*)_{ij} = (f_{ji})^*: transpose the block structure, invert the
-        group variables.  Anti-multiplicative: (FG)* = G* F*."""
-        r = self.r
-        return RingMatrix(
-            [[self.entries[j][i].star() for j in range(r)] for i in range(r)]
-        )
-
     def trace(self):
         acc = self.entries[0][0]
         for i in range(1, self.r):
@@ -540,11 +519,6 @@ class RingMatrix:
 
     def __repr__(self):
         return "[" + ", ".join(repr(row) for row in self.entries) + "]"
-
-
-def involution(x):
-    """The anti-involution * on ring elements and matrices over them."""
-    return x.star()
 
 
 def sup_norm(x, p: int) -> Fraction:

@@ -28,8 +28,6 @@ from ._primes import is_prime
 from ._util import vp_int
 from .errors import (
     IndistinguishableAtPrecision,
-    NotASquare,
-    NotAUnit,
     NotPrime,
     PrimeMismatch,
     ZeroDenominator,
@@ -164,11 +162,6 @@ class Padic:
         if self.is_zero:
             raise ZeroInput("valuation of (a value indistinguishable from) zero")
         return self.v
-
-    def unit_part(self) -> "Padic":
-        if self.is_zero:
-            raise ZeroInput("unit part of zero")
-        return Padic._nonzero(self.p, 0, self.u, self.prec)
 
     def lift(self) -> int:
         """Smallest nonnegative integer representative of p^v*u (v >= 0 only)."""
@@ -403,24 +396,6 @@ class Padic:
         )
 
 
-def teichmuller(a: Padic) -> Padic:
-    """The root of unity congruent to the unit a mod p (mod 4 for p = 2).
-
-    For odd p this is u^(p^(prec-1)) mod p^prec, one ``pow``: u = w * (1 + x)
-    with w the root and v_p(x) >= 1, w^(p^n) = w because p^n = 1 mod p - 1,
-    and (1 + x)^(p^(prec-1)) = 1 mod p^prec.
-    """
-    if a.is_zero or a.v != 0:
-        raise NotAUnit("Teichmuller representative needs a unit (valuation 0)")
-    p, prec = a.p, a.prec
-    if p == 2:
-        if prec < 2:
-            raise IndistinguishableAtPrecision("need the unit mod 4")
-        u = 1 if a.u % 4 == 1 else (1 << prec) - 1
-        return Padic._nonzero(2, 0, u, prec)
-    return Padic._nonzero(p, 0, pow(a.u, p ** (prec - 1), p**prec), prec)
-
-
 def _neg_sum_over_nu(terms, p: int, digits: int, g: int) -> Padic:
     """-sum_nu t_nu / nu modulo p^digits, summed in plain integers.
 
@@ -503,63 +478,3 @@ def padic_log(a: Padic) -> Padic:
     y = pow(a.u, q * p**k, p**digits)
     return _log_one_unit_int(1 - y, p, digits) / (q * p**k)
 
-
-def _sqrt_mod_p(n: int, p: int) -> int:
-    """Tonelli-Shanks square root mod an odd prime (n assumed a QR)."""
-    n %= p
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def padic_sqrt(a: Padic) -> Padic:
-    """Hensel square root with a fixed sign convention.
-
-    p odd: the returned root is congruent to the smaller of the two mod-p
-    square roots.  p = 2: the root is 1 mod 4.  For p = 2 one digit is lost
-    (the square determines the root only one level down).
-    """
-    if a.is_zero:
-        raise IndistinguishableAtPrecision("cannot certify a square root of O(p^k)")
-    p = a.p
-    if a.v % 2 != 0:
-        raise NotASquare(f"odd valuation {a.v}")
-    prec, u = a.prec, a.u
-    if p == 2:
-        if prec < 3:
-            raise IndistinguishableAtPrecision("need the unit mod 8")
-        if u % 8 != 1:
-            raise NotASquare(f"unit {u % 8} mod 8 is not a square in Z_2")
-        r = 1
-        for m in range(3, prec):
-            if (r * r - u) % (1 << (m + 1)):
-                r += 1 << (m - 1)
-        return Padic._nonzero(2, a.v // 2, r % (1 << (prec - 1)), prec - 1)
-    if pow(u, (p - 1) // 2, p) != 1:
-        raise NotASquare(f"{u % p} is not a quadratic residue mod {p}")
-    r0 = _sqrt_mod_p(u, p)
-    r0 = min(r0, p - r0)
-    r, k = r0, 1
-    inv2 = None
-    while k < prec:
-        k = min(2 * k, prec)
-        mod = p**k
-        inv2 = pow(2, -1, mod)
-        r = (r + u * pow(r, -1, mod)) * inv2 % mod
-    return Padic._nonzero(p, a.v // 2, r, prec)

@@ -20,7 +20,7 @@ from .detlog import (
     logdet_unit,
     tr_log_one_unit,
 )
-from .entropy import entropy_sequence, snirelman_mahler
+from .entropy import entropy_sequence
 from .fixcount import _det_bareiss, _det_crt, det_exact, fix_count_char_crt, quotient_det
 from .groupring import (
     FiniteGroupRingElem,
@@ -30,13 +30,12 @@ from .groupring import (
     ZdQuotient,
     build_quotient_group,
     diagonal_family,
-    involution,
     reduce_to_quotient,
     rho_matrix,
     sup_norm,
 )
 from .mahler import mahler_1d
-from .padic import Padic, padic_log, padic_sqrt, teichmuller
+from .padic import Padic, padic_log
 from .poly_io import parse_poly, print_poly
 
 
@@ -84,21 +83,6 @@ def check_padic_log_homomorphism(rng):
             )
 
 
-def check_padic_sqrt_teichmuller(rng):
-    for p in (2, 3, 5, 7):
-        for _ in range(10):
-            a = _rand_padic(rng, p, 10)
-            sq = a * a
-            s = padic_sqrt(sq)
-            assert (s * s).eq_mod(sq, int(sq.abs_prec) - 1)
-            u = a.unit_part()
-            w = teichmuller(u)
-            order = 2 if p == 2 else p - 1  # roots of unity in Z_p
-            assert (w**order).eq_mod(Padic.one(p, 8), 8)
-            ratio = u / w
-            assert ratio.eq_mod(Padic.one(p, 1), 1)
-
-
 def check_norm_axioms(rng):
     for p in (2, 3):
         for _ in range(15):
@@ -111,13 +95,6 @@ def check_norm_axioms(rng):
             ) * sup_norm(x, p)
     assert sup_norm(LaurentPoly.one(2), 3) == 1
     assert sup_norm(LaurentPoly(2, {}), 3) == 0
-
-
-def check_involution(rng):
-    for _ in range(15):
-        f, g = _rand_poly(rng, 2), _rand_poly(rng, 2)
-        assert involution(f * g) == involution(g) * involution(f)
-        assert involution(involution(f)) == f
 
 
 def check_reduction_homomorphism(rng):
@@ -208,8 +185,7 @@ def check_entropy_routes(rng):
     rep = entropy_sequence(f, diagonal_family(1, range(1, 20, 2)), 2, prec=7, target=5)
     assert rep.verdict == "converged"
     assert rep.stabilized_value.eq_mod(mahler_1d(f, 2, 7), 5)
-    rep2 = snirelman_mahler(f, 2, [n for n in range(1, 20) if n % 2], prec=7)
-    assert rep2.stabilized_value.eq_mod(rep.stabilized_value, 5)
+    assert rep.stabilized_value.eq_mod(logdet_unit(f, 2, 7), 5)
 
 
 def check_parser_roundtrip(rng):
@@ -230,9 +206,7 @@ def check_unit_normalize(rng):
 ALL_CHECKS = [
     ("padic-ring-laws", check_padic_ring_laws),
     ("padic-log-homomorphism", check_padic_log_homomorphism),
-    ("padic-sqrt-teichmuller", check_padic_sqrt_teichmuller),
     ("supnorm-axioms", check_norm_axioms),
-    ("involution-anti-multiplicative", check_involution),
     ("reduction-homomorphism", check_reduction_homomorphism),
     ("rho-multiplicative-and-trace", check_rho_multiplicative),
     ("det-dual-routes", check_det_routes),

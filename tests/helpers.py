@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 resultant oracle expands a Sylvester matrix and eliminates over exact
-rationals, and the series oracles sum exact Fractions.
+rationals, the series oracles sum exact Fractions, and the square-root
+oracle gives the outside root (1 + sqrt(-15))/4 of 2T^2 - T + 2 without the
+slope split that the Mahler route runs.
 """
 
 import contextlib
@@ -13,7 +15,7 @@ import os
 from fractions import Fraction
 from unittest import mock
 
-from padic_entropy import LaurentPoly, RingMatrix
+from padic_entropy import LaurentPoly, Padic, RingMatrix
 from padic_entropy.cli import main
 
 
@@ -58,6 +60,35 @@ def simplex_log_oracle(coeffs, p: int, prec: int) -> int:
         multinomial = math.factorial(k) // math.factorial(m) ** n
         total += Fraction((-1) ** (k + 1) * multinomial * prod**m, k)
     return reduce_fraction_mod(total, p, prec)
+
+
+def padic_sqrt(a: Padic) -> Padic:
+    """Hensel square root of a nonzero square a; ValueError on a non-square.
+
+    p odd: the root congruent to the smaller of the two mod-p square roots,
+    lifted by Newton steps to a's precision.  p = 2: the root that is 1 mod 4,
+    one digit short (the square determines the root only one level down).
+    """
+    p, prec, u = a.p, a.prec, a.u
+    if a.is_zero or a.v % 2:
+        raise ValueError(f"not a square: {a}")
+    if p == 2:
+        if prec < 3 or u % 8 != 1:
+            raise ValueError(f"not a square in Z_2: {a}")
+        r = 1
+        for m in range(3, prec):
+            if (r * r - u) % (1 << (m + 1)):
+                r += 1 << (m - 1)
+        return Padic._nonzero(2, a.v // 2, r % (1 << (prec - 1)), prec - 1)
+    roots = [r for r in range(1, p) if (r * r - u) % p == 0]
+    if not roots:
+        raise ValueError(f"{u % p} is not a square mod {p}")
+    r, k = roots[0], 1
+    while k < prec:
+        k = min(2 * k, prec)
+        mod = p**k
+        r = (r + u * pow(r, -1, mod)) * pow(2, -1, mod) % mod
+    return Padic._nonzero(p, a.v // 2, r, prec)
 
 
 def sylvester_resultant(a: list, b: list) -> Fraction:

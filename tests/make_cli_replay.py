@@ -24,7 +24,7 @@ from perfbench.workloads import README_COMMANDS, WORKLOADS, build_jobs
 # p = 2 trace logs and a matrix at moderate precision; Mahler measures at
 # 256 digits with no inside root (s = 0), with only inside roots (s = deg)
 # and of degree 200; and the selftest battery, the CLI's only path through
-# finite group-ring products, star and logdet_finite, at three more seeds.
+# finite group-ring products and logdet_finite, at three more seeds.
 _DEGREE_200 = "+".join(f"{3 if i == 90 else 2 * (i % 5 + 1)}*t^{i}" for i in range(201))
 EDGE_ARGV = [
     ["detlog", "--p", "2", "--prec", "32", "--poly=1+2*x+2*y+2*x^-1*y^-1"],

@@ -25,10 +25,8 @@ from padic_entropy import (
     logdet_unit,
     mahler_1d,
     padic_log,
-    padic_sqrt,
     reduce_to_quotient,
     rho_matrix,
-    snirelman_mahler,
     tr_log_one_unit,
     ZdQuotient,
 )
@@ -64,7 +62,7 @@ def test_criterion_1_golden_quadratic():
         assert l.eq_mod(e, 6)
         # the approximation ladder for the outside root (1 + sqrt(-15))/4:
         # each successive residue approximates it to at least one more digit
-        alpha = (1 + padic_sqrt(Padic.from_rational(-15, 1, 2, 16))) / 4
+        alpha = (1 + helpers.padic_sqrt(Padic.from_rational(-15, 1, 2, 16))) / 4
         assert m.eq_mod(padic_log(alpha), 6)
         ladder = [(1, 2), (-3, 2), (-19, 2), (-83, 2)]
         for k, (num, den) in enumerate(ladder):
@@ -221,7 +219,7 @@ def test_criterion_5_matrix_scalar_routes():
             det_f = det_laurent_matrix(F)
             ns = [n for n in range(1, 30) if n % p]
             rep_e = entropy_sequence(F, diagonal_family(1, ns), p, prec=6, target=4)
-            rep_s = snirelman_mahler(det_f, p, ns, prec=6, target=4)
+            rep_s = entropy_sequence(det_f, diagonal_family(1, ns), p, prec=6, target=4)
             lu = logdet_unit(det_f, p, 6)
             assert rep_e.stabilized_value.eq_mod(rep_s.stabilized_value, 4), (i, p)
             assert rep_e.stabilized_value.eq_mod(lu, 4), (i, p)
@@ -229,7 +227,7 @@ def test_criterion_5_matrix_scalar_routes():
 
     _report(
         5,
-        "25 random expansive 2x2 matrices: entropy = averaged = trace-log mod p^4",
+        "25 random expansive 2x2 matrices: matrix = determinant entropy = trace-log mod p^4",
         body,
     )
 
@@ -241,7 +239,7 @@ def test_criterion_6_convergence_quality():
         rep = entropy_sequence(f, diagonal_family(2, ns), 3, prec=6, target=4)
         # consecutive proven distance valuations are non-decreasing (that is,
         # distances non-increasing) once n exceeds the support diameter (2)
-        dists = rep.consecutive_distances()
+        dists = rep.distances
         start = next(i for i, n in enumerate(ns) if n > f.support_diameter())
         vals = [v for v, _ in dists[start:]]
         assert all(a <= b for a, b in zip(vals, vals[1:])), vals

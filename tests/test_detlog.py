@@ -18,7 +18,6 @@ from padic_entropy import (
     logdet_finite,
     logdet_unit,
     padic_log,
-    padic_sqrt,
     reduce_to_quotient,
     sup_norm,
     tr_log_one_unit,
@@ -634,7 +633,7 @@ def test_logdet_unit_golden_value():
     # independent route: the measure equals log of the outside root
     # (1 + sqrt(-15))/4 of the defining quadratic
     val = logdet_unit(F_EXAMPLE, 2, 8)
-    alpha = (1 + padic_sqrt(Padic.from_rational(-15, 1, 2, 12))) / 4
+    alpha = (1 + helpers.padic_sqrt(Padic.from_rational(-15, 1, 2, 12))) / 4
     assert val.eq_mod(padic_log(alpha), 8)
 
 

@@ -11,10 +11,7 @@ from padic_entropy import (
     diagonal_family,
     entropy_sequence,
     heisenberg_family,
-    logdet_unit,
     mahler_1d,
-    padic_log,
-    snirelman_mahler,
     tr_log_one_unit,
 )
 from padic_entropy import entropy as entropy_mod
@@ -22,7 +19,6 @@ from padic_entropy.errors import (
     DomainMismatch,
     InfiniteFixedPointSet,
     InvalidQuotient,
-    ModulusNotCoprimeToP,
     TooFewRecords,
     UsageError,
 )
@@ -116,7 +112,6 @@ def test_report_pairwise_distances():
     c = Padic.from_rational(5, 1, 2, 8)  # diff to a: valuation 2; to b: zero
     rep = convergence_report([_dummy_record(3, c), _dummy_record(1, a), _dummy_record(2, b)], 2, 1)
     assert rep.distances == [(2, True), (6, False)]
-    assert rep.consecutive_distances() is rep.distances
 
 
 # -- entropy sequences --------------------------------------------------------------
@@ -198,7 +193,7 @@ def test_entropy_d1_one_unit_distances_shrink():
     ns = list(range(1, 9))
     rep = entropy_sequence(f, diagonal_family(1, ns), p, prec=6, target=4)
     start = next(i for i, n in enumerate(ns) if n > f.support_diameter())
-    vals = [v for v, _ in rep.consecutive_distances()[start:]]
+    vals = [v for v, _ in rep.distances[start:]]
     assert all(a <= b for a, b in zip(vals, vals[1:])), vals
     # and the stabilized value matches the direct series
     assert rep.stabilized_value.eq_mod(tr_log_one_unit(f, p, 6), 4)
@@ -234,37 +229,6 @@ def test_scale_invariance_by_p():
     for a, b in zip(rep1.records, rep2.records):
         assert a.normalized == b.normalized
         assert b.fix_count == a.fix_count * 2 ** (a.index)
-
-
-# -- root-of-unity averaging ----------------------------------------------------------
-
-
-def test_snirelman_single_evaluation():
-    rep = snirelman_mahler(F_EXAMPLE, 2, [1, 3], prec=8)
-    log3 = padic_log(Padic.from_rational(3, 1, 2, 8))
-    assert rep.records[0].normalized.eq_mod(log3, 8)
-    # N = 3: (1/3) log 27 = log 3 again
-    assert rep.records[1].normalized.eq_mod(log3, 8)
-
-
-def test_snirelman_constant():
-    rep = snirelman_mahler(LaurentPoly.constant(7), 3, [1, 2, 4], prec=6)
-    log7 = padic_log(Padic.from_rational(7, 1, 3, 6))
-    for rec in rep.records:
-        assert rec.normalized.eq_mod(log7, 6)
-
-
-def test_snirelman_rejects_moduli_divisible_by_p():
-    with pytest.raises(ModulusNotCoprimeToP):
-        snirelman_mahler(F_EXAMPLE, 2, [1, 2, 3], prec=6)
-
-
-def test_snirelman_agrees_with_entropy_and_mahler():
-    ns = [n for n in range(1, 22) if n % 2]
-    rep_s = snirelman_mahler(F_EXAMPLE, 2, ns, prec=8, target=6)
-    rep_e = entropy_sequence(F_EXAMPLE, diagonal_family(1, ns), 2, prec=8, target=6)
-    assert rep_s.stabilized_value.eq_mod(rep_e.stabilized_value, 6)
-    assert rep_s.stabilized_value.eq_mod(logdet_unit(F_EXAMPLE, 2, 8), 6)
 
 
 # -- output -----------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from padic_entropy import (
     RingMatrix,
     ZdQuotient,
     build_quotient_group,
-    involution,
     reduce_to_quotient,
     rho_matrix,
     sup_norm,
@@ -45,25 +44,6 @@ def test_mul_examples():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         LaurentPoly.one(1) * LaurentPoly.one(2)
-
-
-def test_involution_examples():
-    assert involution(F_EXAMPLE).terms == {(-2,): 2, (-1,): -1, (0,): 2}
-    rng = random.Random(1)
-    for _ in range(20):
-        f = helpers.random_laurent(rng, 2)
-        g = helpers.random_laurent(rng, 2)
-        assert involution(involution(f)) == f
-        assert involution(f * g) == involution(g) * involution(f)
-
-
-def test_involution_matrix_blocks_transpose():
-    zero = LaurentPoly(1, {})
-    a = LaurentPoly.monomial((2,), 3)
-    m = RingMatrix([[zero, a], [zero, zero]])
-    ms = involution(m)
-    assert ms.entries[1][0] == involution(a)
-    assert ms.entries[0][1] == zero
 
 
 def test_sup_norm_examples():
@@ -445,16 +425,6 @@ def test_rho_multiplicative_and_trace_compat():
             assert trace_const * g.index == int(np.trace(mab))
 
 
-def test_star_consistent_through_rho():
-    # rho of f* is the transpose of rho of f for scalar elements
-    rng = random.Random(6)
-    g = build_quotient_group(HeisenbergQuotient(2))
-    a = FiniteGroupRingElem(g, [rng.randint(-4, 4) for _ in range(g.index)])
-    m = np.array(rho_matrix(a), dtype=object)
-    ms = np.array(rho_matrix(a.star()), dtype=object)
-    assert (ms == m.T).all()
-
-
 def test_group_descriptor_json_round_trip():
     import json
 
@@ -467,7 +437,7 @@ def test_group_descriptor_json_round_trip():
 # -- the quotient as the group of its ring ---------------------------------------------
 
 
-def test_heis16_reduction_needs_no_inverse_and_star_one_per_coefficient(monkeypatch):
+def test_heis16_reduction_needs_no_inverse(monkeypatch):
     calls = []
     inverse = HeisenbergQuotient.inverse
 
@@ -479,9 +449,6 @@ def test_heis16_reduction_needs_no_inverse_and_star_one_per_coefficient(monkeypa
     q = HeisenbergQuotient(16)
     f = reduce_to_quotient(3 + LaurentPoly.monomial((1, -2, 3)) - LaurentPoly.monomial((0, 5, 0)), q)
     assert f.group is q and calls == []
-    star = f.star()
-    assert sorted(calls) == list(range(q.index))
-    assert star.star() == f
 
 
 def test_elements_over_different_quotients_of_one_order_refuse_to_mix():

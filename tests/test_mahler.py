@@ -11,7 +11,6 @@ from padic_entropy import (
     mahler_1d,
     newton_polygon,
     padic_log,
-    padic_sqrt,
     slope_split,
 )
 from padic_entropy import mahler
@@ -65,7 +64,7 @@ def test_slope_split_example():
     g, h = slope_split(F_COEFFS, 2, 12)
     assert len(g) == 2 and g[-1] == Padic.one(2, 12)
     # g(0) = -alpha_-, and alpha_+ * alpha_- = 1
-    s = padic_sqrt(Padic.from_rational(-15, 1, 2, 14))
+    s = helpers.padic_sqrt(Padic.from_rational(-15, 1, 2, 14))
     alpha_minus = (1 - s) / 4
     alpha_plus = (1 + s) / 4
     assert g[0].eq_mod(-alpha_minus, 11)
@@ -354,7 +353,7 @@ def test_slope_split_rejections():
 
 def test_mahler_golden_value():
     val = mahler_1d(F_COEFFS, 2, 8)
-    alpha = (1 + padic_sqrt(Padic.from_rational(-15, 1, 2, 12))) / 4
+    alpha = (1 + helpers.padic_sqrt(Padic.from_rational(-15, 1, 2, 12))) / 4
     assert val.eq_mod(padic_log(alpha), 8)
 
 

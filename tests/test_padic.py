@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_entropy import Padic, padic_log, padic_sqrt, teichmuller
+from padic_entropy import Padic, padic_log
 from padic_entropy import padic
 from padic_entropy.padic import _ilog, _log_one_unit_int, log_series_cutoff
 from padic_entropy.errors import (
     IndistinguishableAtPrecision,
-    NotASquare,
-    NotAUnit,
     NotPrime,
     PrimeMismatch,
     ZeroDenominator,
@@ -96,23 +94,6 @@ def test_eq_mod_raises_when_undecidable():
     with pytest.raises(IndistinguishableAtPrecision):
         z.eq_mod(b, 5)
     assert z.eq_mod(b, 2)
-
-
-# -- teichmuller ---------------------------------------------------------------
-
-
-def test_teichmuller_examples():
-    w = teichmuller(Padic.from_rational(2, 1, 7, 5))
-    assert w.u % 7 == 2
-    assert (w ** 6).eq_mod(Padic.one(7, 5), 5)
-    assert teichmuller(Padic.one(5, 4)) == Padic.one(5, 4)
-    m1 = teichmuller(Padic.from_rational(3, 1, 2, 5))
-    assert m1.u == 2**5 - 1  # -1
-
-
-def test_teichmuller_needs_unit():
-    with pytest.raises(NotAUnit):
-        teichmuller(Padic.from_rational(6, 1, 3, 4))
 
 
 # -- logarithm -------------------------------------------------------------------
@@ -250,15 +231,6 @@ def test_log_equals_former_teichmuller_log():
                 assert padic_log(a) == _former_log(a), (p, prec, u)
 
 
-def test_teichmuller_equals_former_loop():
-    rng = random.Random(62)
-    for _ in range(300):
-        p, prec = rng.choice((3, 5, 7, 11, 13)), rng.randint(1, 256)
-        a = _random_padic(rng, p, prec, 0)
-        w = teichmuller(a)
-        assert (w.u, w.prec) == (_former_teichmuller_unit(a.u, p, prec), prec)
-
-
 def test_series_cutoff_equals_walk_from_one():
     for p in (2, 3, 5, 7):
         for target in range(-2, 400):
@@ -269,9 +241,6 @@ def test_series_cutoff_equals_walk_from_one():
 
 
 def test_log_takes_no_teichmuller_and_a_short_series(monkeypatch):
-    def forbidden(a):
-        raise AssertionError("padic_log called teichmuller")
-
     counts = []
     real = padic._neg_sum_over_nu
 
@@ -280,7 +249,6 @@ def test_log_takes_no_teichmuller_and_a_short_series(monkeypatch):
         counts.append(len(terms))
         return real(terms, p, digits, g)
 
-    monkeypatch.setattr(padic, "teichmuller", forbidden)
     monkeypatch.setattr(padic, "_neg_sum_over_nu", counted)
     prec = 256
     a = _random_padic(random.Random(63), 3, prec, 0)
@@ -288,21 +256,21 @@ def test_log_takes_no_teichmuller_and_a_short_series(monkeypatch):
     assert len(counts) == 1 and counts[0] <= 2 * math.isqrt(prec) + 4, counts
 
 
-# -- square roots -----------------------------------------------------------------
+# -- square roots (helpers.padic_sqrt, a test oracle) ----------------------------
 
 
 def test_sqrt_examples():
-    s = padic_sqrt(Padic.from_rational(-15, 1, 2, 12))
+    s = helpers.padic_sqrt(Padic.from_rational(-15, 1, 2, 12))
     assert (s * s).eq_mod(Padic.from_rational(-15, 1, 2, 12), 10)
     assert s.u % 4 == 1
-    assert padic_sqrt(Padic.one(3, 6)) == Padic.one(3, 6)
-    assert padic_sqrt(Padic.from_rational(9, 1, 7, 6)).u == 3
+    assert helpers.padic_sqrt(Padic.one(3, 6)) == Padic.one(3, 6)
+    assert helpers.padic_sqrt(Padic.from_rational(9, 1, 7, 6)).u == 3
 
 
 def test_sqrt_ladder_from_series():
     # the classical approximation ladder for (1+sqrt(-15))/4: each listed
     # rational approximates it to at least one more 2-adic digit
-    s = padic_sqrt(Padic.from_rational(-15, 1, 2, 16))
+    s = helpers.padic_sqrt(Padic.from_rational(-15, 1, 2, 16))
     alpha = (1 + s) / 4
     for k, (num, den) in enumerate([(1, 2), (-3, 2), (-19, 2), (-83, 2)]):
         diff = alpha - Padic.from_rational(num, den, 2, 16)
@@ -310,34 +278,20 @@ def test_sqrt_ladder_from_series():
 
 
 def test_sqrt_rejects_nonsquares():
-    with pytest.raises(NotASquare):
-        padic_sqrt(Padic.from_rational(2, 1, 5, 6))  # 2 is not a QR mod 5
-    with pytest.raises(NotASquare):
-        padic_sqrt(Padic.from_rational(3, 1, 2, 6))  # 3 mod 8
-    with pytest.raises(NotASquare):
-        padic_sqrt(Padic.from_rational(5, 1, 5, 6))  # odd valuation
+    with pytest.raises(ValueError):
+        helpers.padic_sqrt(Padic.from_rational(2, 1, 5, 6))  # 2 is not a QR mod 5
+    with pytest.raises(ValueError):
+        helpers.padic_sqrt(Padic.from_rational(3, 1, 2, 6))  # 3 mod 8
+    with pytest.raises(ValueError):
+        helpers.padic_sqrt(Padic.from_rational(5, 1, 5, 6))  # odd valuation
 
 
 @settings(max_examples=60, deadline=None)
 @given(primes, small_rationals)
 def test_sqrt_squares(p, x):
     sq = padic_of(x, p) * padic_of(x, p)
-    s = padic_sqrt(sq)
+    s = helpers.padic_sqrt(sq)
     assert (s * s).eq_mod(sq, int(sq.abs_prec) - 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(primes, small_rationals)
-def test_teichmuller_properties(p, x):
-    a = padic_of(x, p)
-    u = a.unit_part()
-    w = teichmuller(u)
-    # the roots of unity in Z_p are mu_{p-1} for odd p, {+-1} for p = 2
-    order = 2 if p == 2 else p - 1
-    assert (w**order).eq_mod(Padic.one(p, u.prec), u.prec)
-    ratio = u / w
-    assert (ratio - 1).is_zero or (ratio - 1).valuation() >= 1
-    assert (w * ratio).eq_mod(u, u.prec)
 
 
 # -- ring laws ----------------------------------------------------------------------
