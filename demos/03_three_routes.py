@@ -7,11 +7,14 @@
    log of the lowest coefficient minus log of the inside-root product.
 
 All three equal log_2 of the outside root alpha = (1 + sqrt(-15))/4.  The
-reference reads alpha off the Hensel slope split f = g*h: g = T - beta
-carries the inside root beta, and alpha * beta = 2/2 = 1.
+reference takes its root from none of them: the inside root is beta = 2b,
+where b is the unit root of 4b^2 - b + 1 (f(2b) = 2 (4b^2 - b + 1)), found
+by a plain integer Newton lift from b = 1 mod 2.  As alpha * beta = 2/2 = 1
+and log_2 2 = 0, log_2 alpha = -log_2 b.
 """
 
 from padic_entropy import (
+    Padic,
     c0_unit_normalize,
     diagonal_family,
     entropy_sequence,
@@ -20,7 +23,6 @@ from padic_entropy import (
     newton_polygon,
     padic_log,
     parse_poly,
-    slope_split,
 )
 
 print(__doc__)
@@ -49,11 +51,13 @@ v3 = mahler_1d(f, p, prec)
 print(f"  value: {v3}")
 
 print()
-print("reference: log_2((1 + sqrt(-15))/4), the root read off the slope split")
-g, _ = slope_split([2, -1, 2], p, 12)
-alpha = -1 / g[0]
-v4 = padic_log(alpha)
-print(f"  value: {v4}")
+print("reference: log_2((1 + sqrt(-15))/4) = -log_2 b, 4b^2 - b + 1 = 0, b = 1 mod 2")
+digits = 14
+b, mod = 1, p**digits
+while (4 * b * b - b + 1) % mod:  # Newton: h'(b) = 8b - 1 is odd, so digits double
+    b = (b - (4 * b * b - b + 1) * pow(8 * b - 1, -1, mod)) % mod
+v4 = -padic_log(Padic.from_int_mod(b, p, digits))
+print(f"  b = {b} mod 2^{digits}, value: {v4}")
 
 print()
 agree = (

@@ -25,7 +25,7 @@ digits of Y^j that a constant mod p^w can still see (p^(w - 2j + 1));
 reduction mod p^k commutes with products, so the constants are the residues
 the powers of X would give.  Each step of the
 kernel costs at most r * |supp X| * |G| products on a finite group ring,
-so there the series is refused above ``FINITE_SERIES_CAP`` products.
+so there the series is refused above ``SERIES_WORK_CAP`` products.
 
 A scalar X = sum_i c_i t^(e_i) on Z^d needs no powers at all:
 
@@ -39,7 +39,7 @@ where the paired kernel's powers fill a box of about (2 R cap)^d cells
 (R the largest exponent).
 ``tr_log_one_unit`` takes whichever estimate is smaller, a candidate
 counting as ``_LATTICE_POINT_CELLS`` cells, and refuses the series when the
-chosen estimate exceeds ``SERIES_CELL_CAP`` cells.
+chosen estimate exceeds the same ``SERIES_WORK_CAP``, read as cells.
 
 ``c0_unit_normalize`` factors an integral Laurent element that is a unit of
 the convolution algebra as p^a * c * t^nu * (1 + p*g); ``logdet_unit``
@@ -82,25 +82,24 @@ from .groupring import (
 from .padic import Padic, _ilog, _neg_sum_over_nu, padic_log, series_guard
 
 _DENSE_CELL_CAP = 4_000_000
-# Bounds the estimate of the Z^d route ``tr_log_one_unit`` chooses: r * cells,
-# where cells is the exponent box the powers of 1 - F can fill, or the
-# weighted lattice candidates below.  The paired kernel took seconds on a
+# Bounds the work estimate of every trace-log series, before any power is
+# built.  On Z^d it is the estimate of the route ``tr_log_one_unit`` chooses:
+# r * cells, where cells is the exponent box the powers of 1 - F can fill, or
+# the weighted lattice candidates below; the paired kernel took seconds on a
 # d = 3 simplex at prec 128 (about 1.9e7 cells; it now takes the lattice
-# route).
-SERIES_CELL_CAP = 20_000_000
+# route).  On a finite group ring it is r^2 * |supp X| * |G| * ceil(cap/2)
+# products, where |supp X| counts the nonzero (entry, element) cells of
+# X = 1 - F: each of the kernel's ceil(cap/2) steps moves the at most r * |G|
+# cells of a power row by each cell of X, and the pairings cost less.  A
+# full-support 1-unit on heis(8) is about 1.3e6 products (0.2 s); on
+# heis(16) it is 8.4e7 and took 16-22 s, so the cap allows a few seconds.
+SERIES_WORK_CAP = 20_000_000
 # A lattice point of the relation cone counts as this many cells of the
 # exponent box when ``tr_log_one_unit`` picks the cheaper Z^d route.  Measured
 # on a grid of 24 supports (d = 1..3, k - rank = 1..4) at prec 16..128,
 # p = 3: a listed candidate costs about 1-3 us, a cell of the paired kernel
 # 0.005-1.1 us, and 7 gave the least total time (CHANGES.md).
 _LATTICE_POINT_CELLS = 7
-# Bounds r^2 * |supp X| * |G| * ceil(cap/2) on a finite group ring, where
-# |supp X| counts the nonzero (entry, element) cells of X = 1 - F: each of
-# the kernel's ceil(cap/2) steps moves the at most r * |G| cells of a power
-# row by each cell of X, and the pairings cost less.  A full-support 1-unit
-# on heis(8) is about 1.3e6 products (0.2 s); on heis(16) it is 8.4e7 and
-# took 16-22 s, so the cap allows a few seconds.
-FINITE_SERIES_CAP = 20_000_000
 
 
 def _coeff_int_mod(c, p: int, w: int) -> int:
@@ -430,10 +429,9 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     integers (``padic._neg_sum_over_nu``); every prime, p = 2 included, takes
     this one series, since v_p(X^nu / nu) >= nu - v_p(nu).  Series the caps
     would let grow without bound are refused with DomainMismatch before any
-    power is built: over Z^d when the chosen route's estimate exceeds
-    ``SERIES_CELL_CAP`` cells (r times the exponent box, or the weighted
-    candidates), on a finite group ring by the products of the kernel
-    (``FINITE_SERIES_CAP``).
+    power is built, when the work estimate exceeds ``SERIES_WORK_CAP``: over
+    Z^d the chosen route's cells (r times the exponent box, or the weighted
+    candidates), on a finite group ring the products of the kernel.
     """
     F = RingMatrix.wrap(f)
     ident = RingMatrix.identity_like(F)
@@ -457,9 +455,9 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
         ]
         cells = sum(1 for row in coeffs for entry in row for c in entry if c)
         work = r * r * cells * proto.group.index * ((cap + 1) // 2)
-        if work > FINITE_SERIES_CAP:
+        if work > SERIES_WORK_CAP:
             raise DomainMismatch(
-                f"trace-log series of up to {work} products exceeds cap {FINITE_SERIES_CAP}"
+                f"trace-log series of up to {work} products exceeds cap {SERIES_WORK_CAP}"
             )
         consts = _kernel_finite(coeffs, proto.group, r, p, w, cap)
     elif isinstance(proto, LaurentPoly):
@@ -491,9 +489,9 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
             points = _LATTICE_POINT_CELLS * math.comb(cap + free, free)
             if points < cells:
                 work, lattice = points, True
-        if work > SERIES_CELL_CAP:
+        if work > SERIES_WORK_CAP:
             raise DomainMismatch(
-                f"trace-log series over {work} cells exceeds cap {SERIES_CELL_CAP}"
+                f"trace-log series over {work} cells exceeds cap {SERIES_WORK_CAP}"
             )
         if dense:
             consts = _kernel_zd_dense(supports, d, r, pw, cap)
@@ -515,20 +513,16 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
 class UnitDecomposition:
     """f = p^a * c * t^nu * (1 + p*g) with c a p-adic unit and g integral.
 
-    ``c`` is the exact coefficient (int or Fraction); ``c_padic`` its image at
-    the working precision; ``g`` has Padic coefficients; ``one_unit`` is
-    1 + p*g with integer-residue coefficients at the working precision,
-    ready for the trace-log series.
+    ``c`` is the exact coefficient (int or Fraction); ``g`` has Padic
+    coefficients; ``one_unit`` is 1 + p*g with integer-residue coefficients
+    at the working precision, ready for the trace-log series.
     """
 
     a: int
     c: object
-    c_padic: Padic
     nu: tuple
     g: LaurentPoly
     one_unit: LaurentPoly
-    p: int
-    prec: int
 
 
 def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
@@ -571,16 +565,7 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
         if cc:
             g_terms[e] = Padic.from_int_mod(cc // p, p, prec)
     g = LaurentPoly(f.d, g_terms)
-    return UnitDecomposition(
-        a=a,
-        c=c_exact,
-        c_padic=Padic.from_fraction(c_exact, p, prec),
-        nu=nu,
-        g=g,
-        one_unit=one_unit,
-        p=p,
-        prec=prec,
-    )
+    return UnitDecomposition(a=a, c=c_exact, nu=nu, g=g, one_unit=one_unit)
 
 
 def logdet_unit(f: LaurentPoly, p: int, prec: int) -> Padic:

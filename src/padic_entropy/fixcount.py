@@ -59,8 +59,9 @@ rho matrix.  The block route never builds that matrix, but the cap still
 bounds the exponent of the CRT bound (so the number of primes) and the size
 of the dense cross-check that the CLI and the tests run against it.
 
-``det_exact`` (fraction-free Bareiss below size 64, Hadamard bound +
-word-sized primes + CRT above) stays as that dense oracle and serves the
+``det_exact`` (fraction-free Bareiss below size 64; above it word-sized
+primes + CRT under ``_norm_bound`` of the Hadamard row product, the budget
+of a one-block orbit) stays as that dense oracle and serves the
 finite-group formula in ``detlog``.  Only its CRT branch uses numpy, which
 it imports when called, so the block route runs without loading numpy.
 """
@@ -86,7 +87,6 @@ from .groupring import (
     RingMatrix,
     ZdQuotient,
     as_quotient,
-    check_fits,
 )
 from .padic import Padic, padic_log
 
@@ -168,15 +168,12 @@ def _det_crt(m) -> int:
     import numpy as np
 
     rows = [[int(x) for x in row] for row in m]
-    # Hadamard: det^2 <= prod of row square-sums
-    bound_sq = 1
-    for row in rows:
-        s = sum(x * x for x in row)
-        if s == 0:
-            return 0
-        bound_sq *= s
+    # Hadamard: det^2 <= prod of row square-sums, 0 when a row is zero
+    square = math.prod(sum(x * x for x in row) for row in rows)
+    if square == 0:
+        return 0
     a64 = np.array(rows, dtype=object)
-    bound = math.isqrt(bound_sq - 1) + 1
+    bound = _norm_bound(square, 1)
     return _crt_signed(word_primes(), bound, lambda q: _det_mod_prime(a64, q))
 
 
@@ -236,7 +233,7 @@ def _character_blocks(F: RingMatrix, q):
     place of zeta_L.  Nothing here depends on the prime the blocks are
     evaluated in.
     """
-    check_fits(q, _laurent_dim(F))
+    as_quotient(q).check_fits(_laurent_dim(F))
     cells = [
         (s, t, e, c)
         for s, row in enumerate(F.entries)
@@ -513,21 +510,6 @@ class FixCountRecord:
             "normalized": self.normalized.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "FixCountRecord":
-        return cls(
-            quotient=doc["quotient"],
-            label=doc["label"],
-            index=doc["index"],
-            fix_count=int(doc["fix_count"]),
-            det_sign=doc["det_sign"],
-            p=doc["p"],
-            p_valuation=doc["p_valuation"],
-            unit_residue=int(doc["unit_residue"]),
-            unit_log=Padic.from_json(doc["unit_log"]),
-            normalized=Padic.from_json(doc["normalized"]),
-        )
-
 
 def _require_integer_coeffs(f: RingMatrix):
     for row in f.entries:
@@ -551,7 +533,7 @@ def check_quotient(f, q, p: int) -> RingMatrix:
     if size > DEFAULT_SIZE_CAP:
         raise DomainMismatch(f"rho matrix of size {size} exceeds cap {DEFAULT_SIZE_CAP}")
     _require_integer_coeffs(F)
-    check_fits(q, _laurent_dim(F))
+    as_quotient(q).check_fits(_laurent_dim(F))
     return F
 
 

@@ -6,11 +6,12 @@ coefficients (ints, Fractions, or Padic scalars at a shared prime).  A
 finite quotient is its own group: its elements are the indices 0..index-1,
 0 is the identity, and ``multiply`` and ``inverse`` are its own arithmetic
 (a mixed-radix add on Z^d, the unitriangular matrix product on Heisenberg),
-so no multiplication table or inverse list is ever built.  An element of a
-finite group ring holds its quotient as ``group``; elements over equal
-quotients mix, others are refused.  Reduction to a finite quotient folds
-exponent vectors through the quotient map and sums coefficients landing in
-the same coset.  The module needs no numpy.
+so no multiplication table or inverse list is ever built; its own
+``check_fits`` refuses the Laurent dimensions it does not reduce.  An
+element of a finite group ring holds its quotient as ``group``; elements
+over equal quotients mix, others are refused.  Reduction to a finite
+quotient folds exponent vectors through the quotient map and sums
+coefficients landing in the same coset.  The module needs no numpy.
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.d, 0)
-
-    def support(self):
-        return sorted(self.terms)
 
     def support_diameter(self) -> int:
         """Max L1 distance between two support exponents (0 if <= 1 term)."""
@@ -286,11 +281,6 @@ def as_quotient(q):
     if not isinstance(q, (ZdQuotient, HeisenbergQuotient)):
         raise InvalidQuotient(f"unknown quotient spec {q!r}")
     return q
-
-
-def check_fits(q, d: int):
-    """Refuse q unless it is a finite quotient that reduces dimension d."""
-    as_quotient(q).check_fits(d)
 
 
 def build_quotient_group(q) -> ZdQuotient | HeisenbergQuotient:
@@ -495,16 +485,6 @@ class RingMatrix:
     def __rmul__(self, other):
         return RingMatrix([[other * e for e in row] for row in self.entries])
 
-    def trace(self):
-        acc = self.entries[0][0]
-        for i in range(1, self.r):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def trace_constant_coefficient(self):
-        """tr_Gamma of the matrix: identity-coefficient of the ring trace."""
-        return self.trace().constant_coefficient()
-
     def map_entries(self, fn) -> "RingMatrix":
         return RingMatrix([[fn(e) for e in row] for row in self.entries])
 
@@ -570,7 +550,7 @@ def reduce_to_quotient(f, q):
     proto = RingMatrix.wrap(f).entries[0][0]
     if not isinstance(proto, LaurentPoly):
         raise DomainMismatch("can only reduce Laurent data")
-    check_fits(q, proto.d)
+    as_quotient(q).check_fits(proto.d)
     group = build_quotient_group(q)
 
     def fold(e: LaurentPoly) -> FiniteGroupRingElem:

@@ -21,7 +21,7 @@ from .detlog import (
     tr_log_one_unit,
 )
 from .entropy import entropy_sequence
-from .fixcount import _det_bareiss, _det_crt, det_exact, fix_count_char_crt, quotient_det
+from .fixcount import _det_bareiss, _det_crt, det_exact, quotient_det
 from .groupring import (
     FiniteGroupRingElem,
     HeisenbergQuotient,
@@ -130,8 +130,8 @@ def check_char_crt(rng):
     for _ in range(6):
         f = _rand_poly(rng, 1, span=2, cmax=5)
         n = rng.randint(1, 6)
-        dense = det_exact(rho_matrix(reduce_to_quotient(f, ZdQuotient((n,)))))
-        assert fix_count_char_crt(f, (n,)) == dense
+        q = ZdQuotient((n,))
+        assert quotient_det(f, q) == det_exact(rho_matrix(reduce_to_quotient(f, q)))
     for n in (2, 3):
         f = _rand_poly(rng, 3, span=2, cmax=5)
         q = HeisenbergQuotient(n)
