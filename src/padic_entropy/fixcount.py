@@ -49,10 +49,14 @@ orbit needs, not once per prime of the whole group's bound.  On Heisenberg
 the class orbits of one g run through that loop once, and their product is
 raised to the power n/g.  A 1 x 1 block (every character of Z^d when
 r = 1) is evaluated as its one entry, summed inline for each unit of its
-orbit, with no matrix.  The bounds multiply to at most the l1 bound of the
-dense rho matrix, prod_s (sum_t ||f_st||_1)^|G|, and to exactly that bound
-for r = 1 on Z^d; on Heisenberg they are smaller, so fewer primes are
-needed.
+orbit, with no matrix.  A block of size n >= 3 whose cells all lie on the
+cyclic tridiagonal (a Heisenberg block of a scalar whose words have
+x-exponents in {-1, 0, 1}, and every 3 x 3 block) is taken in O(n) by a
+product of 2 x 2 transfer matrices, with no division; any other block goes
+through O(n^3) elimination.  The bounds multiply to at most the l1 bound
+of the dense rho matrix, prod_s (sum_t ||f_st||_1)^|G|, and to exactly
+that bound for r = 1 on Z^d; on Heisenberg they are smaller, so fewer
+primes are needed.
 
 DEFAULT_SIZE_CAP (from ``groupring``) bounds r * |G|, the size of the dense
 rho matrix.  The block route never builds that matrix, but the cap still
@@ -362,12 +366,60 @@ def _norm_bound(square: int, conjugates: int) -> int:
     return root if root * root == power else root + 1
 
 
+def _cyclic_tridiagonal_det(a, up, dn, q: int) -> int:
+    """Determinant modulo q of the n x n matrix, n >= 3, whose nonzero
+    entries are a[k] at (k, k), up[k] at (k, k + 1) and dn[k] at (k + 1, k),
+    indices mod n.
+
+    It is tr(T_(n-1) ... T_0) - (-1)^n (prod up + prod dn), where
+    T_k = [[a[k], -up[k-1] dn[k-1]], [1, 0]]: O(n) and free of division, so a
+    vanishing entry needs no pivot search.  The running product keeps its
+    two rows; the new bottom row is the old top row.
+    """
+    top0, top1, bot0, bot1 = 1, 0, 0, 1
+    for k, ak in enumerate(a):
+        e = up[k - 1] * dn[k - 1]
+        top0, bot0 = (ak * top0 - e * bot0) % q, top0
+        top1, bot1 = (ak * top1 - e * bot1) % q, top1
+    ups = dns = 1
+    for u, d in zip(up, dn):
+        ups, dns = ups * u % q, dns * d % q
+    corners = ups + dns
+    return (top0 + bot1 + (corners if len(a) % 2 else -corners)) % q
+
+
+def _band_slots(size: int, cells):
+    """(slot, k, c) for each cell of the block, or None when its size is
+    below 3 or a cell lies off its cyclic tridiagonal.
+
+    Slot i holds the entry (i, i), size + i the entry (i, i + 1) and
+    2 size + i the entry (i + 1, i), indices mod size.  Every 3 x 3 block
+    qualifies.
+    """
+    if size < 3:
+        return None
+    slots = []
+    for i, j, k, c in cells:
+        step = (j - i) % size
+        if step == 0:
+            slots.append((i, k, c))
+        elif step == 1:
+            slots.append((size + i, k, c))
+        elif step == size - 1:
+            slots.append((2 * size + j, k, c))
+        else:
+            return None
+    return slots
+
+
 def _orbit_residue(size: int, cells, zp: list[int], units, L: int, prime: int) -> int:
     """prod over u in units of det(block (size, cells) at zeta_L^u) in F_prime,
     with zp[k] = zeta_L^k: the residue of an orbit's norm.
 
     A 1 x 1 block is its one entry, sum c * zeta_L^(u * k), summed inline
-    for each unit; a larger block is filled in and handed to _det_mod.
+    for each unit.  A block of size >= 3 whose cells all lie on the cyclic
+    tridiagonal fills its three bands and takes _cyclic_tridiagonal_det; any
+    other block is filled in and handed to _det_mod.
     """
     total = 1
     if size == 1:
@@ -377,6 +429,15 @@ def _orbit_residue(size: int, cells, zp: list[int], units, L: int, prime: int) -
             for k, c in terms:
                 entry += c * zp[u * k % L]
             total = total * entry % prime
+        return total
+    slots = _band_slots(size, cells)
+    if slots is not None:
+        for u in units:
+            band = [0] * (3 * size)
+            for s, k, c in slots:
+                band[s] += c * zp[u * k % L]
+            a, up, dn = band[:size], band[size : 2 * size], band[2 * size :]
+            total = total * _cyclic_tridiagonal_det(a, up, dn, prime) % prime
         return total
     for u in units:
         m = [[0] * size for _ in range(size)]

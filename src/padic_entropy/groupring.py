@@ -85,15 +85,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support_diameter(self) -> int:
-        """Max L1 distance between two support exponents (0 if <= 1 term)."""
-        sup = list(self.terms)
-        best = 0
-        for i, a in enumerate(sup):
-            for b in sup[i + 1 :]:
-                best = max(best, sum(abs(x - y) for x, y in zip(a, b)))
-        return best
-
     def _check_compatible(self, other: "LaurentPoly"):
         if self.d != other.d:
             raise DimensionMismatch(f"d={self.d} vs d={other.d}")

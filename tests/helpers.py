@@ -135,6 +135,16 @@ def log_series_fraction(x: Fraction, nterms: int) -> Fraction:
     return acc
 
 
+def support_diameter(f: LaurentPoly) -> int:
+    """Max L1 distance between two support exponents of f (0 if <= 1 term)."""
+    sup = list(f.terms)
+    best = 0
+    for i, a in enumerate(sup):
+        for b in sup[i + 1 :]:
+            best = max(best, sum(abs(x - y) for x, y in zip(a, b)))
+    return best
+
+
 def random_laurent(rng, d: int, span: int = 2, cmax: int = 5, terms: int = 4) -> LaurentPoly:
     data = {}
     for _ in range(rng.randint(1, terms)):

@@ -4,9 +4,10 @@
 The jobs are the README command lines in their default, table and json forms
 (plus the README's own csv form of ``entropy``), the jobs of the four
 benchmark workloads at seed 3, and a few jobs on the edges of the series
-kernels and the Hensel lift, the selftest battery at a few seeds, refusals
-made before the run, argv whose first token is not the command or with
-tokens left over after it, and help (``EDGE_ARGV``).  Each entry holds the
+kernels and the Hensel lift, the selftest battery at a few seeds, Heisenberg
+counts up to heis:16, refusals made before the run, argv whose first token
+is not the command or with tokens left over after it, and help
+(``EDGE_ARGV``).  Each entry holds the
 argv, the exit status and the SHA-256 of stdout and of stderr of
 ``cli.main``.  Run it from the repository root at the commit whose output
 the replay should pin:
@@ -49,6 +50,12 @@ EDGE_ARGV = [
     ["selftest", "--seed", "1"],
     ["selftest", "--seed", "7"],
     ["selftest", "--seed", "42"],
+    # Heisenberg counts past the benchmark's heis:2..8: cyclic tridiagonal
+    # Clifford blocks up to size 16, and a unit whose x^2 word widens the band
+    ["fixcount", "--p", "3", "--prec", "6", "--poly=1+3*x+3*y+3*x^-1*y^-1", "--quotient", "heis:16"],
+    ["entropy", "--p", "3", "--prec", "6", "--poly=1+3*x+3*y+3*x^-1*y^-1", "--family", "heis:9..16",
+     "--output", "json"],
+    ["fixcount", "--p", "3", "--prec", "6", "--poly=1+3*x^2+3*y+3*x^-1*y^-1", "--quotient", "heis:7"],
     # Refusals made before the run print error[CODE] on stderr under every
     # --output, in this order: both --poly and --poly-file, an unreadable
     # file, precision, prime, tail and target.  A refusal made during the

@@ -240,7 +240,7 @@ def test_criterion_6_convergence_quality():
         # consecutive proven distance valuations are non-decreasing (that is,
         # distances non-increasing) once n exceeds the support diameter (2)
         dists = rep.distances
-        start = next(i for i, n in enumerate(ns) if n > f.support_diameter())
+        start = next(i for i, n in enumerate(ns) if n > helpers.support_diameter(f))
         vals = [v for v, _ in dists[start:]]
         assert all(a <= b for a, b in zip(vals, vals[1:])), vals
         # final three records agree mod 3^4

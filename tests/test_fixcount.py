@@ -397,9 +397,12 @@ ONE = {d: LaurentPoly.one(d) for d in (1, 2, 3)}
         (2 + X3 - Z3Y, HeisenbergQuotient(9)),
         (RingMatrix([[2 * ONE[3], X3], [Z3Y, 2 * ONE[3]]]), HeisenbergQuotient(9)),
         (2 + X3 * Z3Y, HeisenbergQuotient(10)),
+        (F_FAMILY, HeisenbergQuotient(9)),
+        (F_FAMILY, HeisenbergQuotient(12)),
     ],
     ids=[
-        "Z24^2-r1", "Z24^2-r2", "Z8xZ12-r1", "Z8xZ12-r2", "Z1000", "heis9-r1", "heis9-r2", "heis10"
+        "Z24^2-r1", "Z24^2-r2", "Z8xZ12-r1", "Z8xZ12-r2", "Z1000", "heis9-r1", "heis9-r2", "heis10",
+        "heis9-family", "heis12-family",
     ],
 )
 def test_orbit_route_matches_single_crt_route(f, q):
@@ -790,3 +793,83 @@ def test_det_mod_matches_the_pivot_inverse_elimination():
         swaps += m[0][0] % q == 0 and got != 0
         singular += got == 0
     assert swaps > 20 and singular > 160
+
+
+# -- the cyclic tridiagonal determinant ---------------------------------------------
+
+
+def _cyclic_tridiagonal(a, up, dn):
+    n = len(a)
+    m = [[0] * n for _ in range(n)]
+    for k in range(n):
+        m[k][k] += a[k]
+        m[k][(k + 1) % n] += up[k]
+        m[(k + 1) % n][k] += dn[k]
+    return m
+
+
+def _cyclic_tridiagonal_cases():
+    rng = random.Random(28)
+    pool = primes_one_mod(16)
+    primes = [next(pool) for _ in range(3)]
+    for n in range(3, 17):
+        for i in range(14):
+            q = primes[i % 3]
+            a, up, dn = ([rng.randrange(q) for _ in range(n)] for _ in range(3))
+            kind = i % 7
+            if kind == 1:  # zero diagonal
+                a = [0] * n
+            elif kind == 2:  # scattered zeros off the diagonal
+                up, dn = ([x if rng.random() < 0.6 else 0 for x in band] for band in (up, dn))
+            elif kind == 3:  # zero corners (n - 1, 0) and (0, n - 1)
+                up[-1] = dn[-1] = 0
+            elif kind == 4:  # one off-diagonal band zero: triangular but for a corner
+                up = [0] * n
+            elif kind == 5:  # a zero row
+                k = rng.randrange(n)
+                a[k] = up[k] = dn[k - 1] = 0
+            elif kind == 6:  # small entries, one of them a multiple of q
+                a, up, dn = ([rng.randint(-2, 2) for _ in range(n)] for _ in range(3))
+                a[0] = q * rng.randint(-2, 2)
+            yield a, up, dn, q
+
+
+def test_cyclic_tridiagonal_det_matches_det_mod():
+    singular = 0
+    for a, up, dn, q in _cyclic_tridiagonal_cases():
+        got = fixcount._cyclic_tridiagonal_det(a, up, dn, q)
+        assert got == fixcount._det_mod(_cyclic_tridiagonal(a, up, dn), q), (a, up, dn, q)
+        singular += got == 0
+    assert singular >= 28  # at least the 28 matrices with a zero row
+
+
+def test_clifford_blocks_of_the_family_unit_need_no_elimination(monkeypatch):
+    expected = {}
+    monkeypatch.setattr(fixcount, "_band_slots", lambda size, cells: None)
+    for n in range(3, 17):
+        expected[n] = quotient_det(F_FAMILY, HeisenbergQuotient(n))
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("_det_mod ran on a cyclic tridiagonal block")
+
+    monkeypatch.setattr(fixcount, "_det_mod", refuse)
+    for n in range(3, 17):
+        assert quotient_det(F_FAMILY, HeisenbergQuotient(n)) == expected[n] != 0, n
+
+
+def test_wide_band_blocks_keep_the_elimination(monkeypatch):
+    # the x^2 word puts cells two places off the diagonal of a block of size 4
+    f = 1 + 3 * X**2 + 3 * Y + 3 * LaurentPoly.monomial((-1, -1))
+    q = HeisenbergQuotient(4)
+    sizes = []
+    real = fixcount._det_mod
+
+    def counted(m, prime):
+        sizes.append(len(m))
+        return real(m, prime)
+
+    monkeypatch.setattr(fixcount, "_det_mod", counted)
+    got = quotient_det(f, q)
+    assert sizes and set(sizes) == {4}
+    assert got == _dense_det(f, q) != 0
