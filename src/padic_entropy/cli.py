@@ -183,6 +183,7 @@ def _cmd_unit_check(args: argparse.Namespace) -> tuple[int, str]:
     if isinstance(f, RingMatrix):
         raise UsageError("unit-check takes a scalar polynomial")
     dec = c0_unit_normalize(f, args.p, args.prec)
+    g_terms = len(dec.one_unit.terms) - 1  # the constant term of 1 + p*g is 1
     doc = {
         "schema": SCHEMA,
         "command": "unit-check",
@@ -193,12 +194,12 @@ def _cmd_unit_check(args: argparse.Namespace) -> tuple[int, str]:
         "p_power": dec.a,
         "leading_unit": str(dec.c),
         "monomial_exponent": list(dec.nu),
-        "one_unit_support": len(dec.g.terms),
+        "one_unit_support": g_terms,
     }
     lines = [
         f"unit of c0(Z^{f.d}) at p={args.p}: yes",
         f"  f = {args.p}^{dec.a} * ({dec.c}) * t^{dec.nu} * (1 + {args.p}*g)",
-        f"  g has {len(dec.g.terms)} term(s) at precision {args.prec}",
+        f"  g has {g_terms} term(s) at precision {args.prec}",
     ]
     return 0, _emit(doc, args, lines)
 

@@ -58,7 +58,6 @@ route and unit normalization run without it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -434,12 +433,13 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     candidates), on a finite group ring the products of the kernel.
     """
     F = RingMatrix.wrap(f)
-    ident = RingMatrix.identity_like(F)
-    X = ident - F
+    proto = F.entries[0][0]
+    if not isinstance(proto, (FiniteGroupRingElem, LaurentPoly)):
+        raise DomainMismatch("unsupported ring for the trace-log series")
+    X = RingMatrix.identity_like(F) - F
     norm = sup_norm(X, p)
     if norm > Fraction(1, p):
         raise NotAOneUnit(f"F - 1 has sup norm {norm} > 1/{p}")
-    proto = F.entries[0][0]
     r = F.r
     w, cutoff = series_guard(p, prec)
     cap = min(cutoff, w)  # X^nu = 0 mod p^w once nu >= w
@@ -460,7 +460,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
                 f"trace-log series of up to {work} products exceeds cap {SERIES_WORK_CAP}"
             )
         consts = _kernel_finite(coeffs, proto.group, r, p, w, cap)
-    elif isinstance(proto, LaurentPoly):
+    else:
         d = proto.d
         supports = [
             [
@@ -499,8 +499,6 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
             consts = _kernel_zd_lattice(supports[0][0], p, w, cap)
         else:
             consts = _kernel_zd_sparse(supports, d, r, p, w, cap)
-    else:
-        raise DomainMismatch("unsupported ring for the trace-log series")
 
     # c_nu is divisible by p^nu and v_p(nu) <= floor(log_p cap) <= w - prec
     return _neg_sum_over_nu(enumerate(consts, start=1), p, prec, _ilog(cap, p))
@@ -513,15 +511,15 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
 class UnitDecomposition:
     """f = p^a * c * t^nu * (1 + p*g) with c a p-adic unit and g integral.
 
-    ``c`` is the exact coefficient (int or Fraction); ``g`` has Padic
-    coefficients; ``one_unit`` is 1 + p*g with integer-residue coefficients
-    at the working precision, ready for the trace-log series.
+    ``c`` is the exact coefficient (int or Fraction); ``one_unit`` is
+    1 + p*g with integer coefficients modulo p^(prec+1), ready for the
+    trace-log series.  Its constant term is exactly 1, so g has
+    len(one_unit.terms) - 1 terms.
     """
 
     a: int
     c: object
     nu: tuple
-    g: LaurentPoly
     one_unit: LaurentPoly
 
 
@@ -532,6 +530,8 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
     nonzero monomial c*t^nu -- that is exactly the unit criterion; anything
     else means f vanishes somewhere on the p-adic torus and NotACZeroUnit is
     raised.  On success returns the full decomposition at precision prec.
+    Each coefficient is reduced once, modulo p^(prec+1); the unit test reads
+    those residues mod p.
     """
     if not isinstance(f, LaurentPoly):
         raise DomainMismatch("normalization needs a Laurent polynomial")
@@ -542,30 +542,24 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
             raise DomainMismatch("normalization needs exact integer or rational coefficients")
     a, scaled = strip_p_content(list(f.terms.values()), p)
     terms = dict(zip(f.terms, scaled))
-    w = prec + 1
-    residues = {e: _coeff_int_mod(c, p, 1) for e, c in terms.items()}
-    nonzero = [e for e, c in residues.items() if c]
+    pw = p ** (prec + 1)
+    residues = {e: rational_residue(c, p, pw) for e, c in terms.items()}
+    nonzero = [e for e, c in residues.items() if c % p]
     if len(nonzero) != 1:
         raise NotACZeroUnit(
             f"reduction mod {p} has {len(nonzero)} monomials; the element "
             f"vanishes somewhere on the {p}-adic torus"
         )
     nu = nonzero[0]
-    c_exact = terms[nu]
-    cinv = pow(_coeff_int_mod(c_exact, p, w), -1, p**w)
-    unit_terms = {}
-    for e, cc in terms.items():
-        shifted = tuple(x - y for x, y in zip(e, nu))
-        unit_terms[shifted] = _coeff_int_mod(cc, p, w) * cinv % p**w
-    one_unit = LaurentPoly(f.d, unit_terms)
-    g_terms = {}
-    zero_exp = (0,) * f.d
-    for e, cc in unit_terms.items():
-        cc = (cc - (1 if e == zero_exp else 0)) % p**w
-        if cc:
-            g_terms[e] = Padic.from_int_mod(cc // p, p, prec)
-    g = LaurentPoly(f.d, g_terms)
-    return UnitDecomposition(a=a, c=c_exact, nu=nu, g=g, one_unit=one_unit)
+    cinv = pow(residues[nu], -1, pw)
+    one_unit = LaurentPoly(
+        f.d,
+        {
+            tuple(x - y for x, y in zip(e, nu)): c * cinv % pw
+            for e, c in residues.items()
+        },
+    )
+    return UnitDecomposition(a=a, c=terms[nu], nu=nu, one_unit=one_unit)
 
 
 def logdet_unit(f: LaurentPoly, p: int, prec: int) -> Padic:
@@ -585,9 +579,12 @@ def logdet_unit(f: LaurentPoly, p: int, prec: int) -> Padic:
 def det_laurent_matrix(F: RingMatrix) -> LaurentPoly:
     """Exact determinant of a matrix over the commutative Laurent algebra.
 
-    Signed permutation expansion: no division, exact for every coefficient
-    domain; fine for the small r used here (cofactor growth beyond r = 8 is
-    out of scope).
+    Expansion in minors over column subsets, with no division: the minors
+    of rows 0..k-1 on each column set S extend to row k by each column
+    j not in S, with sign (-1)^(number of columns of S after j) (Laplace
+    along row k).  Each minor is built once, r * 2^(r-1) - r products in
+    all.  Matrices with r > 8 are refused; the message still names the
+    permutation expansion this replaced, so refusals keep their bytes.
     """
     F = RingMatrix.wrap(F)
     if not isinstance(F.entries[0][0], LaurentPoly):
@@ -595,19 +592,21 @@ def det_laurent_matrix(F: RingMatrix) -> LaurentPoly:
     r = F.r
     if r > 8:
         raise DomainMismatch("permutation expansion capped at r = 8")
-    d = F.entries[0][0].d
-    acc = LaurentPoly(d, {})
-    for perm in itertools.permutations(range(r)):
-        inv = 0
-        for i in range(r):
-            for j in range(i + 1, r):
-                if perm[i] > perm[j]:
-                    inv += 1
-        term = F.entries[0][perm[0]]
-        for i in range(1, r):
-            term = term * F.entries[i][perm[i]]
-        acc = acc - term if inv % 2 else acc + term
-    return acc
+    # bit j of a key is column j
+    minors = {1 << j: x for j, x in enumerate(F.entries[0])}
+    for row in F.entries[1:]:
+        grown: dict[int, LaurentPoly] = {}
+        for cols, minor in minors.items():
+            for j, x in enumerate(row):
+                if cols >> j & 1:
+                    continue
+                term = minor * x
+                if bin(cols >> j).count("1") % 2:
+                    term = -term
+                key = cols | 1 << j
+                grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors[(1 << r) - 1]
 
 
 def logdet_finite(f, p: int, prec: int) -> Padic:

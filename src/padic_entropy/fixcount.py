@@ -86,6 +86,7 @@ from .errors import (
 )
 from .groupring import (
     DEFAULT_SIZE_CAP,
+    FiniteGroupRingElem,
     HeisenbergQuotient,
     LaurentPoly,
     RingMatrix,
@@ -575,7 +576,12 @@ class FixCountRecord:
 def _require_integer_coeffs(f: RingMatrix):
     for row in f.entries:
         for e in row:
-            vals = e.terms.values() if isinstance(e, LaurentPoly) else e.coeffs
+            if isinstance(e, LaurentPoly):
+                vals = e.terms.values()
+            elif isinstance(e, FiniteGroupRingElem):
+                vals = e.coeffs
+            else:
+                raise DomainMismatch("can only reduce Laurent data")
             for c in vals:
                 if not isinstance(c, int):
                     raise DomainMismatch("fixed-point counts need integer coefficients")

@@ -222,15 +222,11 @@ class Padic:
             return Padic._nonzero(p, nz.v, nz.u, m - nz.v)
         m = min(self.v + self.prec, o.v + o.prec)
         w = min(self.v, o.v)
-        if m - w < 1:
-            return Padic.zero(p, m)
         mod = p ** (m - w)
         t = (self.u * p ** (self.v - w) + o.u * p ** (o.v - w)) % mod
         if t == 0:
             return Padic.zero(p, m)
         vt = vp_int(t, p)
-        if w + vt >= m:
-            return Padic.zero(p, m)
         return Padic._nonzero(p, w + vt, t // p**vt, m - w - vt)
 
     __radd__ = __add__
@@ -285,26 +281,6 @@ class Padic:
 
     def __rtruediv__(self, other):
         return self.inv() * other
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        if self.is_zero:
-            if k == 0:
-                raise ZeroInput("0^0 at finite precision")
-            if self.zprec is None:
-                return self
-            return Padic.zero(self.p, k * self.zprec)
-        out = Padic._nonzero(self.p, 0, 1, self.prec)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- comparison ---------------------------------------------------------
 

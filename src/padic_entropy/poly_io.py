@@ -3,8 +3,8 @@
 Grammar (whitespace insignificant):
 
     poly   := term (('+'|'-') term)*
-    term   := int ('*' mono)? | mono
-    mono   := var ('^' signed-int)? mono?
+    term   := int ('*'? mono)? | mono
+    mono   := var ('^' signed-int)? ('*'? mono)?
     matrix := '[' '[' poly (',' poly)* ']' (',' '[' ... ']')* ']'
 
 Variables are t1..t9; t and x alias t1, y aliases t2, z aliases t3, so

@@ -4,12 +4,14 @@ The oracles here deliberately avoid the library's own code paths: the
 resultant oracle expands a Sylvester matrix and eliminates over exact
 rationals, the series oracles sum exact Fractions, and the square-root
 oracle gives the outside root (1 + sqrt(-15))/4 of 2T^2 - T + 2 without the
-slope split that the Mahler route runs.
+slope split that the Mahler route runs, and the determinant oracle sums the
+signed permutation expansion instead of the library's column-subset minors.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -143,6 +145,21 @@ def support_diameter(f: LaurentPoly) -> int:
         for b in sup[i + 1 :]:
             best = max(best, sum(abs(x - y) for x, y in zip(a, b)))
     return best
+
+
+def det_by_permutations(F: RingMatrix) -> LaurentPoly:
+    """det F over the commutative Laurent algebra by the signed permutation expansion."""
+    r = F.r
+    acc = LaurentPoly(F.entries[0][0].d, {})
+    for perm in itertools.permutations(range(r)):
+        if any(F.entries[i][perm[i]].is_zero() for i in range(r)):
+            continue
+        inversions = sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
+        term = F.entries[0][perm[0]]
+        for i in range(1, r):
+            term = term * F.entries[i][perm[i]]
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
 
 
 def random_laurent(rng, d: int, span: int = 2, cmax: int = 5, terms: int = 4) -> LaurentPoly:

@@ -5,8 +5,9 @@ The jobs are the README command lines in their default, table and json forms
 (plus the README's own csv form of ``entropy``), the jobs of the four
 benchmark workloads at seed 3, and a few jobs on the edges of the series
 kernels and the Hensel lift, the selftest battery at a few seeds, Heisenberg
-counts up to heis:16, refusals made before the run, argv whose first token
-is not the command or with tokens left over after it, and help
+counts up to heis:16, CLI paths no other job reaches (among them detlog
+on 7x7 to 9x9 matrices), refusals made before the run, argv whose first
+token is not the command or with tokens left over after it, and help
 (``EDGE_ARGV``).  Each entry holds the
 argv, the exit status and the SHA-256 of stdout and of stderr of
 ``cli.main``.  Run it from the repository root at the commit whose output
@@ -27,6 +28,17 @@ from perfbench.workloads import README_COMMANDS, WORKLOADS, build_jobs
 # and of degree 200; and the selftest battery, the CLI's only path through
 # finite group-ring products and logdet_finite, at three more seeds.
 _DEGREE_200 = "+".join(f"{3 if i == 90 else 2 * (i % 5 + 1)}*t^{i}" for i in range(201))
+
+
+def _banded(r: int) -> str:
+    """An r x r 1-unit: 1+3*x on the diagonal, 3*y off it where i + j is odd, else 3*x^-1."""
+    rows = (
+        ",".join("1+3*x" if i == j else "3*y" if (i + j) % 2 else "3*x^-1" for j in range(r))
+        for i in range(r)
+    )
+    return "--poly=[[" + "],[".join(rows) + "]]"
+
+
 EDGE_ARGV = [
     ["detlog", "--p", "2", "--prec", "32", "--poly=1+2*x+2*y+2*x^-1*y^-1"],
     ["detlog", "--p", "2", "--prec", "48", "--poly=1+2*x-2*y+4*x^-1*y^-1"],
@@ -56,6 +68,21 @@ EDGE_ARGV = [
     ["entropy", "--p", "3", "--prec", "6", "--poly=1+3*x+3*y+3*x^-1*y^-1", "--family", "heis:9..16",
      "--output", "json"],
     ["fixcount", "--p", "3", "--prec", "6", "--poly=1+3*x^2+3*y+3*x^-1*y^-1", "--quotient", "heis:7"],
+    # Paths no other job reaches: the default family, family and quotient
+    # strings that do not parse or do not fit, a matrix where unit-check
+    # takes a scalar, a Mahler measure in two variables, the variable t0,
+    # an integer written before its monomial, unequal matrix rows, and
+    # matrix determinants of size 7 and 8 and the r > 8 refusal
+    ["entropy", "--p", "3", "--poly=1+3*x"],
+    ["entropy", "--p", "3", "--poly=1+3*x", "--family", "1..x"],
+    ["entropy", "--p", "3", "--poly=1+3*x", "--family", "1,a"],
+    ["fixcount", "--p", "3", "--poly=1+3*x", "--quotient", "3,5"],
+    ["unit-check", "--p", "3", "--poly=[[1+3*x]]"],
+    ["mahler", "--p", "3", "--poly=1+3*x*y"],
+    ["mahler", "--p", "3", "--poly=1+3*t0"],
+    ["mahler", "--p", "3", "--poly=1+3t"],
+    ["detlog", "--p", "3", "--poly=[[1+3*x,3],[0]]"],
+    *(["detlog", "--p", "3", _banded(r)] for r in (7, 8, 9)),
     # Refusals made before the run print error[CODE] on stderr under every
     # --output, in this order: both --poly and --poly-file, an unreadable
     # file, precision, prime, tail and target.  A refusal made during the

@@ -305,11 +305,12 @@ def test_replayed_jobs_keep_their_output_bytes():
     # lift edge jobs, high-precision trace logs on both Z^d routes, three
     # selftest seeds, Heisenberg counts up to heis:16, the refusals made
     # before the run (non-ASCII digits in --poly among them), argv whose first
-    # token is not the command or with tokens left over after it, and help at
-    # 80 columns, with the exit status and output digests recorded by
-    # tests/make_cli_replay.py
+    # token is not the command or with tokens left over after it, paths no
+    # other job reaches (the default family, unparsed family and quotient
+    # strings, 7x7 to 9x9 detlog matrices), and help at 80 columns, with the
+    # exit status and output digests recorded by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 397
+    assert len(jobs) == 409
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 

@@ -17,6 +17,7 @@ from padic_entropy import (
     det_laurent_matrix,
     logdet_finite,
     logdet_unit,
+    mahler_1d,
     padic_log,
     reduce_to_quotient,
     sup_norm,
@@ -46,10 +47,8 @@ F_EXAMPLE = 2 * T * T - T + 2
 def test_normalize_example():
     dec = c0_unit_normalize(F_EXAMPLE, 2, 10)
     assert dec.a == 0 and dec.c == -1 and dec.nu == (1,)
-    g = {e: c for e, c in dec.g.terms.items()}
-    assert set(g) == {(1,), (-1,)}
-    minus_one = Padic.from_rational(-1, 1, 2, 10)
-    assert g[(1,)].eq_mod(minus_one, 10) and g[(-1,)].eq_mod(minus_one, 10)
+    # 1 + 2g with g = -t - t^-1, modulo 2^11
+    assert dec.one_unit.terms == {(0,): 1, (1,): 2**11 - 2, (-1,): 2**11 - 2}
 
 
 def test_normalize_refuses_non_units():
@@ -63,7 +62,8 @@ def test_normalize_refuses_non_units():
 
 def test_normalize_pure_monomial_times_p():
     dec = c0_unit_normalize(5 * T, 5, 6)
-    assert dec.a == 1 and dec.c == 1 and dec.nu == (1,) and dec.g.is_zero()
+    assert dec.a == 1 and dec.c == 1 and dec.nu == (1,)
+    assert dec.one_unit == LaurentPoly.one(1)
 
 
 def test_normalize_reexpansion_invariant():
@@ -92,6 +92,11 @@ def test_normalize_reexpansion_invariant():
 
 
 # -- trace-log series ---------------------------------------------------------------
+
+
+def test_trlog_refuses_a_bare_scalar():
+    with pytest.raises(DomainMismatch, match=r"^unsupported ring for the trace-log series$"):
+        tr_log_one_unit(4, 3, 4)
 
 
 def test_trlog_no_constant_support_is_zero():
@@ -644,6 +649,22 @@ def test_logdet_unit_monomial_and_constant():
     assert got.eq_mod(padic_log(Padic.from_rational(3, 1, 2, 8)), 8)
 
 
+def test_rational_coefficients_on_the_scalar_routes():
+    # coefficients with a unit denominator reach rational_residue's Fraction
+    # branch: in the unit normalization and in mahler_1d
+    f = LaurentPoly(1, {(0,): Fraction(1, 2), (1,): 3})
+    got = logdet_unit(f, 3, 8)
+    assert str(got) == "1855*3^1 + O(3^8)"
+    assert got == mahler_1d(f, 3, 8)
+    x, y = LaurentPoly.monomial((1, 0)), LaurentPoly.monomial((0, 1))
+    xy_inv = LaurentPoly.monomial((-1, -1))
+    f = LaurentPoly.one(2) + Fraction(3, 2) * x + Fraction(3, 4) * y - Fraction(3, 2) * xy_inv
+    lhs = logdet_unit(f, 3, 8)
+    assert str(lhs) == "172*3^3 + O(3^8)"
+    log4 = padic_log(Padic.from_rational(4, 1, 3, 8))
+    assert (lhs + log4).eq_mod(logdet_unit(4 * f, 3, 8), 8)
+
+
 def test_logdet_unit_multiplicative():
     rng = random.Random(25)
     for p in (2, 3):
@@ -672,6 +693,28 @@ def test_det_laurent_vs_trlog():
             lhs = tr_log_one_unit(F, p, 5)
             rhs = tr_log_one_unit(det_laurent_matrix(F), p, 5)
             assert lhs.eq_mod(rhs, 5)
+
+
+def test_det_laurent_matches_permutation_expansion():
+    # random r x r matrices, r = 1..8, with zero entries, against the signed
+    # permutation expansion; zeros keep the 8! expansion quick
+    rng = random.Random(29)
+    for r in range(1, 9):
+        for trial in range(3):
+            d = 1 + trial % 2
+            share = 0.2 if r < 6 else 0.45
+            F = RingMatrix(
+                [
+                    [
+                        LaurentPoly(d, {})
+                        if rng.random() < share
+                        else helpers.random_laurent(rng, d, span=1, cmax=3, terms=2)
+                        for _ in range(r)
+                    ]
+                    for _ in range(r)
+                ]
+            )
+            assert det_laurent_matrix(F) == helpers.det_by_permutations(F), (r, trial)
 
 
 def test_det_laurent_3x3_against_cofactor():

@@ -171,6 +171,11 @@ def test_entropy_refuses_past_the_size_cap_before_any_count(monkeypatch):
         entropy_sequence(T - 1, diagonal_family(1, [2, 5000]), 2)
 
 
+def test_entropy_refuses_a_bare_scalar():
+    with pytest.raises(DomainMismatch, match=r"^can only reduce Laurent data$"):
+        entropy_sequence(5, diagonal_family(1, [1, 2]), 3)
+
+
 def test_entropy_two_families_same_limit():
     # two different cofinal families stabilize to the same value
     rng = random.Random(40)

@@ -22,6 +22,7 @@ from padic_entropy import fixcount
 from padic_entropy._primes import pool_root, primes_one_mod
 from padic_entropy.fixcount import _det_bareiss, _det_crt, check_quotient
 from padic_entropy.errors import (
+    DomainMismatch,
     InfiniteFixedPointSet,
     InvalidQuotient,
     NonAbelianQuotient,
@@ -282,6 +283,16 @@ def test_fix_count_builds_no_group_table_or_rho_matrix(monkeypatch):
 def test_fix_count_refuses_non_prime_p(p):
     with pytest.raises(NotPrime):
         fix_count(F_EXAMPLE, ZdQuotient((3,)), p=p, prec=4)
+
+
+def test_quotient_det_refuses_a_bare_scalar():
+    with pytest.raises(DomainMismatch, match=r"^can only reduce Laurent data$"):
+        quotient_det(5, ZdQuotient((3,)))
+
+
+def test_fix_count_refuses_a_bare_scalar():
+    with pytest.raises(DomainMismatch, match=r"^can only reduce Laurent data$"):
+        fix_count(5, ZdQuotient((3,)), 3)
 
 
 # -- serialization ----------------------------------------------------------------------

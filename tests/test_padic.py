@@ -88,6 +88,15 @@ def test_zero_arithmetic_tracks_precision():
     assert s.is_zero and s.zprec == 2
 
 
+def test_zeros_in_sums_and_products():
+    exact, o5 = Padic.zero(3), Padic.zero(3, 5)
+    assert exact + exact == exact
+    assert exact + o5 == o5 and o5 + exact == o5
+    assert exact * Padic.from_rational(5, 1, 3, 4) == exact
+    assert Padic.zero(3, 2) * Padic.zero(3, 3) == Padic.zero(3, 5)
+    assert Padic.from_int_mod(9, 3, 4) * Padic.zero(3, 2) == Padic.zero(3, 4)
+
+
 def test_eq_mod_raises_when_undecidable():
     z = Padic.zero(3, 2)
     b = Padic.from_rational(27, 1, 3, 4)
