@@ -75,6 +75,7 @@ from .groupring import (
     FiniteGroupRingElem,
     LaurentPoly,
     RingMatrix,
+    _GroupRingElem,
     rho_matrix,
     sup_norm,
 )
@@ -389,22 +390,18 @@ def _kernel_zd_lattice(support, p: int, w: int, cap: int) -> list[int]:
     return [p**nu * sums[nu] % p**w for nu in range(1, cap + 1)]
 
 
-def _kernel_finite(coeffs, group, r: int, p: int, w: int, cap: int) -> list[int]:
-    """The paired kernel on a finite group ring; ``coeffs[s][t]`` lists X's coefficients by element.
+def _kernel_finite(supports, group, r: int, p: int, w: int, cap: int) -> list[int]:
+    """The paired kernel on a finite group ring; ``supports[s][t]`` lists X's (element, coefficient) pairs.
 
     ``group`` is the quotient.  The column g -> g*h of its law is listed only
     for h in X's support, and the inverse of every element once, for the
     pairings.
     """
-    support = {h for row in coeffs for entry in row for h, c in enumerate(entry) if c}
     elements = range(group.index)
     mul = group.multiply
-    cols = {h: [mul(g, h) for g in elements] for h in support}
+    cols = {h: [mul(g, h) for g in elements] for row in supports for sup in row for h, _ in sup}
     inverses = [group.inverse(g) for g in elements]
-    xmat = [
-        [[(cols[h], c) for h, c in enumerate(coeffs[s][t]) if c] for t in range(r)]
-        for s in range(r)
-    ]
+    xmat = [[[(cols[h], c) for h, c in supports[s][t]] for t in range(r)] for s in range(r)]
     return _kernel_paired(xmat, 0, inverses, r, p, w, cap)
 
 
@@ -434,7 +431,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     """
     F = RingMatrix.wrap(f)
     proto = F.entries[0][0]
-    if not isinstance(proto, (FiniteGroupRingElem, LaurentPoly)):
+    if not isinstance(proto, _GroupRingElem):
         raise DomainMismatch("unsupported ring for the trace-log series")
     X = RingMatrix.identity_like(F) - F
     norm = sup_norm(X, p)
@@ -444,38 +441,27 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     w, cutoff = series_guard(p, prec)
     cap = min(cutoff, w)  # X^nu = 0 mod p^w once nu >= w
     pw = p**w
+    # (key, residue mod p^w) for each nonzero residue of each entry of X
+    supports = [
+        [
+            sorted(
+                (k, cc) for k, c in X.entries[s][t].terms.items() if (cc := _coeff_int_mod(c, p, w))
+            )
+            for t in range(r)
+        ]
+        for s in range(r)
+    ]
 
     if isinstance(proto, FiniteGroupRingElem):
-        coeffs = [
-            [
-                [_coeff_int_mod(c, p, w) for c in X.entries[s][t].coeffs]
-                for t in range(r)
-            ]
-            for s in range(r)
-        ]
-        cells = sum(1 for row in coeffs for entry in row for c in entry if c)
+        cells = sum(len(sup) for row in supports for sup in row)
         work = r * r * cells * proto.group.index * ((cap + 1) // 2)
         if work > SERIES_WORK_CAP:
             raise DomainMismatch(
                 f"trace-log series of up to {work} products exceeds cap {SERIES_WORK_CAP}"
             )
-        consts = _kernel_finite(coeffs, proto.group, r, p, w, cap)
+        consts = _kernel_finite(supports, proto.group, r, p, w, cap)
     else:
         d = proto.d
-        supports = [
-            [
-                sorted(
-                    (e, cc)
-                    for e, cc in (
-                        (e0, _coeff_int_mod(c0, p, w))
-                        for e0, c0 in X.entries[s][t].terms.items()
-                    )
-                    if cc
-                )
-                for t in range(r)
-            ]
-            for s in range(r)
-        ]
         cells = 1
         for a in range(d):
             rad = max(
@@ -624,7 +610,7 @@ def logdet_finite(f, p: int, prec: int) -> Padic:
     m = proto.group.index
     vq = vp_int(m, p) if m % p == 0 else 0
     exact = all(
-        isinstance(c, int) for row in F.entries for e in row for c in e.coeffs
+        isinstance(c, int) for row in F.entries for e in row for c in e.terms.values()
     )
     if exact:
         det = det_exact(rho_matrix(F))
@@ -634,9 +620,7 @@ def logdet_finite(f, p: int, prec: int) -> Padic:
     else:
         k = prec + vq + 2
         lifted = F.map_entries(
-            lambda e: FiniteGroupRingElem(
-                e.group, [_coeff_int_mod(c, p, k) for c in e.coeffs]
-            )
+            lambda e: e._like({h: _coeff_int_mod(c, p, k) for h, c in e.terms.items()})
         )
         dhat = Padic.from_int_mod(det_exact(rho_matrix(lifted)), p, k)
         if dhat.is_zero:

@@ -86,11 +86,11 @@ from .errors import (
 )
 from .groupring import (
     DEFAULT_SIZE_CAP,
-    FiniteGroupRingElem,
     HeisenbergQuotient,
     LaurentPoly,
     RingMatrix,
     ZdQuotient,
+    _GroupRingElem,
     as_quotient,
 )
 from .padic import Padic, padic_log
@@ -576,13 +576,9 @@ class FixCountRecord:
 def _require_integer_coeffs(f: RingMatrix):
     for row in f.entries:
         for e in row:
-            if isinstance(e, LaurentPoly):
-                vals = e.terms.values()
-            elif isinstance(e, FiniteGroupRingElem):
-                vals = e.coeffs
-            else:
+            if not isinstance(e, _GroupRingElem):
                 raise DomainMismatch("can only reduce Laurent data")
-            for c in vals:
+            for c in e.terms.values():
                 if not isinstance(c, int):
                     raise DomainMismatch("fixed-point counts need integer coefficients")
 
@@ -650,5 +646,5 @@ def fix_count_char_crt(f, moduli) -> int:
     if isinstance(moduli, HeisenbergQuotient):
         raise NonAbelianQuotient("character products need an abelian quotient")
     if not isinstance(moduli, ZdQuotient):
-        moduli = ZdQuotient(tuple(int(n) for n in moduli))
+        moduli = ZdQuotient(tuple(moduli))
     return quotient_det(f, moduli)

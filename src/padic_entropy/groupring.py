@@ -1,11 +1,16 @@
 """Group rings: Laurent polynomials on Z^d, explicit finite quotients,
 matrices over both, sup norms and reduction maps.
 
-Laurent polynomials are sparse dictionaries from exponent vectors to
-coefficients (ints, Fractions, or Padic scalars at a shared prime).  A
-finite quotient is its own group: its elements are the indices 0..index-1,
-0 is the identity, and ``multiply`` and ``inverse`` are its own arithmetic
-(a mixed-radix add on Z^d, the unitriangular matrix product on Heisenberg),
+Every group-ring element is stored sparse, as ``terms``: a dict from group
+elements to coefficients (ints, Fractions, or Padic scalars at a shared
+prime).  One set of ring operations serves every group; a subclass of
+``_GroupRingElem`` supplies only its group: exponent vectors added as
+tuples for the Laurent algebra on Z^d, element indices multiplied by the
+quotient's law for a finite group ring.  Only exact zeros are dropped, so
+a coefficient known only to O(p^k) stays a term.  A finite quotient is
+its own group: its elements are the indices 0..index-1, 0 is the
+identity, and ``multiply`` and ``inverse`` are its own arithmetic (a
+mixed-radix add on Z^d, the unitriangular matrix product on Heisenberg),
 so no multiplication table or inverse list is ever built; its own
 ``check_fits`` refuses the Laurent dimensions it does not reduce.  An
 element of a finite group ring holds its quotient as ``group``; elements
@@ -17,6 +22,7 @@ coefficients landing in the same coset.  The module needs no numpy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,9 +43,15 @@ def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, Padic))
 
 
-def _coeff_is_zero(c) -> bool:
+def _is_exact_zero(c) -> bool:
+    """An int or Fraction equal to 0, or a Padic zero with no precision bound.
+
+    Only these are dropped from an element's terms: a coefficient known only
+    to O(p^k) stays a term, so a series that needs more of its digits sees
+    it and refuses.
+    """
     if isinstance(c, Padic):
-        return c.is_zero
+        return c.is_zero and c.zprec is None
     return c == 0
 
 
@@ -50,65 +62,50 @@ def _mul_coeff(a, b):
     return a * b
 
 
-class LaurentPoly:
-    """Finite-support element of the Laurent algebra on Z^d."""
+class _GroupRingElem:
+    """An element of a group ring as a sparse dict ``terms`` {key: coefficient}.
 
-    __slots__ = ("d", "terms")
+    The ring operations live here; a subclass supplies only its group:
+    ``_ring`` (what two elements must share to mix), ``_one`` (the
+    identity's key), ``_times`` (the group law on keys) and ``_like``
+    (an element of the same ring from a dict of terms), with
+    ``_mismatch`` the refusal of an element of another ring.  Exact zeros
+    are dropped (``_is_exact_zero``), so equality of terms is exact
+    equality, as in ``Padic.__eq__``.
+    """
 
-    def __init__(self, d: int, terms=None):
-        if d < 1:
-            raise DimensionMismatch("dimension must be >= 1")
-        self.d = d
-        canon: dict[tuple, object] = {}
-        for e, c in (terms or {}).items():
-            e = tuple(int(x) for x in e)
-            if len(e) != d:
-                raise DimensionMismatch(f"exponent {e} has length != {d}")
-            if _coeff_is_zero(c):
-                continue
-            canon[e] = c
-        self.terms = canon
-
-    @classmethod
-    def constant(cls, c, d: int = 1) -> "LaurentPoly":
-        return cls(d, {(0,) * d: c})
-
-    @classmethod
-    def monomial(cls, exp, coeff=1, d: int | None = None) -> "LaurentPoly":
-        exp = tuple(int(x) for x in exp)
-        return cls(d or len(exp), {exp: coeff})
-
-    @classmethod
-    def one(cls, d: int = 1) -> "LaurentPoly":
-        return cls.constant(1, d)
+    __slots__ = ("terms",)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check_compatible(self, other: "LaurentPoly"):
-        if self.d != other.d:
-            raise DimensionMismatch(f"d={self.d} vs d={other.d}")
+    def _operand(self, other):
+        """other as an element of this ring (a scalar as a constant), or None."""
+        if _is_scalar(other):
+            return self._like({self._one: other})
+        if type(other) is not type(self):
+            return None
+        if other._ring != self._ring:
+            raise self._mismatch(other)
+        return other
 
     def __add__(self, other):
-        if _is_scalar(other):
-            other = LaurentPoly.constant(other, self.d)
-        if not isinstance(other, LaurentPoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_compatible(other)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return LaurentPoly(self.d, out)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return self._like(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.d, {e: -c for e, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if _is_scalar(other):
-            other = LaurentPoly.constant(other, self.d)
-        if not isinstance(other, LaurentPoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -117,26 +114,25 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if _is_scalar(other):
-            return LaurentPoly(
-                self.d, {e: _mul_coeff(c, other) for e, c in self.terms.items()}
-            )
-        if not isinstance(other, LaurentPoly):
+            return self._like({k: _mul_coeff(c, other) for k, c in self.terms.items()})
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._check_compatible(other)
-        out: dict[tuple, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        times = self._times
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = times(k1, k2)
                 c = _mul_coeff(c1, c2)
-                out[e] = out[e] + c if e in out else c
-        return LaurentPoly(self.d, out)
+                out[k] = out[k] + c if k in out else c
+        return self._like(out)
 
-    __rmul__ = __mul__
+    __rmul__ = __mul__  # scalars commute; an element of this ring is on the left
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers of polynomials are not defined here")
-        out = LaurentPoly.one(self.d)
+        out = self._like({self._one: 1})
         base = self
         while k:
             if k & 1:
@@ -146,12 +142,65 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.d == other.d and self.terms == other.terms
+        return self._ring == other._ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.d, frozenset(self.terms.items())))
+        return hash((self._ring, frozenset(self.terms.items())))
+
+
+class LaurentPoly(_GroupRingElem):
+    """Finite-support element of the Laurent algebra on Z^d."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int, terms=None):
+        if d < 1:
+            raise DimensionMismatch("dimension must be >= 1")
+        self.d = d
+        canon: dict[tuple, object] = {}
+        for e, c in (terms or {}).items():
+            try:
+                e = tuple(map(operator.index, e))
+            except TypeError:
+                raise DomainMismatch(f"exponent {e!r} is not a vector of integers") from None
+            if len(e) != d:
+                raise DimensionMismatch(f"exponent {e} has length != {d}")
+            if not _is_exact_zero(c):
+                canon[e] = c
+        self.terms = canon
+
+    @classmethod
+    def constant(cls, c, d: int = 1) -> "LaurentPoly":
+        return cls(d, {(0,) * d: c})
+
+    @classmethod
+    def monomial(cls, exp, coeff=1, d: int | None = None) -> "LaurentPoly":
+        exp = tuple(exp)
+        return cls(d or len(exp), {exp: coeff})
+
+    @classmethod
+    def one(cls, d: int = 1) -> "LaurentPoly":
+        return cls.constant(1, d)
+
+    @property
+    def _ring(self) -> int:
+        return self.d
+
+    @property
+    def _one(self) -> tuple:
+        return (0,) * self.d
+
+    @staticmethod
+    def _times(e1: tuple, e2: tuple) -> tuple:
+        return tuple(map(operator.add, e1, e2))
+
+    def _like(self, terms) -> "LaurentPoly":
+        return LaurentPoly(self.d, terms)
+
+    def _mismatch(self, other) -> DimensionMismatch:
+        return DimensionMismatch(f"d={self.d} vs d={other.d}")
 
     def __repr__(self):
         from .poly_io import print_poly
@@ -173,8 +222,12 @@ class ZdQuotient:
     moduli: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(self.moduli))
-        if not self.moduli or any(n < 1 for n in self.moduli):
+        try:
+            moduli = tuple(map(operator.index, self.moduli))
+        except TypeError:
+            raise InvalidQuotient(f"moduli {self.moduli!r} are not integers") from None
+        object.__setattr__(self, "moduli", moduli)
+        if not moduli or any(n < 1 for n in moduli):
             raise InvalidQuotient("all moduli must be >= 1")
 
     @property
@@ -229,6 +282,10 @@ class HeisenbergQuotient:
     n: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise InvalidQuotient(f"modulus {self.n!r} is not an integer") from None
         if self.n < 1:
             raise InvalidQuotient("modulus must be >= 1")
 
@@ -286,34 +343,36 @@ def build_quotient_group(q) -> ZdQuotient | HeisenbergQuotient:
 
 
 def diagonal_family(d: int, ns) -> list[ZdQuotient]:
-    return [ZdQuotient((int(n),) * d) for n in ns]
+    return [ZdQuotient((n,) * d) for n in ns]
 
 
 def heisenberg_family(ns) -> list[HeisenbergQuotient]:
-    return [HeisenbergQuotient(int(n)) for n in ns]
+    return [HeisenbergQuotient(n) for n in ns]
 
 
 # -- finite group ring ---------------------------------------------------------
 
 
-class FiniteGroupRingElem:
-    """Element of R[G] for a finite quotient G: a length-|G| coefficient
-    vector in the element basis, indexed as the quotient indexes its elements.
+class FiniteGroupRingElem(_GroupRingElem):
+    """Element of R[G] for a finite quotient G, stored sparse as {index: coefficient}.
 
-    ``group`` is the quotient itself (``ZdQuotient`` or
+    Built from a dense length-|G| coefficient vector in the element basis,
+    indexed as the quotient indexes its elements; ``coeffs`` is a read-only
+    dense view of it.  ``group`` is the quotient itself (``ZdQuotient`` or
     ``HeisenbergQuotient``), whose ``multiply`` gives the products; the
     identity is index 0.  Two elements mix only when their quotients are
     equal.
     """
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group",)
+    _one = 0
 
     def __init__(self, group: ZdQuotient | HeisenbergQuotient, coeffs):
         coeffs = list(coeffs)
         if len(coeffs) != group.index:
             raise DimensionMismatch("coefficient vector length != group order")
         self.group = group
-        self.coeffs = coeffs
+        self.terms = {i: c for i, c in enumerate(coeffs) if not _is_exact_zero(c)}
 
     @classmethod
     def zero(cls, group: ZdQuotient | HeisenbergQuotient):
@@ -329,70 +388,32 @@ class FiniteGroupRingElem:
         c[i] = coeff
         return cls(group, c)
 
-    def is_zero(self) -> bool:
-        return all(_coeff_is_zero(c) for c in self.coeffs)
+    @property
+    def coeffs(self) -> list:
+        return [self.terms.get(i, 0) for i in range(self.group.index)]
 
     def constant_coefficient(self):
-        return self.coeffs[0]
+        return self.terms.get(0, 0)
 
-    def _check(self, other):
-        if self.group != other.group:
-            raise DomainMismatch("elements live over different groups")
+    @property
+    def _ring(self):
+        return self.group
 
-    def __add__(self, other):
-        if _is_scalar(other):
-            other = FiniteGroupRingElem.one(self.group) * other
-        self._check(other)
-        return FiniteGroupRingElem(
-            self.group, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+    @property
+    def _times(self):
+        return self.group.multiply
 
-    __radd__ = __add__
+    def _like(self, terms) -> "FiniteGroupRingElem":
+        out = object.__new__(FiniteGroupRingElem)
+        out.group = self.group
+        out.terms = {i: c for i, c in terms.items() if not _is_exact_zero(c)}
+        return out
 
-    def __neg__(self):
-        return FiniteGroupRingElem(self.group, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        if _is_scalar(other):
-            other = FiniteGroupRingElem.one(self.group) * other
-        return self + (-other)
-
-    def __mul__(self, other):
-        if _is_scalar(other):
-            return FiniteGroupRingElem(
-                self.group, [_mul_coeff(a, other) for a in self.coeffs]
-            )
-        self._check(other)
-        mul = self.group.multiply
-        out = [0] * self.group.index
-        right = [(j, b) for j, b in enumerate(other.coeffs) if not _coeff_is_zero(b)]
-        for i, a in enumerate(self.coeffs):
-            if _coeff_is_zero(a):
-                continue
-            for j, b in right:
-                k = mul(i, j)
-                out[k] = out[k] + _mul_coeff(a, b)
-        return FiniteGroupRingElem(self.group, out)
-
-    def __rmul__(self, other):
-        if _is_scalar(other):
-            return FiniteGroupRingElem(
-                self.group, [_mul_coeff(other, a) for a in self.coeffs]
-            )
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteGroupRingElem):
-            return NotImplemented
-        return self.group == other.group and all(
-            _coeff_is_zero(a - b) for a, b in zip(self.coeffs, other.coeffs)
-        )
+    def _mismatch(self, other) -> DomainMismatch:
+        return DomainMismatch("elements live over different groups")
 
     def __repr__(self):
-        parts = [
-            f"{c}*g{i}" for i, c in enumerate(self.coeffs) if not _coeff_is_zero(c)
-        ]
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"{c}*g{i}" for i, c in sorted(self.terms.items())) or "0"
 
 
 # -- matrices over a group ring -------------------------------------------------
@@ -406,6 +427,8 @@ class RingMatrix:
     def __init__(self, entries):
         entries = [list(row) for row in entries]
         r = len(entries)
+        if not r:
+            raise DimensionMismatch("matrix must have at least one row")
         if any(len(row) != r for row in entries):
             raise DimensionMismatch("matrix must be square")
         proto = entries[0][0]
@@ -430,13 +453,7 @@ class RingMatrix:
     @classmethod
     def identity_like(cls, template: "RingMatrix") -> "RingMatrix":
         proto = template.entries[0][0]
-        if isinstance(proto, LaurentPoly):
-            one, zero = LaurentPoly.one(proto.d), LaurentPoly(proto.d, {})
-        else:
-            one, zero = (
-                FiniteGroupRingElem.one(proto.group),
-                FiniteGroupRingElem.zero(proto.group),
-            )
+        one, zero = proto._like({proto._one: 1}), proto._like({})
         r = template.r
         return cls([[one if i == j else zero for j in range(r)] for i in range(r)])
 
@@ -505,24 +522,14 @@ def sup_norm(x, p: int) -> Fraction:
             for e in row:
                 best = max(best, sup_norm(e, p))
         return best
-    if isinstance(x, LaurentPoly):
-        coeffs = x.terms.values()
-    elif isinstance(x, FiniteGroupRingElem):
-        coeffs = x.coeffs
-    else:
-        coeffs = [x]
+    coeffs = x.terms.values() if isinstance(x, _GroupRingElem) else [x]
     best = Fraction(0)
     for c in coeffs:
+        if _is_exact_zero(c):
+            continue
         if isinstance(c, Padic):
-            if c.is_zero:
-                if c.zprec is None:
-                    continue
-                val = c.zprec
-            else:
-                val = c.v
+            val = c.zprec if c.is_zero else c.v
         else:
-            if c == 0:
-                continue
             val = vp_fraction(c, p)
         mag = Fraction(1, p**val) if val >= 0 else Fraction(p ** (-val))
         best = max(best, mag)
@@ -542,14 +549,14 @@ def reduce_to_quotient(f, q):
     if not isinstance(proto, LaurentPoly):
         raise DomainMismatch("can only reduce Laurent data")
     as_quotient(q).check_fits(proto.d)
-    group = build_quotient_group(q)
+    zero = FiniteGroupRingElem.zero(build_quotient_group(q))
 
     def fold(e: LaurentPoly) -> FiniteGroupRingElem:
-        out = [0] * group.index
+        out: dict[int, object] = {}
         for x, c in e.terms.items():
             i = q.project(x)
-            out[i] = out[i] + c
-        return FiniteGroupRingElem(group, out)
+            out[i] = out[i] + c if i in out else c
+        return zero._like(out)
 
     return f.map_entries(fold) if isinstance(f, RingMatrix) else fold(f)
 
@@ -575,10 +582,12 @@ def rho_matrix(f):
     mul = group.multiply
     n = r * m
     out = [[0] * n for _ in range(n)]
-    entries = [e for row in F.entries for e in row]
-    support = {h for e in entries for h, c in enumerate(e.coeffs) if not _coeff_is_zero(c)}
-    for h in support:
-        cells = [(s * m, t * m, F.entries[s][t].coeffs[h]) for s in range(r) for t in range(r)]
+    support: dict[int, list] = {}
+    for s, row in enumerate(F.entries):
+        for t, e in enumerate(row):
+            for h, c in e.terms.items():
+                support.setdefault(h, []).append((s * m, t * m, c))
+    for h, cells in support.items():
         for i in range(m):
             j = mul(i, h)
             for si, tj, c in cells:

@@ -25,12 +25,19 @@ from padic_entropy import (
 )
 from padic_entropy import detlog
 from padic_entropy.detlog import (
+    _coeff_int_mod,
     _kernel_finite,
     _kernel_zd_dense,
     _kernel_zd_lattice,
     _kernel_zd_sparse,
 )
-from padic_entropy.errors import DomainMismatch, NotACZeroUnit, NotAOneUnit, SingularRho
+from padic_entropy.errors import (
+    DomainMismatch,
+    IndistinguishableAtPrecision,
+    NotACZeroUnit,
+    NotAOneUnit,
+    SingularRho,
+)
 from padic_entropy.padic import _ilog, _neg_sum_over_nu, series_guard
 from padic_entropy.poly_io import parse_poly
 
@@ -425,8 +432,13 @@ def test_sparse_kernel_builds_half_the_powers(cap, monkeypatch):
     # the same pairing on a finite group ring
     steps.clear()
     group = build_quotient_group(HeisenbergQuotient(3))
-    _kernel_finite([[[3 if h in (1, 3, 9) else 0 for h in range(group.index)]]], group, 1, 3, 45, cap)
+    _kernel_finite([[[(1, 3), (3, 3), (9, 3)]]], group, 1, 3, 45, cap)
     assert len(steps) == (cap - 1) // 2
+
+
+def _pairs(coeffs):
+    """The (element, coefficient) pairs of each dense coefficient vector, as the finite kernel takes them."""
+    return [[[(h, c) for h, c in enumerate(entry) if c] for entry in row] for row in coeffs]
 
 
 def _every_power_finite(coeffs, group, r, pw, cap):
@@ -478,7 +490,7 @@ def test_finite_kernel_matches_every_power(q, r):
                 for _ in range(r)
             ]
             want = _every_power_finite(coeffs, group, r, pw, cap)
-            assert _kernel_finite(coeffs, group, r, p, w, cap) == want
+            assert _kernel_finite(_pairs(coeffs), group, r, p, w, cap) == want
 
 
 def _largest_coefficient(power):
@@ -512,7 +524,7 @@ def test_paired_kernel_keeps_only_the_digits_each_power_adds(w, cap, monkeypatch
         runs = [
             (lambda: _kernel_zd_sparse(supports, 2, 2, p, w, cap),
              lambda: _every_power_reference(supports, 2, 2, pw, cap)),
-            (lambda: _kernel_finite(coeffs, group, 2, p, w, cap),
+            (lambda: _kernel_finite(_pairs(coeffs), group, 2, p, w, cap),
              lambda: _every_power_finite(coeffs, group, 2, pw, cap)),
         ]
         for kernel, reference in runs:
@@ -783,3 +795,45 @@ def test_logdet_finite_singular():
     f = FiniteGroupRingElem(g2, [1, 1])  # det rho = 0
     with pytest.raises(SingularRho):
         logdet_finite(f, 2, 6)
+
+
+def test_logdet_finite_singular_padic_coefficients():
+    g2 = build_quotient_group(ZdQuotient((2,)))
+    one = Padic.one(2, 12)
+    with pytest.raises(SingularRho, match=r"^det rho = 0 mod p\^9: cannot certify invertibility$"):
+        logdet_finite(FiniteGroupRingElem(g2, [one, one]), 2, 6)
+
+
+# -- coefficients known only to O(p^k) --------------------------------------------------
+
+
+def test_trlog_refuses_a_term_known_only_to_O_p_k_on_every_group():
+    # 1 + 3t + O(3^2) t^-1: the series at prec 8 needs that coefficient mod 3^12
+    f = LaurentPoly(1, {(0,): 1, (1,): 3, (-1,): Padic.zero(3, 2)})
+    messages = set()
+    for g in (f, reduce_to_quotient(f, ZdQuotient((5,))), RingMatrix([[f]])):
+        with pytest.raises(IndistinguishableAtPrecision) as err:
+            tr_log_one_unit(g, 3, 8)
+        messages.add(str(err.value))
+    assert messages == {"coefficient known only to O(p^2), need mod p^12"}
+    # a bound past the working precision is read as 0, on both rings
+    sharp = LaurentPoly(1, {(0,): 1, (1,): 3, (-1,): Padic.zero(3, 12)})
+    want = tr_log_one_unit(1 + 3 * T, 3, 8)
+    assert tr_log_one_unit(sharp, 3, 8) == want
+    q = ZdQuotient((5,))
+    assert tr_log_one_unit(reduce_to_quotient(sharp, q), 3, 8) == tr_log_one_unit(
+        reduce_to_quotient(1 + 3 * T, q), 3, 8
+    )
+
+
+def test_coeff_int_mod_branches():
+    assert _coeff_int_mod(Padic.zero(3), 3, 5) == 0
+    assert _coeff_int_mod(Padic.zero(3, 5), 3, 5) == 0
+    assert _coeff_int_mod(Padic.from_rational(-9, 1, 3, 6), 3, 5) == -9 % 3**5
+    assert _coeff_int_mod(Fraction(1, 2), 3, 2) == 5
+    with pytest.raises(IndistinguishableAtPrecision, match=r"^coefficient carries 3 digits, need 5$"):
+        _coeff_int_mod(Padic.from_rational(9, 1, 3, 1), 3, 5)
+    with pytest.raises(DomainMismatch, match=r"^coefficient has negative valuation$"):
+        _coeff_int_mod(Padic.from_rational(1, 3, 3, 6), 3, 5)
+    with pytest.raises(DomainMismatch, match=r"^unsupported coefficient type float$"):
+        _coeff_int_mod(1.5, 3, 5)

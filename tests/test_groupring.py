@@ -9,6 +9,7 @@ from padic_entropy import (
     FiniteGroupRingElem,
     HeisenbergQuotient,
     LaurentPoly,
+    Padic,
     RingMatrix,
     ZdQuotient,
     build_quotient_group,
@@ -473,3 +474,99 @@ def test_elements_over_equal_quotients_built_apart_mix():
     m = RingMatrix([[a, b], [b, a]])
     assert (m * m).entries[0][0] == a * a + b * b
     assert FiniteGroupRingElem.one(q1) == FiniteGroupRingElem.one(q2)
+
+
+# -- the zero rule: only exact zeros leave the terms --------------------------------------
+
+
+def test_a_coefficient_known_to_O_p_k_stays_a_term():
+    o2 = Padic.zero(3, 2)
+    assert not LaurentPoly(1, {(0,): o2}).is_zero()
+    assert LaurentPoly(1, {(0,): Padic.zero(3), (1,): 0, (2,): Fraction(0)}).is_zero()
+    g = ZdQuotient((5,))
+    a = FiniteGroupRingElem.element(g, 0, o2)
+    assert not a.is_zero() and a.coeffs == [o2, 0, 0, 0, 0]
+    assert FiniteGroupRingElem(g, [Padic.zero(3), 0, Fraction(0), 0, 0]).is_zero()
+
+
+def test_a_product_with_an_O_p_k_coefficient_keeps_its_bound():
+    o2, o4 = Padic.zero(3, 2), Padic.zero(3, 4)
+    g = HeisenbergQuotient(2)
+    a = FiniteGroupRingElem.element(g, 0, o2)
+    for product in (a * 9, 9 * a, a * FiniteGroupRingElem.element(g, 0, 9)):
+        assert product.terms == {0: o4}
+    assert (a * FiniteGroupRingElem.element(g, 5, 9)).terms == {5: o4}
+    assert (LaurentPoly.constant(o2) * (9 * T)).terms == {(1,): o4}
+
+
+def test_equality_is_exact_on_both_rings():
+    o2, one = Padic.zero(3, 2), Padic.one(3, 4)
+    g = ZdQuotient((2,))
+    assert FiniteGroupRingElem.element(g, 0, o2) != FiniteGroupRingElem.zero(g)
+    assert FiniteGroupRingElem.element(g, 0, one) != FiniteGroupRingElem.one(g)
+    assert FiniteGroupRingElem.element(g, 1, Fraction(2)) == FiniteGroupRingElem.element(g, 1, 2)
+    assert LaurentPoly.constant(o2) != LaurentPoly(1, {})
+    assert LaurentPoly.constant(one) != LaurentPoly.one(1)
+    assert LaurentPoly.constant(Fraction(2)) == LaurentPoly.constant(2)
+    # a - a is O(3^4) at every element, not 0
+    b = FiniteGroupRingElem(g, [one, one])
+    assert b - b != FiniteGroupRingElem.zero(g)
+    assert (b - b).terms == {0: Padic.zero(3, 4), 1: Padic.zero(3, 4)}
+
+
+# -- refusals of what is not an integer ---------------------------------------------------
+
+
+def test_non_integer_exponents_are_refused():
+    for exp in ((1.5,), ("1",), (1, None)):
+        with pytest.raises(DomainMismatch, match="is not a vector of integers"):
+            LaurentPoly(len(exp), {exp: 3})
+    with pytest.raises(DomainMismatch):
+        LaurentPoly.monomial((0.5, 1))
+    # integer types other than int are read as ints
+    assert LaurentPoly(2, {(np.int64(1), True): 3}).terms == {(1, 1): 3}
+
+
+def test_non_integer_moduli_are_refused():
+    for moduli in ((2.5,), ("3",), (2, 1.0)):
+        with pytest.raises(InvalidQuotient, match="are not integers"):
+            ZdQuotient(moduli)
+    for n in (2.5, "3", None):
+        with pytest.raises(InvalidQuotient, match="is not an integer"):
+            HeisenbergQuotient(n)
+    # the existing refusals keep their messages
+    with pytest.raises(InvalidQuotient, match=r"^all moduli must be >= 1$"):
+        ZdQuotient((0,))
+    with pytest.raises(InvalidQuotient, match=r"^modulus must be >= 1$"):
+        HeisenbergQuotient(0)
+    assert ZdQuotient((np.int64(3),)) == ZdQuotient((3,))
+    assert HeisenbergQuotient(np.int64(2)).n == 2
+
+
+def test_empty_matrix_is_refused():
+    with pytest.raises(DimensionMismatch, match="at least one row"):
+        RingMatrix([])
+    with pytest.raises(DimensionMismatch, match=r"^matrix must be square$"):
+        RingMatrix([[]])
+
+
+# -- sup norm and coefficient products on p-adic coefficients -------------------------------
+
+
+def test_sup_norm_on_padic_coefficients():
+    nine = Padic.from_rational(9, 1, 3, 4)
+    third = Padic.from_rational(1, 3, 3, 4)
+    assert sup_norm(LaurentPoly.constant(nine), 3) == Fraction(1, 9)
+    assert sup_norm(LaurentPoly.constant(Padic.zero(3, 5)), 3) == Fraction(1, 243)
+    assert sup_norm(LaurentPoly(1, {(0,): nine, (1,): third}), 3) == 3
+    assert sup_norm(Padic.zero(3), 3) == 0
+    g = ZdQuotient((2,))
+    assert sup_norm(FiniteGroupRingElem(g, [nine, Padic.zero(3, 3)]), 3) == Fraction(1, 9)
+
+
+def test_fraction_and_padic_coefficients_refuse_to_multiply():
+    half = LaurentPoly.constant(Fraction(1, 2))
+    for product in (lambda: half * Padic.one(3, 4), lambda: Padic.one(3, 4) * half,
+                    lambda: half * LaurentPoly.constant(Padic.one(3, 4))):
+        with pytest.raises(DomainMismatch, match="cannot mix Fraction and p-adic coefficients"):
+            product()

@@ -97,6 +97,13 @@ def test_zeros_in_sums_and_products():
     assert Padic.from_int_mod(9, 3, 4) * Padic.zero(3, 2) == Padic.zero(3, 4)
 
 
+def test_add_fraction():
+    a = Padic.from_rational(5, 1, 3, 4)
+    assert a + Fraction(0) == a and Fraction(0) + a == a
+    assert a + Fraction(1, 2) == Padic.from_rational(11, 2, 3, 4)
+    assert Fraction(-5) + a == Padic.zero(3, 4)
+
+
 def test_eq_mod_raises_when_undecidable():
     z = Padic.zero(3, 2)
     b = Padic.from_rational(27, 1, 3, 4)
