@@ -2,7 +2,18 @@
 
 from fractions import Fraction
 
-from .errors import DomainMismatch
+from ._primes import is_prime
+from .errors import DomainMismatch, NotPrime
+
+
+def require_prime(p: int) -> None:
+    """Refuse a p that is not prime with NotPrime.
+
+    Each public entry point that takes p calls this once, before any loop
+    runs on p (at p = 1 a valuation loop would never end).
+    """
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
 
 
 def vp_int(n: int, p: int) -> int:

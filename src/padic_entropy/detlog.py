@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import rational_residue, strip_p_content, vp_int
+from ._util import rational_residue, require_prime, strip_p_content, vp_int
 from .errors import (
     DomainMismatch,
     IndistinguishableAtPrecision,
@@ -429,6 +429,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     Z^d the chosen route's cells (r times the exponent box, or the weighted
     candidates), on a finite group ring the products of the kernel.
     """
+    require_prime(p)
     F = RingMatrix.wrap(f)
     proto = F.entries[0][0]
     if not isinstance(proto, _GroupRingElem):
@@ -519,6 +520,7 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
     Each coefficient is reduced once, modulo p^(prec+1); the unit test reads
     those residues mod p.
     """
+    require_prime(p)
     if not isinstance(f, LaurentPoly):
         raise DomainMismatch("normalization needs a Laurent polynomial")
     if f.is_zero():
@@ -554,6 +556,7 @@ def logdet_unit(f: LaurentPoly, p: int, prec: int) -> Padic:
     Normalizes f = p^a c t^nu (1+pg); the power of p and the monomial
     contribute zero, leaving log(c) plus the trace-log of the 1-unit part.
     """
+    require_prime(p)
     w, _ = series_guard(p, prec)
     dec = c0_unit_normalize(f, p, w)
     val = padic_log(Padic.from_fraction(dec.c, p, w)) + tr_log_one_unit(
@@ -603,6 +606,7 @@ def logdet_finite(f, p: int, prec: int) -> Padic:
     determinant modulo p^K.  A determinant indistinguishable from zero
     raises SingularRho.
     """
+    require_prime(p)
     F = RingMatrix.wrap(f)
     proto = F.entries[0][0]
     if not isinstance(proto, FiniteGroupRingElem):

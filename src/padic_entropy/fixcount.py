@@ -76,13 +76,12 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._primes import is_prime, pool_root, primes_one_mod, word_primes
-from ._util import vp_int
+from ._primes import pool_root, primes_one_mod, word_primes
+from ._util import require_prime, vp_int
 from .errors import (
     DomainMismatch,
     InfiniteFixedPointSet,
     NonAbelianQuotient,
-    NotPrime,
 )
 from .groupring import (
     DEFAULT_SIZE_CAP,
@@ -589,8 +588,7 @@ def check_quotient(f, q, p: int) -> RingMatrix:
     That is a non-prime p, the size cap on r * |G|, non-integer coefficients
     and a quotient that does not fit f.  Returns f as a RingMatrix.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    require_prime(p)
     F = RingMatrix.wrap(f)
     size = F.r * as_quotient(q).index
     if size > DEFAULT_SIZE_CAP:

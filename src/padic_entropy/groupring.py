@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import vp_fraction
+from ._util import require_prime, vp_fraction
 from .errors import (
     DimensionMismatch,
     DomainMismatch,
@@ -156,6 +156,10 @@ class LaurentPoly(_GroupRingElem):
     __slots__ = ("d",)
 
     def __init__(self, d: int, terms=None):
+        try:
+            d = operator.index(d)
+        except TypeError:
+            raise DimensionMismatch(f"dimension {d!r} is not an integer") from None
         if d < 1:
             raise DimensionMismatch("dimension must be >= 1")
         self.d = d
@@ -384,6 +388,12 @@ class FiniteGroupRingElem(_GroupRingElem):
 
     @classmethod
     def element(cls, group: ZdQuotient | HeisenbergQuotient, i: int, coeff=1):
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise DomainMismatch(f"element index {i!r} is not an integer") from None
+        if not 0 <= i < group.index:
+            raise DomainMismatch(f"element index {i} outside 0..{group.index - 1}")
         c = [0] * group.index
         c[i] = coeff
         return cls(group, c)
@@ -516,23 +526,17 @@ def sup_norm(x, p: int) -> Fraction:
     O(p^k) the bound p^-k is used, so the result is always a proven upper
     bound on the norm.
     """
-    if isinstance(x, RingMatrix):
-        best = Fraction(0)
-        for row in x.entries:
-            for e in row:
-                best = max(best, sup_norm(e, p))
-        return best
-    coeffs = x.terms.values() if isinstance(x, _GroupRingElem) else [x]
+    require_prime(p)
+    entries = [e for row in x.entries for e in row] if isinstance(x, RingMatrix) else [x]
     best = Fraction(0)
-    for c in coeffs:
-        if _is_exact_zero(c):
-            continue
-        if isinstance(c, Padic):
-            val = c.zprec if c.is_zero else c.v
-        else:
-            val = vp_fraction(c, p)
-        mag = Fraction(1, p**val) if val >= 0 else Fraction(p ** (-val))
-        best = max(best, mag)
+    for e in entries:
+        for c in e.terms.values() if isinstance(e, _GroupRingElem) else [e]:
+            if _is_exact_zero(c):
+                continue
+            # a Padic zero O(p^k) has v = k
+            val = c.v if isinstance(c, Padic) else vp_fraction(c, p)
+            mag = Fraction(1, p**val) if val >= 0 else Fraction(p ** (-val))
+            best = max(best, mag)
     return best
 
 

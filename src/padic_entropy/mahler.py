@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import rational_residue, strip_p_content, vp_fraction
+from ._util import rational_residue, require_prime, strip_p_content, vp_fraction
 from .errors import (
     DomainMismatch,
     NotPrimitive,
@@ -101,6 +101,7 @@ def newton_polygon(f, p: int) -> NewtonPolygon:
     built on integer valuations; only the vertices and slopes returned are
     Fractions.
     """
+    require_prime(p)
     coeffs, _ = _coeff_list(f)
     hull: list[tuple[int, int]] = []
     for i, c in enumerate(coeffs):
@@ -199,6 +200,7 @@ def slope_split(f, p: int, prec: int):
     deg f - s + 1 coefficients, and h[-1] is lead(f) mod p^prec, which is
     O(p^prec) when p^prec divides lead(f).
     """
+    require_prime(p)
     coeffs, _ = _coeff_list(f)
     # The polygon's lowest vertex carries the least valuation.  With that at
     # 0, there is exactly one unit coefficient iff no segment has slope 0,
@@ -249,6 +251,7 @@ def mahler_1d(f, p: int, prec: int) -> Padic:
     the outside-root product) is evaluated as well and the two must agree --
     a genuine cross-check on the slope factorization.
     """
+    require_prime(p)
     coeffs, _ = _coeff_list(f)
     a_r, a_m = coeffs[0], coeffs[-1]
     content, coeffs = strip_p_content(coeffs, p)

@@ -1,11 +1,18 @@
 """Exact Q_p scalars with explicit precision tracking.
 
-A nonzero value is p^v * u with the unit residue u in [1, p^prec) coprime to
-p; the value is known modulo p^(v+prec).  A value indistinguishable from
-zero is a tracked state (u == 0, with ``zprec`` the proven exponent:
-|x| <= p^-zprec; ``zprec is None`` means exactly zero).  All operations are
-pure, results are canonical, and the tracked precision is the tightest that
-the inputs actually prove -- never a looser claim presented as tighter.
+Every value is p^v * u known modulo p^(v+prec), its absolute precision.  A
+nonzero value has the unit residue u in [1, p^prec) coprime to p.  A value
+indistinguishable from zero, O(p^k), has u = 0, prec = 0 and v = k, the
+proven bound |x| <= p^-k (``zprec``); the exact zero has v = +inf.  So one
+rule covers every operand: a sum is known modulo the smaller absolute
+precision, a product has the smaller relative precision and the sum of the
+valuations (of their lower bounds, for a zero), and ``truncate_abs(a)``
+keeps min(a, v + prec).  The exact zero is the identity of the sum.  An
+exact int or Fraction enters with one digit more than the value it meets,
+relative and absolute, so it never limits the precision of a result.  All
+operations are pure, results are canonical, and the tracked precision is
+the tightest that the inputs actually prove -- never a looser claim
+presented as tighter.
 
 The logarithm is the Iwasawa branch: log(p) = 0, roots of unity are killed.
 The scalar log of a unit u known to n digits is read off one power:
@@ -24,11 +31,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._primes import is_prime
-from ._util import vp_int
+from ._util import require_prime, vp_int
 from .errors import (
     IndistinguishableAtPrecision,
-    NotPrime,
     PrimeMismatch,
     ZeroDenominator,
     ZeroInput,
@@ -65,6 +70,7 @@ def series_guard(p: int, n: int) -> tuple[int, int]:
     at every prime.  The guard and the cutoff depend on each other, so
     iterate to a fixed point.
     """
+    require_prime(p)
     guard = 2
     while True:
         cutoff = log_series_cutoff(p, n + guard)
@@ -77,15 +83,14 @@ def series_guard(p: int, n: int) -> tuple[int, int]:
 class Padic:
     """One element of Q_p at finite precision.  Immutable, hashable, canonical."""
 
-    __slots__ = ("p", "v", "u", "prec", "zprec")
+    __slots__ = ("p", "v", "u", "prec")
 
-    def __init__(self, p: int, v: int, u: int, prec: int, zprec: int | None = None):
+    def __init__(self, p: int, v: int | float, u: int, prec: int):
         # Trusted raw constructor; use the classmethods to build values.
         self.p = p
         self.v = v
         self.u = u
         self.prec = prec
-        self.zprec = zprec
 
     # -- construction -----------------------------------------------------
 
@@ -98,31 +103,34 @@ class Padic:
         u %= p**prec
         if u % p == 0:
             raise ValueError("unit residue divisible by p")
-        return cls(p, v, u, prec, None)
+        return cls(p, v, u, prec)
 
     @classmethod
     def zero(cls, p: int, zprec: int | None = None) -> "Padic":
         """Zero to precision p^-zprec; zprec None means exactly zero."""
-        return cls(p, 0, 0, 0, zprec)
+        return cls(p, math.inf if zprec is None else zprec, 0, 0)
+
+    @classmethod
+    def _ratio(cls, num: int, den: int, p: int, prec: int, abs_prec: float = -math.inf) -> "Padic":
+        """Nonzero num/den with max(prec, abs_prec - v) significant digits, v its valuation."""
+        vn = vp_int(num, p)
+        vd = vp_int(den, p)
+        v = vn - vd
+        prec = max(prec, abs_prec - v)
+        mod = p**prec
+        return cls(p, v, num // p**vn * pow(den // p**vd, -1, mod) % mod, prec)
 
     @classmethod
     def from_rational(cls, num: int, den: int, p: int, prec: int) -> "Padic":
         """Embed num/den into Q_p with prec significant digits."""
         if den == 0:
             raise ZeroDenominator("denominator is zero")
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+        require_prime(p)
         if prec < 1:
             raise ValueError("precision must be >= 1")
         if num == 0:
             return cls.zero(p, prec)
-        vn = vp_int(num, p)
-        vd = vp_int(den, p)
-        un = num // p**vn
-        ud = den // p**vd
-        mod = p**prec
-        u = un * pow(ud, -1, mod) % mod
-        return cls._nonzero(p, vn - vd, u, prec)
+        return cls._ratio(num, den, p, prec)
 
     @classmethod
     def from_fraction(cls, x: Fraction | int, p: int, prec: int) -> "Padic":
@@ -152,10 +160,13 @@ class Padic:
         return self.u == 0
 
     @property
-    def abs_prec(self):
+    def zprec(self) -> int | None:
+        """For a zero O(p^k), k; None for the exact zero and for a nonzero value."""
+        return None if self.u or self.v == math.inf else self.v
+
+    @property
+    def abs_prec(self) -> int | float:
         """Exponent A: the value is known modulo p^A (math.inf if exact zero)."""
-        if self.is_zero:
-            return math.inf if self.zprec is None else self.zprec
         return self.v + self.prec
 
     def valuation(self) -> int:
@@ -178,64 +189,41 @@ class Padic:
             if x.p != self.p:
                 raise PrimeMismatch(f"p={self.p} vs p={x.p}")
             return x
-        if isinstance(x, int):
-            if x == 0:
-                return Padic.zero(self.p, None)
-            # exact integer: give it enough digits that it never limits us
-            v = vp_int(x, self.p)
-            need = max(1, self._exact_budget() - v)
-            mod = self.p**need
-            return Padic._nonzero(self.p, v, (x // self.p**v) % mod, need)
-        if isinstance(x, Fraction):
-            if x == 0:
-                return Padic.zero(self.p, None)
-            return Padic.from_rational(
-                x.numerator, x.denominator, self.p, max(1, self._exact_budget())
-            )
-        return NotImplemented
-
-    def _exact_budget(self) -> int:
-        # Relative digits an exact scalar needs so that it is never the
-        # precision bottleneck next to self.
-        if self.is_zero:
-            return (self.zprec or 1) + 1
-        return self.prec + abs(self.v) + 1
+        if not isinstance(x, (int, Fraction)):
+            return NotImplemented
+        if not x:
+            return Padic.zero(self.p)
+        # An exact scalar carries one digit more than self, relative and
+        # absolute, so it limits neither a sum nor a product; next to the
+        # exact zero, which has no digits to exceed, it keeps 2.
+        if self.v == math.inf:
+            return Padic._ratio(x.numerator, x.denominator, self.p, 2)
+        return Padic._ratio(
+            x.numerator, x.denominator, self.p, self.prec + 1, self.v + self.prec + 1
+        )
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if o.v == math.inf:
+            return self
+        if self.v == math.inf:
+            return o
+        # Both are known modulo p^m, a zero O(p^k) included (v = k, u = 0).
         p = self.p
-        if self.is_zero and o.is_zero:
-            if self.zprec is None:
-                return o
-            if o.zprec is None:
-                return self
-            return Padic.zero(p, min(self.zprec, o.zprec))
-        if self.is_zero or o.is_zero:
-            z, nz = (self, o) if self.is_zero else (o, self)
-            if z.zprec is None:
-                return nz
-            m = min(z.zprec, nz.v + nz.prec)
-            if nz.v >= m:
-                return Padic.zero(p, m)
-            return Padic._nonzero(p, nz.v, nz.u, m - nz.v)
         m = min(self.v + self.prec, o.v + o.prec)
         w = min(self.v, o.v)
-        mod = p ** (m - w)
-        t = (self.u * p ** (self.v - w) + o.u * p ** (o.v - w)) % mod
+        t = (self.u * p ** (self.v - w) + o.u * p ** (o.v - w)) % p ** (m - w)
         if t == 0:
-            return Padic.zero(p, m)
+            return Padic(p, m, 0, 0)
         vt = vp_int(t, p)
-        return Padic._nonzero(p, w + vt, t // p**vt, m - w - vt)
+        return Padic(p, w + vt, t // p**vt, m - w - vt)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero:
-            return self
-        mod = self.p**self.prec
-        return Padic._nonzero(self.p, self.v, (-self.u) % mod, self.prec)
+        return Padic(self.p, self.v, -self.u % self.p**self.prec, self.prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -250,20 +238,10 @@ class Padic:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.p
-        if self.is_zero or o.is_zero:
-            if (self.is_zero and self.zprec is None) or (o.is_zero and o.zprec is None):
-                return Padic.zero(p, None)
-            # |xy| <= p^-(za + vb) etc.
-            za = self.zprec if self.is_zero else None
-            zb = o.zprec if o.is_zero else None
-            if za is not None and zb is not None:
-                return Padic.zero(p, za + zb)
-            if za is not None:
-                return Padic.zero(p, za + o.v)
-            return Padic.zero(p, zb + self.v)
+        # A zero factor has prec 0, so the product is O(p^(v_a + v_b)): the
+        # valuation bounds add, and the exact zero's v = inf absorbs.
         prec = min(self.prec, o.prec)
-        return Padic._nonzero(p, self.v + o.v, self.u * o.u % p**prec, prec)
+        return Padic(self.p, self.v + o.v, self.u * o.u % self.p**prec, prec)
 
     __rmul__ = __mul__
 
@@ -271,7 +249,7 @@ class Padic:
         if self.is_zero:
             raise ZeroInput("inverse of (a value indistinguishable from) zero")
         mod = self.p**self.prec
-        return Padic._nonzero(self.p, -self.v, pow(self.u, -1, mod), self.prec)
+        return Padic(self.p, -self.v, pow(self.u, -1, mod), self.prec)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -292,21 +270,17 @@ class Padic:
             and self.u == other.u
             and self.v == other.v
             and self.prec == other.prec
-            and self.zprec == other.zprec
         )
 
     def __hash__(self):
-        return hash((self.p, self.v, self.u, self.prec, self.zprec))
+        return hash((self.p, self.v, self.u, self.prec))
 
     def eq_mod(self, other, k: int) -> bool:
         """Whether self = other mod p^k; raises if the data cannot decide."""
-        o = self._coerce(other)
-        d = self - o
-        if d.is_zero:
-            if d.zprec is None or d.zprec >= k:
-                return True
+        d = self - self._coerce(other)
+        if d.is_zero and d.v < k:
             raise IndistinguishableAtPrecision(
-                f"difference known only modulo {self.p}^{d.zprec}, asked mod {self.p}^{k}"
+                f"difference known only modulo {self.p}^{d.v}, asked mod {self.p}^{k}"
             )
         return d.v >= k
 
@@ -321,20 +295,15 @@ class Padic:
 
     def truncate_abs(self, a: int) -> "Padic":
         """Forget digits beyond p^a (never claims more than was known)."""
-        if self.is_zero:
-            if self.zprec is None or self.zprec > a:
-                return Padic.zero(self.p, a)
-            return self
-        if self.v >= a:
-            return Padic.zero(self.p, min(a, self.v + self.prec))
-        return Padic._nonzero(self.p, self.v, self.u, min(self.prec, a - self.v))
+        m = min(a, self.v + self.prec)
+        if self.v >= m:
+            return Padic(self.p, m, 0, 0)
+        return Padic(self.p, self.v, self.u % self.p ** (m - self.v), m - self.v)
 
     # -- display / serialization --------------------------------------------
 
     def digits(self) -> list[int]:
         """Base-p digits of the unit residue, least significant first."""
-        if self.is_zero:
-            return []
         out = []
         u = self.u
         for _ in range(self.prec):
@@ -344,9 +313,7 @@ class Padic:
 
     def __str__(self):
         if self.is_zero:
-            if self.zprec is None:
-                return "0"
-            return f"O({self.p}^{self.zprec})"
+            return "0" if self.v == math.inf else f"O({self.p}^{self.v})"
         if self.v == 0:
             return f"{self.u} + O({self.p}^{self.prec})"
         return f"{self.u}*{self.p}^{self.v} + O({self.p}^{self.v + self.prec})"

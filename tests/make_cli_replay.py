@@ -5,7 +5,8 @@ The jobs are the README command lines in their default, table and json forms
 (plus the README's own csv form of ``entropy``), the jobs of the four
 benchmark workloads at seed 3, and a few jobs on the edges of the series
 kernels and the Hensel lift, the selftest battery at a few seeds, Heisenberg
-counts up to heis:16, CLI paths no other job reaches (among them detlog
+counts up to heis:16, a count on Z/243 at p = 3 (an index p divides),
+CLI paths no other job reaches (among them detlog
 on 7x7 to 9x9 matrices), refusals made before the run, argv whose first
 token is not the command or with tokens left over after it, and help
 (``EDGE_ARGV``).  Each entry holds the
@@ -68,6 +69,9 @@ EDGE_ARGV = [
     ["entropy", "--p", "3", "--prec", "6", "--poly=1+3*x+3*y+3*x^-1*y^-1", "--family", "heis:9..16",
      "--output", "json"],
     ["fixcount", "--p", "3", "--prec", "6", "--poly=1+3*x^2+3*y+3*x^-1*y^-1", "--quotient", "heis:7"],
+    # an index that p divides: dividing the unit log by the exact index 3^5
+    # keeps all 8 proven digits
+    ["fixcount", "--p", "3", "--prec", "8", "--poly=2*t^2-t+2", "--quotient", "243"],
     # Paths no other job reaches: the default family, family and quotient
     # strings that do not parse or do not fit, a matrix where unit-check
     # takes a scalar, a Mahler measure in two variables, the variable t0,

@@ -253,6 +253,13 @@ def test_fixcount_command_crosscheck():
     assert payload["crosscheck_ok"] is True
 
 
+def test_fixcount_keeps_every_digit_when_p_divides_the_index():
+    # the unit log is divided by the exact index 3^5, which costs no digit
+    status, out = _run(["fixcount", "--p", "3", "--prec", "8", "--poly=2*t^2-t+2", "--quotient", "243"])
+    assert status == 0
+    assert "normalized log = 35341*3^-2 + O(3^8)" in out
+
+
 def test_detlog_command_matrix_route():
     status, doc = _run(
         [
@@ -303,14 +310,15 @@ def test_byte_identical_output_across_runs():
 def test_replayed_jobs_keep_their_output_bytes():
     # the README command lines, the benchmark jobs at seed 3, the series and
     # lift edge jobs, high-precision trace logs on both Z^d routes, three
-    # selftest seeds, Heisenberg counts up to heis:16, the refusals made
-    # before the run (non-ASCII digits in --poly among them), argv whose first
-    # token is not the command or with tokens left over after it, paths no
-    # other job reaches (the default family, unparsed family and quotient
-    # strings, 7x7 to 9x9 detlog matrices), and help at 80 columns, with the
-    # exit status and output digests recorded by tests/make_cli_replay.py
+    # selftest seeds, Heisenberg counts up to heis:16, a count on Z/243 at
+    # p = 3, the refusals made before the run (non-ASCII digits in --poly
+    # among them), argv whose first token is not the command or with tokens
+    # left over after it, paths no other job reaches (the default family,
+    # unparsed family and quotient strings, 7x7 to 9x9 detlog matrices), and
+    # help at 80 columns, with the exit status and output digests recorded
+    # by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 409
+    assert len(jobs) == 410
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 

@@ -255,3 +255,14 @@ def test_report_json():
     assert json.loads(json.dumps(doc)) == doc
     assert doc["verdict"] in ("converged", "undecided")
     assert len(doc["records"]) == 3
+
+
+def test_report_on_exact_zero_records_bounds_the_distance_by_both_precisions():
+    # Only two exact zeros differ by an exact zero; the distance is then
+    # bounded by their (infinite) absolute precisions, read as 10**9 digits.
+    zero = Padic.zero(3)
+    rep = convergence_report([_dummy_record(i, zero) for i in (1, 2, 3)], 3, target=6)
+    assert rep.distances == [(10**9, False), (10**9, False)]
+    assert rep.stable_digits == 10**9
+    assert rep.verdict == "converged"
+    assert rep.stabilized_value == Padic.zero(3, 10**9)

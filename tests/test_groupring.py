@@ -570,3 +570,46 @@ def test_fraction_and_padic_coefficients_refuse_to_multiply():
                     lambda: half * LaurentPoly.constant(Padic.one(3, 4))):
         with pytest.raises(DomainMismatch, match="cannot mix Fraction and p-adic coefficients"):
             product()
+
+
+def test_a_non_integer_dimension_is_refused():
+    for d in (1.5, "1", None):
+        with pytest.raises(DimensionMismatch, match="is not an integer"):
+            LaurentPoly(d, {})
+    assert LaurentPoly(np.int64(2), {(1, 0): 3}).d == 2
+
+
+def test_an_element_index_outside_the_group_is_refused():
+    q = ZdQuotient((3,))
+    for i in (-1, 3):
+        with pytest.raises(DomainMismatch, match=r"outside 0\.\.2"):
+            FiniteGroupRingElem.element(q, i)
+    for i in (1.0, "1", None):
+        with pytest.raises(DomainMismatch, match="is not an integer"):
+            FiniteGroupRingElem.element(q, i)
+    assert FiniteGroupRingElem.element(q, np.int64(2), 5).terms == {2: 5}
+
+
+# -- hashing and display ------------------------------------------------------------
+
+
+def test_equal_elements_hash_alike_on_both_rings():
+    f = LaurentPoly(2, {(1, 0): 3, (0, -1): -1})
+    g = LaurentPoly(2, {(0, -1): -1, (1, 0): 3, (0, 0): 0})
+    assert hash(f) == hash(g) and len({f, g, f + 1}) == 2
+    q = ZdQuotient((3,))
+    a = FiniteGroupRingElem(q, [1, 0, 2])
+    b = FiniteGroupRingElem.element(q, 0) + FiniteGroupRingElem.element(q, 2, 2)
+    assert hash(a) == hash(b) and len({a, b, FiniteGroupRingElem(ZdQuotient((1, 3)), [1, 0, 2])}) == 2
+
+
+def test_reprs_of_elements_and_matrices():
+    f = LaurentPoly(2, {(1, 0): 3, (0, 0): 1, (0, -1): -1})
+    assert repr(f) == "3*x + 1 - y^-1"
+    q = ZdQuotient((2,))
+    assert repr(FiniteGroupRingElem(q, [1, Padic.from_rational(9, 1, 3, 4)])) == (
+        "1*g0 + 1*3^2 + O(3^6)*g1"
+    )
+    assert repr(FiniteGroupRingElem.zero(q)) == "0"
+    m = RingMatrix([[f, LaurentPoly(2)], [LaurentPoly.one(2), f]])
+    assert repr(m) == "[[3*x + 1 - y^-1, 0], [1, 3*x + 1 - y^-1]]"

@@ -356,3 +356,60 @@ def test_truncate_abs_never_gains():
     assert t.v == 2 and t.prec == 2
     z = Padic.zero(3, 2)
     assert z.truncate_abs(5).zprec == 2
+
+
+# -- exact scalars never limit precision ------------------------------------------
+
+
+@st.composite
+def _inexact_values(draw, p):
+    """A nonzero value or an O(p^k), valuations and digits in -30..30."""
+    v = draw(st.integers(min_value=-30, max_value=30))
+    prec = draw(st.integers(min_value=0, max_value=30))
+    if prec == 0:
+        return Padic.zero(p, v)
+    unit = draw(st.integers(min_value=0, max_value=p**prec)) * p + draw(
+        st.integers(min_value=1, max_value=p - 1)
+    )
+    return Padic._nonzero(p, v, unit, prec)
+
+
+@st.composite
+def _exact_scalars(draw, p):
+    """A nonzero int or Fraction with a p-adic valuation in about -30..30."""
+    num = draw(st.integers(min_value=1, max_value=10**6)) * draw(st.sampled_from([1, -1]))
+    e = draw(st.integers(min_value=-30, max_value=30))
+    if e >= 0 and draw(st.booleans()):
+        return num * p**e
+    return Fraction(num, draw(st.integers(min_value=1, max_value=10**6))) * Fraction(p) ** e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_an_exact_scalar_never_limits_precision(data):
+    p = data.draw(primes)
+    a = data.draw(_inexact_values(p))
+    c = data.draw(_exact_scalars(p))
+    if not a.is_zero:
+        assert (a * c).prec == a.prec
+    assert a * c / c == a
+    assert (a + c) - c == a
+    if a.is_zero:
+        assert (a + c).abs_prec == a.abs_prec
+
+
+def test_exact_scalars_keep_every_proven_digit():
+    a = Padic.from_rational(1, 1, 3, 10)
+    assert str(a * 3**20 / 3**20) == "1 + O(3^10)"
+    assert str(a + Fraction(1, 3**5)) == "244*3^-5 + O(3^10)"
+    assert str(Padic.zero(3, 4) + Fraction(1, 3**7)) == "1*3^-7 + O(3^4)"
+
+
+def test_an_exact_scalar_divided_by_a_padic():
+    x = Padic.from_rational(6, 1, 3, 5)
+    assert 1 / x == x.inv()
+    assert str(1 / x) == "122*3^-1 + O(3^4)"
+    assert Fraction(1, 3) / x == x.inv() / 3
+    assert str(Fraction(1, 3) / x) == "122*3^-2 + O(3^3)"
+    with pytest.raises(ZeroInput):
+        1 / Padic.zero(3, 4)
