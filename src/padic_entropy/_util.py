@@ -1,9 +1,10 @@
-"""Shared plumbing: p-adic valuations, the p-content strip and residues of exact coefficients."""
+"""Shared plumbing: argument checks, the record base, p-adic valuations, the
+p-content strip and residues of exact coefficients."""
 
 from fractions import Fraction
 
 from ._primes import is_prime
-from .errors import DomainMismatch, NotPrime
+from .errors import DomainMismatch, NotPrime, UsageError
 
 
 def require_prime(p: int) -> None:
@@ -14,6 +15,36 @@ def require_prime(p: int) -> None:
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+
+
+def require_prec(prec: int) -> None:
+    """Refuse a precision that is not an int >= 1 with UsageError, as the CLI does.
+
+    Each public entry point that takes prec calls this once, next to
+    require_prime.
+    """
+    if not isinstance(prec, int) or prec < 1:
+        raise UsageError("precision must be >= 1")
+
+
+class Record:
+    """Value ``==`` and a dataclass-style ``repr`` over the attributes that
+    ``__init__`` sets, in the order it sets them.
+
+    Two records are equal when they have the same class and equal fields.
+    A record is mutable, so it is unhashable.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 def vp_int(n: int, p: int) -> int:

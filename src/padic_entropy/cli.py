@@ -48,7 +48,6 @@ from .groupring import (
 )
 from .mahler import mahler_1d, newton_polygon
 from .poly_io import parse_poly, print_poly
-from .selftest import run_selftest
 
 SCHEMA = "padic-entropy/1"
 MAX_PREC = 256
@@ -304,6 +303,8 @@ def _cmd_detlog(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> tuple[int, str]:
+    from .selftest import run_selftest  # only this command loads the battery
+
     results = run_selftest(args.seed)
     ok = all(r[1] for r in results)
     doc = {

@@ -59,10 +59,9 @@ route and unit normalization run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import rational_residue, require_prime, strip_p_content, vp_int
+from ._util import Record, rational_residue, require_prec, require_prime, strip_p_content, vp_int
 from .errors import (
     DomainMismatch,
     IndistinguishableAtPrecision,
@@ -430,6 +429,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     candidates), on a finite group ring the products of the kernel.
     """
     require_prime(p)
+    require_prec(prec)
     F = RingMatrix.wrap(f)
     proto = F.entries[0][0]
     if not isinstance(proto, _GroupRingElem):
@@ -494,8 +494,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
 # -- unit normalization on Z^d ------------------------------------------------
 
 
-@dataclass
-class UnitDecomposition:
+class UnitDecomposition(Record):
     """f = p^a * c * t^nu * (1 + p*g) with c a p-adic unit and g integral.
 
     ``c`` is the exact coefficient (int or Fraction); ``one_unit`` is
@@ -504,10 +503,11 @@ class UnitDecomposition:
     len(one_unit.terms) - 1 terms.
     """
 
-    a: int
-    c: object
-    nu: tuple
-    one_unit: LaurentPoly
+    def __init__(self, a: int, c: object, nu: tuple, one_unit: LaurentPoly):
+        self.a = a
+        self.c = c
+        self.nu = nu
+        self.one_unit = one_unit
 
 
 def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
@@ -521,6 +521,7 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
     those residues mod p.
     """
     require_prime(p)
+    require_prec(prec)
     if not isinstance(f, LaurentPoly):
         raise DomainMismatch("normalization needs a Laurent polynomial")
     if f.is_zero():
@@ -557,6 +558,7 @@ def logdet_unit(f: LaurentPoly, p: int, prec: int) -> Padic:
     contribute zero, leaving log(c) plus the trace-log of the 1-unit part.
     """
     require_prime(p)
+    require_prec(prec)
     w, _ = series_guard(p, prec)
     dec = c0_unit_normalize(f, p, w)
     val = padic_log(Padic.from_fraction(dec.c, p, w)) + tr_log_one_unit(
@@ -607,6 +609,7 @@ def logdet_finite(f, p: int, prec: int) -> Padic:
     raises SingularRho.
     """
     require_prime(p)
+    require_prec(prec)
     F = RingMatrix.wrap(f)
     proto = F.entries[0][0]
     if not isinstance(proto, FiniteGroupRingElem):

@@ -10,8 +10,8 @@ last K records modulo an explicit power of p, nothing more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from ._util import Record, require_prec
 from .errors import InvalidQuotient, TooFewRecords, UsageError
 from .fixcount import DEFAULT_PREC, FixCountRecord, check_quotient, fix_count
 from .padic import Padic
@@ -19,8 +19,7 @@ from .padic import Padic
 DEFAULT_TAIL = 3
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Stabilization analysis of a sequence of normalized records.
 
     ``distances[i]`` is (valuation, proven_exact) for records i and i + 1
@@ -33,14 +32,25 @@ class ConvergenceReport:
     true limit.
     """
 
-    records: list[FixCountRecord]
-    p: int
-    target: int
-    tail: int
-    distances: list = field(default_factory=list)
-    stable_digits: int = 0
-    stabilized_value: Padic | None = None
-    verdict: str = "undecided"
+    def __init__(
+        self,
+        records: list[FixCountRecord],
+        p: int,
+        target: int,
+        tail: int,
+        distances: list | None = None,
+        stable_digits: int = 0,
+        stabilized_value: Padic | None = None,
+        verdict: str = "undecided",
+    ):
+        self.records = records
+        self.p = p
+        self.target = target
+        self.tail = tail
+        self.distances = [] if distances is None else distances
+        self.stable_digits = stable_digits
+        self.stabilized_value = stabilized_value
+        self.verdict = verdict
 
     def to_json(self) -> dict:
         return {
@@ -123,10 +133,11 @@ def entropy_sequence(
     the precision loss tracked explicitly).  Every quotient passes the
     checks of ``fix_count`` (size cap, dimensions, coefficients) before the
     first count is computed, so a family that reaches past the size cap is
-    refused at once, and so are a target below 1 and a tail below 2.  A
-    vanishing determinant propagates afterwards as InfiniteFixedPointSet
-    naming the offending quotient.
+    refused at once, and so are a precision below 1, a target below 1 and a
+    tail below 2.  A vanishing determinant propagates afterwards as
+    InfiniteFixedPointSet naming the offending quotient.
     """
+    require_prec(prec)
     family = list(family)
     if len(family) < 2:
         raise TooFewRecords("family must contain at least two quotients")
@@ -136,7 +147,7 @@ def entropy_sequence(
     target = prec if target is None else target
     _check_window(target, tail)
     for q in family:
-        check_quotient(f, q, p)
+        check_quotient(f, q, p, prec)
     records = [fix_count(f, q, p, prec) for q in family]
     return convergence_report(records, p, target, tail)
 

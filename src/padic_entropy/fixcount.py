@@ -74,10 +74,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from ._primes import pool_root, primes_one_mod, word_primes
-from ._util import require_prime, vp_int
+from ._util import Record, require_prec, require_prime, vp_int
 from .errors import (
     DomainMismatch,
     InfiniteFixedPointSet,
@@ -188,7 +187,7 @@ def det_exact(m) -> int:
     cross-testing as _det_bareiss / _det_crt.
     """
     n = len(m)
-    if n and len(m[0]) != n:
+    if any(len(row) != n for row in m):
         raise DomainMismatch("matrix must be square")
     if n < _BAREISS_MAX:
         return _det_bareiss(m)
@@ -542,20 +541,32 @@ def quotient_det(f, q) -> int:
     return det
 
 
-@dataclass
-class FixCountRecord:
+class FixCountRecord(Record):
     """One quotient's exact fixed-point count with p-adic bookkeeping."""
 
-    quotient: dict
-    label: str
-    index: int
-    fix_count: int
-    det_sign: int
-    p: int
-    p_valuation: int
-    unit_residue: int
-    unit_log: Padic
-    normalized: Padic
+    def __init__(
+        self,
+        quotient: dict,
+        label: str,
+        index: int,
+        fix_count: int,
+        det_sign: int,
+        p: int,
+        p_valuation: int,
+        unit_residue: int,
+        unit_log: Padic,
+        normalized: Padic,
+    ):
+        self.quotient = quotient
+        self.label = label
+        self.index = index
+        self.fix_count = fix_count
+        self.det_sign = det_sign
+        self.p = p
+        self.p_valuation = p_valuation
+        self.unit_residue = unit_residue
+        self.unit_log = unit_log
+        self.normalized = normalized
 
     def to_json(self) -> dict:
         return {
@@ -582,13 +593,15 @@ def _require_integer_coeffs(f: RingMatrix):
                     raise DomainMismatch("fixed-point counts need integer coefficients")
 
 
-def check_quotient(f, q, p: int) -> RingMatrix:
-    """Raise what ``fix_count(f, q, p)`` raises before any determinant work.
+def check_quotient(f, q, p: int, prec: int = DEFAULT_PREC) -> RingMatrix:
+    """Raise what ``fix_count(f, q, p, prec)`` raises before any determinant work.
 
-    That is a non-prime p, the size cap on r * |G|, non-integer coefficients
-    and a quotient that does not fit f.  Returns f as a RingMatrix.
+    That is a non-prime p, a precision below 1, the size cap on r * |G|,
+    non-integer coefficients and a quotient that does not fit f.  Returns f
+    as a RingMatrix.
     """
     require_prime(p)
+    require_prec(prec)
     F = RingMatrix.wrap(f)
     size = F.r * as_quotient(q).index
     if size > DEFAULT_SIZE_CAP:
@@ -605,7 +618,7 @@ def fix_count(f, q, p: int, prec: int = DEFAULT_PREC) -> FixCountRecord:
     infinite for that quotient).  The record carries v_p, the unit residue,
     log_p of the unit part, and the normalized value unit_log / index.
     """
-    F = check_quotient(f, q, p)
+    F = check_quotient(f, q, p, prec)
     idx = q.index
     det = quotient_det(F, q)
     if det == 0:

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import require_prime, vp_fraction
+from ._util import Record, require_prime, vp_fraction
 from .errors import (
     DimensionMismatch,
     DomainMismatch,
@@ -219,20 +218,30 @@ class LaurentPoly(_GroupRingElem):
 # law on those indices, with the identity at index 0.
 
 
-@dataclass(frozen=True)
-class ZdQuotient:
+class _Quotient(Record):
+    """A record that cannot change, hashed by its fields, since quotients key dicts."""
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ZdQuotient(_Quotient):
     """Z^d / (n_1 Z x ... x n_d Z); exponents fold componentwise mod n_i."""
 
-    moduli: tuple
-
-    def __post_init__(self):
+    def __init__(self, moduli: tuple):
         try:
-            moduli = tuple(map(operator.index, self.moduli))
+            moduli = tuple(map(operator.index, moduli))
         except TypeError:
-            raise InvalidQuotient(f"moduli {self.moduli!r} are not integers") from None
-        object.__setattr__(self, "moduli", moduli)
+            raise InvalidQuotient(f"moduli {moduli!r} are not integers") from None
         if not moduli or any(n < 1 for n in moduli):
             raise InvalidQuotient("all moduli must be >= 1")
+        object.__setattr__(self, "moduli", moduli)
 
     @property
     def d(self) -> int:
@@ -275,23 +284,21 @@ class ZdQuotient:
         return {"kind": "zd", "moduli": list(self.moduli)}
 
 
-@dataclass(frozen=True)
-class HeisenbergQuotient:
+class HeisenbergQuotient(_Quotient):
     """Reduction of the discrete Heisenberg group mod n (matrix entries mod n).
 
     Laurent exponents (a, b, c) are read as the word x^a y^b z^c, whose
     matrix-entry triple is (a, b, ab + c); dimensions d < 3 pad with zeros.
     """
 
-    n: int
-
-    def __post_init__(self):
+    def __init__(self, n: int):
         try:
-            object.__setattr__(self, "n", operator.index(self.n))
+            n = operator.index(n)
         except TypeError:
-            raise InvalidQuotient(f"modulus {self.n!r} is not an integer") from None
-        if self.n < 1:
+            raise InvalidQuotient(f"modulus {n!r} is not an integer") from None
+        if n < 1:
             raise InvalidQuotient("modulus must be >= 1")
+        object.__setattr__(self, "n", n)
 
     @property
     def index(self) -> int:

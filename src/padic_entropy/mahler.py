@@ -24,10 +24,16 @@ once per remainder coefficient), not after every product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import rational_residue, require_prime, strip_p_content, vp_fraction
+from ._util import (
+    Record,
+    rational_residue,
+    require_prec,
+    require_prime,
+    strip_p_content,
+    vp_fraction,
+)
 from .errors import (
     DomainMismatch,
     NotPrimitive,
@@ -75,12 +81,16 @@ def _coeff_list(f) -> tuple[list, int]:
     return coeffs, lo
 
 
-@dataclass
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Lower convex hull of {(i, v_p(a_i))}; slope -w <-> roots of valuation w."""
 
-    vertices: list[tuple[int, Fraction]]
-    segments: list[tuple[Fraction, int]]  # (slope, horizontal length)
+    def __init__(
+        self,
+        vertices: list[tuple[int, Fraction]],
+        segments: list[tuple[Fraction, int]],  # (slope, horizontal length)
+    ):
+        self.vertices = vertices
+        self.segments = segments
 
     def slopes(self) -> list[Fraction]:
         return [s for s, _ in self.segments]
@@ -201,6 +211,7 @@ def slope_split(f, p: int, prec: int):
     O(p^prec) when p^prec divides lead(f).
     """
     require_prime(p)
+    require_prec(prec)
     coeffs, _ = _coeff_list(f)
     # The polygon's lowest vertex carries the least valuation.  With that at
     # 0, there is exactly one unit coefficient iff no segment has slope 0,
@@ -252,6 +263,7 @@ def mahler_1d(f, p: int, prec: int) -> Padic:
     a genuine cross-check on the slope factorization.
     """
     require_prime(p)
+    require_prec(prec)
     coeffs, _ = _coeff_list(f)
     a_r, a_m = coeffs[0], coeffs[-1]
     content, coeffs = strip_p_content(coeffs, p)

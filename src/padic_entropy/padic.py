@@ -141,6 +141,7 @@ class Padic:
     @classmethod
     def from_int_mod(cls, c: int, p: int, abs_prec: int) -> "Padic":
         """A value known to equal the integer c modulo p^abs_prec."""
+        require_prime(p)
         if abs_prec < 1:
             raise ValueError("absolute precision must be >= 1")
         c %= p**abs_prec

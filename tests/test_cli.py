@@ -636,6 +636,32 @@ def test_numpy_loaded_only_by_the_dense_routes(dense):
     assert json.loads(proc.stdout) == [False] * len(jobs) + [True]
 
 
+# The baseline is taken in the same interpreter, after site has run, so that
+# what a .pth hook loads does not count.
+_START_UP_SPY = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from padic_entropy import cli
+watched = {"dataclasses", "inspect", "padic_entropy.selftest"}
+seen = [sorted(watched & (set(sys.modules) - before))]
+for argv in (["mahler", "--p", "2", "--prec", "8", "--poly", "t-4"], ["selftest", "--seed", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    seen.append(sorted(watched & (set(sys.modules) - before)))
+print(json.dumps(seen))
+"""
+
+
+def test_start_up_loads_neither_dataclasses_nor_the_selftest_battery():
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP_SPY], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_mahler, after_selftest = json.loads(proc.stdout)
+    assert after_import == after_mahler == []
+    assert "padic_entropy.selftest" in after_selftest  # the spy sees a module load
+
+
 _HEIS16_TRACE_LOG = """
 import json, sys, time
 from padic_entropy import HeisenbergQuotient, parse_poly, reduce_to_quotient, tr_log_one_unit

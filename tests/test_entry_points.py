@@ -1,6 +1,7 @@
-"""Every public entry point that takes p refuses a p that is not prime.
+"""Every public entry point that takes p refuses a p that is not prime, and
+every one that takes a precision refuses one that is not an int >= 1.
 
-Each call runs in a subprocess with a timeout, since at p = 1 a valuation
+Each p call runs in a subprocess with a timeout, since at p = 1 a valuation
 loop never ends when nothing checks p first.
 """
 
@@ -12,6 +13,9 @@ import sys
 import pytest
 
 import padic_entropy
+from padic_entropy import detlog, entropy, fixcount, mahler
+from padic_entropy.errors import UsageError
+from padic_entropy.groupring import FiniteGroupRingElem, LaurentPoly, ZdQuotient, diagonal_family
 
 SRC = str(pathlib.Path(padic_entropy.__file__).resolve().parent.parent)
 
@@ -26,6 +30,7 @@ CALLS = {
     "slope_split": "mahler.slope_split(f, p, 6)",
     "sup_norm": "groupring.sup_norm(f, p)",
     "series_guard": "padic.series_guard(p, 8)",
+    "from_int_mod": "padic.Padic.from_int_mod(5, p, 3)",
 }
 
 SCRIPT = """
@@ -56,3 +61,40 @@ def test_a_p_that_is_not_prime_is_refused(name):
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+ONE_UNIT = LaurentPoly(1, {(0,): 1, (1,): 3})  # 1 + 3t at p = 3
+MAHLER = LaurentPoly(1, {(0,): 3, (1,): 1})  # t + 3: one root of valuation 1
+COUNTED = LaurentPoly(1, {(0,): 2, (1,): -1, (2,): 2})
+
+# At prec 0 the parent answered c0_unit_normalize (a decomposition),
+# logdet_finite and mahler_1d (both O(3^0)); the others ended in a bare
+# ValueError or TypeError, or in an unrelated coded refusal.
+PREC_CALLS = {
+    "tr_log_one_unit": lambda prec: detlog.tr_log_one_unit(ONE_UNIT, 3, prec),
+    "logdet_unit": lambda prec: detlog.logdet_unit(ONE_UNIT, 3, prec),
+    "c0_unit_normalize": lambda prec: detlog.c0_unit_normalize(ONE_UNIT, 3, prec),
+    "logdet_finite": lambda prec: detlog.logdet_finite(
+        FiniteGroupRingElem.one(ZdQuotient((3,))), 3, prec
+    ),
+    "mahler_1d": lambda prec: mahler.mahler_1d(MAHLER, 3, prec),
+    "slope_split": lambda prec: mahler.slope_split(MAHLER, 3, prec),
+    "fix_count": lambda prec: fixcount.fix_count(COUNTED, ZdQuotient((2,)), 3, prec),
+    "entropy_sequence": lambda prec: entropy.entropy_sequence(
+        COUNTED, diagonal_family(1, [2, 3]), 3, prec
+    ),
+}
+
+
+@pytest.mark.parametrize("prec", [0, -2, 2.5, "8", None])
+@pytest.mark.parametrize("name", PREC_CALLS)
+def test_a_precision_below_one_is_refused(name, prec):
+    with pytest.raises(UsageError) as exc:
+        PREC_CALLS[name](prec)
+    assert type(exc.value) is UsageError
+    assert str(exc.value) == "precision must be >= 1"
+
+
+@pytest.mark.parametrize("name", PREC_CALLS)
+def test_a_precision_of_one_is_answered(name):
+    PREC_CALLS[name](1)

@@ -87,6 +87,12 @@ def test_fix_count_matches_resultant_oracle():
         assert rec.fix_count == abs(int(res))
 
 
+@pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4, 5]], [[1, 2]]])
+def test_det_exact_refuses_a_ragged_or_oblong_matrix(m):
+    with pytest.raises(DomainMismatch, match=r"^matrix must be square$"):
+        det_exact(m)
+
+
 def test_fix_count_record_fields():
     rec = fix_count(F_EXAMPLE, ZdQuotient((2,)), p=2, prec=8)
     assert rec.fix_count == 15
