@@ -3,10 +3,10 @@
 ``tr_log_one_unit`` evaluates the group-trace of the logarithm series on
 1-units F = 1 + p*G (matrices over the Laurent algebra on Z^d or over a
 finite group ring): the value is  sum_nu -(1/nu) * [identity coefficient of
-the matrix trace of (1-F)^nu],  truncated once every dropped term provably
-vanishes at the working precision.  On 1-units this map is a homomorphism
-and is invariant under conjugation.  Only identity coefficients are needed,
-and in every group
+the matrix trace of (1-F)^nu],  truncated by ``padic.series_guard``, the
+rule of every log series: every dropped term vanishes mod p^prec.  On
+1-units this map is a homomorphism and is invariant under conjugation.
+Only identity coefficients are needed, and in every group
 
     const tr X^(a+b) = <X^a, X^b>,  <A, B> = sum_{s,u} sum_g A[s][u][g] * B[u][s][g^-1],
 
@@ -69,7 +69,7 @@ from .errors import (
     NotAOneUnit,
     SingularRho,
 )
-from .fixcount import det_exact
+from .fixcount import det_exact, log_over_index
 from .groupring import (
     FiniteGroupRingElem,
     LaurentPoly,
@@ -78,7 +78,7 @@ from .groupring import (
     rho_matrix,
     sup_norm,
 )
-from .padic import Padic, _ilog, _neg_sum_over_nu, padic_log, series_guard
+from .padic import Padic, _neg_sum_over_nu, padic_log, series_guard
 
 _DENSE_CELL_CAP = 4_000_000
 # Bounds the work estimate of every trace-log series, before any power is
@@ -407,10 +407,10 @@ def _kernel_finite(supports, group, r: int, p: int, w: int, cap: int) -> list[in
 def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     """Group-trace of log F for a 1-unit F; absolute precision prec.
 
-    The identity coefficients of the powers of 1 - F are found modulo
-    p^(prec+guard); terms beyond the cutoff -- and whole powers once the
-    valuation passes the working precision -- provably vanish there.  The
-    paired kernel stores the j-th power divided by p^j and reads
+    (w, cap) = ``series_guard(p, prec)``: the identity coefficients of the
+    powers X^1 .. X^cap of X = 1 - F are found modulo p^w, w = prec plus the
+    largest v_p(nu) of a kept term, and every later term vanishes mod
+    p^prec.  The paired kernel stores the j-th power divided by p^j and reads
     const tr X^(2j) = <X^j, X^j> and const tr X^(2j+1) = <X^j, X^(j+1)>
     (pairing in the module docstring), so it multiplies about cap/2 times.
     On Z^d, small boxes (cells <= ``_DENSE_CELL_CAP``) with p^w in a machine
@@ -439,8 +439,7 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
     if norm > Fraction(1, p):
         raise NotAOneUnit(f"F - 1 has sup norm {norm} > 1/{p}")
     r = F.r
-    w, cutoff = series_guard(p, prec)
-    cap = min(cutoff, w)  # X^nu = 0 mod p^w once nu >= w
+    w, cap = series_guard(p, prec)
     pw = p**w
     # (key, residue mod p^w) for each nonzero residue of each entry of X
     supports = [
@@ -487,8 +486,8 @@ def tr_log_one_unit(f, p: int, prec: int) -> Padic:
         else:
             consts = _kernel_zd_sparse(supports, d, r, p, w, cap)
 
-    # c_nu is divisible by p^nu and v_p(nu) <= floor(log_p cap) <= w - prec
-    return _neg_sum_over_nu(enumerate(consts, start=1), p, prec, _ilog(cap, p))
+    # c_nu is divisible by p^nu and v_p(nu) <= floor(log_p cap) = w - prec
+    return _neg_sum_over_nu(enumerate(consts, start=1), p, prec, w - prec)
 
 
 # -- unit normalization on Z^d ------------------------------------------------
@@ -554,8 +553,8 @@ def c0_unit_normalize(f: LaurentPoly, p: int, prec: int) -> UnitDecomposition:
 def logdet_unit(f: LaurentPoly, p: int, prec: int) -> Padic:
     """log-determinant of a convolution-algebra unit over Z^d.
 
-    Normalizes f = p^a c t^nu (1+pg); the power of p and the monomial
-    contribute zero, leaving log(c) plus the trace-log of the 1-unit part.
+    Normalizes f = p^a c t^nu (1+pg) at ``series_guard``'s precision; p^a
+    and the monomial contribute zero, leaving log(c) plus the series.
     """
     require_prime(p)
     require_prec(prec)
@@ -615,7 +614,6 @@ def logdet_finite(f, p: int, prec: int) -> Padic:
     if not isinstance(proto, FiniteGroupRingElem):
         raise DomainMismatch("finite-group formula needs finite group ring entries")
     m = proto.group.index
-    vq = vp_int(m, p) if m % p == 0 else 0
     exact = all(
         isinstance(c, int) for row in F.entries for e in row for c in e.terms.values()
     )
@@ -623,14 +621,12 @@ def logdet_finite(f, p: int, prec: int) -> Padic:
         det = det_exact(rho_matrix(F))
         if det == 0:
             raise SingularRho("det rho = 0")
-        val = padic_log(Padic.from_rational(det, 1, p, prec + vq))
-    else:
-        k = prec + vq + 2
-        lifted = F.map_entries(
-            lambda e: e._like({h: _coeff_int_mod(c, p, k) for h, c in e.terms.items()})
-        )
-        dhat = Padic.from_int_mod(det_exact(rho_matrix(lifted)), p, k)
-        if dhat.is_zero:
-            raise SingularRho(f"det rho = 0 mod p^{k}: cannot certify invertibility")
-        val = padic_log(dhat)
-    return (val / m).truncate_abs(prec)
+        return log_over_index(det, m, p, prec)[1]
+    k = prec + vp_int(m, p) + 2
+    lifted = F.map_entries(
+        lambda e: e._like({h: _coeff_int_mod(c, p, k) for h, c in e.terms.items()})
+    )
+    dhat = Padic.from_int_mod(det_exact(rho_matrix(lifted)), p, k)
+    if dhat.is_zero:
+        raise SingularRho(f"det rho = 0 mod p^{k}: cannot certify invertibility")
+    return (padic_log(dhat) / m).truncate_abs(prec)

@@ -611,6 +611,12 @@ def check_quotient(f, q, p: int, prec: int = DEFAULT_PREC) -> RingMatrix:
     return F
 
 
+def log_over_index(x: int, m: int, p: int, prec: int) -> tuple[Padic, Padic]:
+    """(log_p x to prec + v_p(m) digits, log_p x / m to prec) for nonzero ints x and m."""
+    log = padic_log(Padic.from_rational(x, 1, p, prec + vp_int(m, p)))
+    return log, (log / m).truncate_abs(prec)
+
+
 def fix_count(f, q, p: int, prec: int = DEFAULT_PREC) -> FixCountRecord:
     """Exact |Fix| for the quotient q, as |det| of the regular representation.
 
@@ -626,11 +632,9 @@ def fix_count(f, q, p: int, prec: int = DEFAULT_PREC) -> FixCountRecord:
             f"det rho = 0 on {q.label()}: infinite fixed-point set", quotient=q
         )
     count = abs(det)
-    s = vp_int(count, p) if count % p == 0 else 0
+    s = vp_int(count, p)
     unit = count // p**s
-    vq = vp_int(idx, p) if idx % p == 0 else 0
-    unit_log = padic_log(Padic.from_rational(unit, 1, p, prec + vq))
-    normalized = (unit_log / idx).truncate_abs(prec)
+    unit_log, normalized = log_over_index(unit, idx, p, prec)
     return FixCountRecord(
         quotient=q.descriptor(),
         label=q.label(),
@@ -640,7 +644,7 @@ def fix_count(f, q, p: int, prec: int = DEFAULT_PREC) -> FixCountRecord:
         p=p,
         p_valuation=s,
         unit_residue=unit % p**prec,
-        unit_log=unit_log.truncate_abs(prec + vq),
+        unit_log=unit_log,
         normalized=normalized,
     )
 

@@ -261,15 +261,17 @@ def mahler_1d(f, p: int, prec: int) -> Padic:
     The second defining expression (log of the top coefficient plus log of
     the outside-root product) is evaluated as well and the two must agree --
     a genuine cross-check on the slope factorization.
+
+    The split is lifted to prec + max(v(a_r), v(a_m)) - content digits, a_r
+    and a_m the end coefficients: the logs lose exactly v(g(0)) and v(lead h)
+    digits, v(a_r) and v(a_m) over the content, as h(0) is a unit.
     """
     require_prime(p)
     require_prec(prec)
     coeffs, _ = _coeff_list(f)
     a_r, a_m = coeffs[0], coeffs[-1]
     content, coeffs = strip_p_content(coeffs, p)
-    # working precision: logs of a_m, a_r and of root products must survive
-    slack = abs(vp_fraction(a_r, p) - content) + abs(vp_fraction(a_m, p) - content) + 2
-    w = prec + slack
+    w = prec + max(vp_fraction(a_r, p), vp_fraction(a_m, p)) - content
     g, h = slope_split(coeffs, p, w)
     s = len(g) - 1
     inside_prod = g[0] if s else Padic.one(p, w)  # +-(product of inside roots)

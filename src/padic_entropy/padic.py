@@ -20,10 +20,10 @@ y = u^((p-1) p^k) for odd p, y = u^(2^(k+1)) for p = 2, with k = isqrt(n).
 The power kills the roots of unity (for p = 2 it squares u into 1 + 8Z_2,
 so the whole odd-unit group is covered), and since p-th powers of 1-units
 that agree modulo p^m agree modulo p^(m+1), y is known to n + k digits
-(n + k + 1 for p = 2) and lies in 1 + p^(k+1) Z_p.  The series for log y
-then stops after about (n+k)/(k+1) terms, and dividing by the exponent
-exactly gives log u modulo p^n, the same canonical value as summing the
-series on u times its inverse Teichmuller representative.
+(n + k + 1 for p = 2) and lies in 1 + p^(k+1) Z_p.  The series for log y,
+truncated by ``series_guard`` as every log series is, then stops after
+about (n+k)/(k+1) terms, and dividing by the exponent exactly gives log u
+modulo p^n, as the series on u over its Teichmuller representative would.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._util import require_prime, vp_int
+from ._util import require_prec, require_prime, vp_int
 from .errors import (
     IndistinguishableAtPrecision,
     PrimeMismatch,
@@ -64,20 +64,17 @@ def log_series_cutoff(p: int, target: int) -> int:
 
 
 def series_guard(p: int, n: int) -> tuple[int, int]:
-    """(working_abs_precision, cutoff) for a log-type series delivering n digits.
+    """(w, N): working precision and cutoff of every log series -sum x^nu/nu, p | x, to n digits.
 
-    Guard digits absorb the division-by-nu losses: guard = floor(log_p nu_max)+2,
-    at every prime.  The guard and the cutoff depend on each other, so
-    iterate to a fixed point.
+    N = ``log_series_cutoff(p, n)``: a dropped term has valuation >= nu - v_p(nu)
+    >= n.  A kept term divides by p^v_p(nu), v_p(nu) <= floor(log_p N), so
+    w = n + floor(log_p N) carries it to n digits.  And w = N: N meets its own
+    bound, so N >= w; N - 1 < n + floor(log_p(N - 1)) unless N = n, so N <= w.
     """
     require_prime(p)
-    guard = 2
-    while True:
-        cutoff = log_series_cutoff(p, n + guard)
-        g2 = _ilog(cutoff, p) + 2
-        if g2 <= guard:
-            return n + guard, cutoff
-        guard = g2
+    require_prec(n)
+    cutoff = log_series_cutoff(p, n)
+    return n + _ilog(cutoff, p), cutoff
 
 
 class Padic:
@@ -126,8 +123,7 @@ class Padic:
         if den == 0:
             raise ZeroDenominator("denominator is zero")
         require_prime(p)
-        if prec < 1:
-            raise ValueError("precision must be >= 1")
+        require_prec(prec)
         if num == 0:
             return cls.zero(p, prec)
         return cls._ratio(num, den, p, prec)
@@ -142,8 +138,7 @@ class Padic:
     def from_int_mod(cls, c: int, p: int, abs_prec: int) -> "Padic":
         """A value known to equal the integer c modulo p^abs_prec."""
         require_prime(p)
-        if abs_prec < 1:
-            raise ValueError("absolute precision must be >= 1")
+        require_prec(abs_prec)
         c %= p**abs_prec
         if c == 0:
             return cls.zero(p, abs_prec)
@@ -364,21 +359,20 @@ def _neg_sum_over_nu(terms, p: int, digits: int, g: int) -> Padic:
 def _log_one_unit_int(x_int: int, p: int, abs_prec: int) -> Padic:
     """log(1 - x) = -sum x^nu / nu for x = x_int known mod p^abs_prec, v_p(x) >= 1.
 
-    The terms up to the series cutoff are summed in integers modulo
-    p^(abs_prec + g), g = floor(log_p cutoff) (see ``_neg_sum_over_nu``).
+    The terms up to the cutoff N of ``series_guard(p, abs_prec)`` are summed
+    in integers modulo p^w, its working precision (see ``_neg_sum_over_nu``).
     This is exact: v_p(x^nu / nu) >= nu - v_p(nu) > 0.  Every term is known
     to at least abs_prec digits, because x^nu is known modulo
     p^(abs_prec + (nu-1) v_p(x)) and (nu-1) v_p(x) >= v_p(nu); so the result
     is exactly what the input proves, the canonical value mod p^abs_prec.
-    The powers stop early once x^nu vanishes modulo p^(abs_prec + g), so
-    about (abs_prec + g) / v_p(x) terms are summed.
+    The powers stop early once x^nu vanishes modulo p^w, so about
+    w / v_p(x) terms are summed.
     """
     x = x_int % p**abs_prec
     if x == 0:
         return Padic.zero(p, abs_prec)
-    cutoff = log_series_cutoff(p, abs_prec)
-    g = _ilog(cutoff, p)
-    mod = p ** (abs_prec + g)
+    w, cutoff = series_guard(p, abs_prec)
+    mod = p**w
 
     def powers():
         power = x
@@ -388,7 +382,7 @@ def _log_one_unit_int(x_int: int, p: int, abs_prec: int) -> Padic:
             if not power:
                 return
 
-    return _neg_sum_over_nu(powers(), p, abs_prec, g)
+    return _neg_sum_over_nu(powers(), p, abs_prec, w - abs_prec)
 
 
 def padic_log(a: Padic) -> Padic:

@@ -4,7 +4,8 @@
 The jobs are the README command lines in their default, table and json forms
 (plus the README's own csv form of ``entropy``), the jobs of the four
 benchmark workloads at seed 3, and a few jobs on the edges of the series
-kernels and the Hensel lift, the selftest battery at a few seeds, Heisenberg
+kernels and the Hensel lift, two trace logs the series cap refuses, the
+selftest battery at a few seeds, Heisenberg
 counts up to heis:16, a count on Z/243 at p = 3 (an index p divides),
 CLI paths no other job reaches (among them detlog
 on 7x7 to 9x9 matrices), refusals made before the run, argv whose first
@@ -60,6 +61,12 @@ EDGE_ARGV = [
     ["detlog", "--p", "2", "--prec", "256", "--poly=1+2*x+2*y+2*x^-1*y^-1"],
     ["detlog", "--p", "2", "--prec", "64", "--poly=[[1+2*x,2*y],[2*x^-1,1+2*y^-1]]"],
     ["detlog", "--p", "2", "--prec", "32", "--poly=1+2*x+2*y+2*z+2*x^-1*y^-1*z^-1"],
+    # SERIES_WORK_CAP refuses before any power is built, and the message
+    # carries the estimate, hence the series cutoff: the lattice route's
+    # candidates for the d = 3 cross, and the paired kernel's box once x*y*z
+    # joins it
+    ["detlog", "--p", "3", "--prec", "256", "--poly=1+3*x+3*y+3*z+3*x^-1+3*y^-1+3*z^-1"],
+    ["detlog", "--p", "3", "--prec", "256", "--poly=1+3*x+3*y+3*z+3*x^-1+3*y^-1+3*z^-1+3*x*y*z"],
     ["selftest", "--seed", "1"],
     ["selftest", "--seed", "7"],
     ["selftest", "--seed", "42"],

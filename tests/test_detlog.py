@@ -643,6 +643,20 @@ def test_trlog_high_precision_takes_sparse_path(monkeypatch):
     assert int(hi.abs_prec) >= 16
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_trlog_loses_no_digit_to_the_series_rule(p):
+    # the series at prec keeps every digit that 8 more digits of work give
+    rng = random.Random(70 + p)
+    q = ZdQuotient((4, 2))
+    for prec in range(1, 13):
+        units = [helpers.random_one_unit(rng, d, p, terms=3) for d in (1, 2, 3)]
+        units.append(helpers.random_fg_one_unit(rng, q, p))
+        units.append(helpers.random_one_unit_matrix(rng, 2, 2, p))
+        for f in units:
+            want = tr_log_one_unit(f, p, prec + 8).truncate_abs(prec)
+            assert tr_log_one_unit(f, p, prec) == want, (prec, f)
+
+
 # -- logdet on units ------------------------------------------------------------------
 
 
@@ -808,14 +822,14 @@ def test_logdet_finite_singular_padic_coefficients():
 
 
 def test_trlog_refuses_a_term_known_only_to_O_p_k_on_every_group():
-    # 1 + 3t + O(3^2) t^-1: the series at prec 8 needs that coefficient mod 3^12
+    # 1 + 3t + O(3^2) t^-1: the series at prec 8 needs that coefficient mod 3^10
     f = LaurentPoly(1, {(0,): 1, (1,): 3, (-1,): Padic.zero(3, 2)})
     messages = set()
     for g in (f, reduce_to_quotient(f, ZdQuotient((5,))), RingMatrix([[f]])):
         with pytest.raises(IndistinguishableAtPrecision) as err:
             tr_log_one_unit(g, 3, 8)
         messages.add(str(err.value))
-    assert messages == {"coefficient known only to O(p^2), need mod p^12"}
+    assert messages == {"coefficient known only to O(p^2), need mod p^10"}
     # a bound past the working precision is read as 0, on both rings
     sharp = LaurentPoly(1, {(0,): 1, (1,): 3, (-1,): Padic.zero(3, 12)})
     want = tr_log_one_unit(1 + 3 * T, 3, 8)

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import padic_entropy
-from padic_entropy import detlog, entropy, fixcount, mahler
+from padic_entropy import detlog, entropy, fixcount, mahler, padic
 from padic_entropy.errors import UsageError
 from padic_entropy.groupring import FiniteGroupRingElem, LaurentPoly, ZdQuotient, diagonal_family
 
@@ -69,7 +69,9 @@ COUNTED = LaurentPoly(1, {(0,): 2, (1,): -1, (2,): 2})
 
 # At prec 0 the parent answered c0_unit_normalize (a decomposition),
 # logdet_finite and mahler_1d (both O(3^0)); the others ended in a bare
-# ValueError or TypeError, or in an unrelated coded refusal.
+# ValueError or TypeError, or in an unrelated coded refusal.  series_guard
+# answered a negative prec with a working precision below zero, and
+# Padic.from_rational and Padic.from_int_mod raised a bare ValueError.
 PREC_CALLS = {
     "tr_log_one_unit": lambda prec: detlog.tr_log_one_unit(ONE_UNIT, 3, prec),
     "logdet_unit": lambda prec: detlog.logdet_unit(ONE_UNIT, 3, prec),
@@ -83,6 +85,9 @@ PREC_CALLS = {
     "entropy_sequence": lambda prec: entropy.entropy_sequence(
         COUNTED, diagonal_family(1, [2, 3]), 3, prec
     ),
+    "series_guard": lambda prec: padic.series_guard(3, prec),
+    "from_rational": lambda prec: padic.Padic.from_rational(1, 2, 3, prec),
+    "from_int_mod": lambda prec: padic.Padic.from_int_mod(5, 3, prec),
 }
 
 

@@ -421,3 +421,25 @@ def test_mahler_degree_six_random_coefficients():
         v2 = logdet_unit(LaurentPoly(1, {(i,): c for i, c in enumerate(coeffs)}), p, 6)
         assert v1.eq_mod(v2, 6)
         done += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_mahler_loses_no_digit_to_the_working_precision(p):
+    # Fraction coefficients with end valuations up to 6 over the content:
+    # the lift at prec keeps every digit that 8 more digits of work give
+    rng = random.Random(80 + p)
+    for prec in range(1, 13):
+        done = 0
+        while done < 2:
+            coeffs = [
+                Fraction(rng.randint(-9, 9) * p ** rng.randint(0, 3), rng.choice((1, 2, 7, 11)))
+                for _ in range(rng.randint(2, 6))
+            ]
+            coeffs[0] = Fraction(rng.choice((1, -2, 4)) * p ** rng.randint(0, 6), rng.choice((1, 13)))
+            coeffs[-1] = Fraction(rng.choice((1, 5, -8)) * p ** rng.randint(0, 6), rng.choice((1, p)))
+            try:
+                want = mahler_1d(coeffs, p, prec + 8).truncate_abs(prec)
+            except ZeroSlopePresent:
+                continue
+            assert mahler_1d(coeffs, p, prec) == want, (prec, coeffs)
+            done += 1

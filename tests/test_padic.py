@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from padic_entropy import Padic, padic_log
 from padic_entropy import padic
-from padic_entropy.padic import _ilog, _log_one_unit_int, log_series_cutoff
+from padic_entropy.padic import _ilog, _log_one_unit_int, log_series_cutoff, series_guard
 from padic_entropy.errors import (
     IndistinguishableAtPrecision,
     NotPrime,
@@ -254,6 +254,24 @@ def test_series_cutoff_equals_walk_from_one():
             while nu - _ilog(nu, p) < target:
                 nu += 1
             assert log_series_cutoff(p, target) == nu, (p, target)
+
+
+@pytest.mark.parametrize(
+    "p, n, rule",
+    [(2, 1, (1, 1)), (2, 8, (11, 11)), (3, 4, (5, 5)), (3, 8, (10, 10)), (5, 64, (66, 66)),
+     (3, 256, (261, 261)), (2, 256, (264, 264))],
+)
+def test_series_guard_pins(p, n, rule):
+    assert series_guard(p, n) == rule
+
+
+def test_series_guard_is_the_cutoff_and_its_digits():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 400):
+            w, cutoff = series_guard(p, n)
+            assert cutoff == log_series_cutoff(p, n)
+            # the guard w - n is the largest v_p(nu) of a kept term, nu <= cutoff
+            assert w == n + _ilog(cutoff, p) == cutoff, (p, n)
 
 
 def test_log_takes_no_teichmuller_and_a_short_series(monkeypatch):
