@@ -1,5 +1,6 @@
-"""Shared plumbing: argument checks, the record base, p-adic valuations, the
-p-content strip and residues of exact coefficients."""
+"""Shared plumbing: argument checks, the record base, decimal text of ints of
+any size, p-adic valuations, the p-content strip and residues of exact
+coefficients."""
 
 from fractions import Fraction
 
@@ -45,6 +46,33 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"{type(self).__qualname__}({fields})"
+
+
+# CPython refuses to convert an int of more than sys.get_int_max_str_digits()
+# decimal digits to or from text (4300 by default; the limit can be lowered
+# to 640 and no further).  Text of at most this many digits converts under
+# every setting, and longer text is split at a power of 10.
+_SAFE_DIGITS = 640
+_SAFE_BOUND = 10**_SAFE_DIGITS
+
+
+def int_to_str(n: int) -> str:
+    """str(n) for an int of any size, whatever the interpreter's digit limit."""
+    if -_SAFE_BOUND < n < _SAFE_BOUND:
+        return str(n)
+    if n < 0:
+        return "-" + int_to_str(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(n, 10**k)
+    return int_to_str(high) + int_to_str(low).zfill(k)
+
+
+def str_to_int(text: str) -> int:
+    """int(text) for a string of decimal digits of any length (inverse of int_to_str)."""
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
+    k = len(text) // 2
+    return str_to_int(text[:-k]) * 10**k + str_to_int(text[-k:])
 
 
 def vp_int(n: int, p: int) -> int:

@@ -14,6 +14,9 @@ up in ``_COMMANDS``.  ``main`` parses an argv that starts with a command
 with ``build_argparser(command)``, whose top level holds that command's
 subparser alone, and any other argv with the full parser of all six
 commands, the only one that prints the top-level help or lists the commands.
+A process builds each of these seven parsers once and shares it between
+every later argv; help reads the terminal width when it is printed, not
+when the parser is built.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 import sys
 
 from ._primes import is_prime
+from ._util import int_to_str
 from .detlog import c0_unit_normalize, det_laurent_matrix, logdet_unit
 from .entropy import entropy_sequence
 from .errors import (
@@ -191,13 +195,13 @@ def _cmd_unit_check(args: argparse.Namespace) -> tuple[int, str]:
         "poly": print_poly(f),
         "unit": True,
         "p_power": dec.a,
-        "leading_unit": str(dec.c),
+        "leading_unit": int_to_str(dec.c),
         "monomial_exponent": list(dec.nu),
         "one_unit_support": g_terms,
     }
     lines = [
         f"unit of c0(Z^{f.d}) at p={args.p}: yes",
-        f"  f = {args.p}^{dec.a} * ({dec.c}) * t^{dec.nu} * (1 + {args.p}*g)",
+        f"  f = {args.p}^{dec.a} * ({int_to_str(dec.c)}) * t^{dec.nu} * (1 + {args.p}*g)",
         f"  g has {g_terms} term(s) at precision {args.prec}",
     ]
     return 0, _emit(doc, args, lines)
@@ -218,16 +222,16 @@ def _cmd_fixcount(args: argparse.Namespace) -> tuple[int, str]:
         "record": rec.to_json(),
     }
     lines = [
-        f"quotient {rec.label}: |Fix| = {rec.fix_count}",
-        f"  v_{args.p} = {rec.p_valuation}, unit residue {rec.unit_residue}",
+        f"quotient {rec.label}: |Fix| = {int_to_str(rec.fix_count)}",
+        f"  v_{args.p} = {rec.p_valuation}, unit residue {int_to_str(rec.unit_residue)}",
         f"  normalized log = {rec.normalized}",
     ]
     if not args.no_crosscheck and isinstance(q, ZdQuotient):
         # the record came from the character product; the dense determinant
         # of the regular representation is the independent route
-        signed = rec.det_sign * rec.fix_count
+        signed = int_to_str(rec.det_sign * rec.fix_count)
         ok = abs(det_exact(rho_matrix(reduce_to_quotient(f, q)))) == rec.fix_count
-        doc["character_product"] = str(signed)
+        doc["character_product"] = signed
         doc["crosscheck_ok"] = ok
         lines.append(f"  character product: {signed} (|.| matches: {ok})")
     return 0, _emit(doc, args, lines)
@@ -245,7 +249,10 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[int, str]:
     doc = {"schema": SCHEMA, "command": "entropy", "report": rep.to_json()}
     if args.output == "csv":
         return 0, rep.to_csv()
-    lines = [f"{r.label}: |Fix|={r.fix_count} normalized={r.normalized}" for r in rep.records]
+    lines = [
+        f"{r.label}: |Fix|={int_to_str(r.fix_count)} normalized={r.normalized}"
+        for r in rep.records
+    ]
     lines.append(
         f"verdict: {rep.verdict} (stable digits: {rep.stable_digits}, "
         f"tail {rep.tail}, target {rep.target})"
@@ -388,6 +395,7 @@ def _add_options(sp: argparse.ArgumentParser, name: str) -> None:
         sp.add_argument("--tail", type=int, default=3, help="records in the verdict window")
 
 
+@functools.lru_cache(maxsize=None)
 def build_argparser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser: ``command``'s subparser alone, or all six when it is None.
 
@@ -396,24 +404,20 @@ def build_argparser(command: str | None = None) -> argparse.ArgumentParser:
     exactly as on the full parser.  The one-command top level refuses only
     tokens that subparser leaves over ("unrecognized arguments"), and that
     message, like the subparsers' own, prints no usage and lists no commands.
-    """
-    import shutil  # as argparse.HelpFormatter imports it
 
-    # argparse.HelpFormatter's own default width, read once for every parser
-    # instead of once for each formatter that add_argument makes
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
+    Each parser is built once per process and shared by every caller, so it
+    must not be modified.  argparse's default formatter reads the terminal
+    width when help is printed, so a shared parser wraps at the current width.
+    """
     ap = _ArgumentParser(
         prog="padic-entropy",
         description="Exact p-adic entropy of principal algebraic actions.",
-        formatter_class=formatter,
     )
     # Without prog, argparse formats the top-level usage to derive it; that
     # gives the bare prog only because the top-level parser has no positionals.
     sub = ap.add_subparsers(dest="command", required=True, prog=ap.prog)
     for name in _COMMAND_HELP if command is None else (command,):
-        sp = sub.add_parser(name, help=_COMMAND_HELP[name], formatter_class=formatter)
+        sp = sub.add_parser(name, help=_COMMAND_HELP[name])
         _add_options(sp, name)
     return ap
 

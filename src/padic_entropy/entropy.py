@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._util import Record, require_prec
+from ._util import Record, int_to_str, require_prec
 from .errors import InvalidQuotient, TooFewRecords, UsageError
 from .fixcount import DEFAULT_PREC, FixCountRecord, check_quotient, fix_count
 from .padic import Padic
@@ -69,7 +69,7 @@ class ConvergenceReport(Record):
         lines = ["quotient,index,fix_count,v_p,normalized"]
         for r in self.records:
             lines.append(
-                f"{r.label},{r.index},{r.fix_count},{r.p_valuation},{r.normalized}"
+                f"{r.label},{r.index},{int_to_str(r.fix_count)},{r.p_valuation},{r.normalized}"
             )
         return "\n".join(lines) + "\n"
 

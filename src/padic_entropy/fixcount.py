@@ -76,7 +76,7 @@ import math
 import operator
 
 from ._primes import pool_root, primes_one_mod, word_primes
-from ._util import Record, require_prec, require_prime, vp_int
+from ._util import Record, int_to_str, require_prec, require_prime, vp_int
 from .errors import (
     DomainMismatch,
     InfiniteFixedPointSet,
@@ -573,11 +573,11 @@ class FixCountRecord(Record):
             "quotient": self.quotient,
             "label": self.label,
             "index": self.index,
-            "fix_count": str(self.fix_count),
+            "fix_count": int_to_str(self.fix_count),
             "det_sign": self.det_sign,
             "p": self.p,
             "p_valuation": self.p_valuation,
-            "unit_residue": str(self.unit_residue),
+            "unit_residue": int_to_str(self.unit_residue),
             "unit_log": self.unit_log.to_json(),
             "normalized": self.normalized.to_json(),
         }

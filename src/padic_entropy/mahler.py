@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from ._util import (
     Record,
+    int_to_str,
     rational_residue,
     require_prec,
     require_prime,
@@ -76,7 +77,7 @@ def _coeff_list(f) -> tuple[list, int]:
             raise DomainMismatch("need exact integer or rational coefficients")
     lo, hi = min(degs), max(degs)
     if hi - lo > DEGREE_CAP:
-        raise DomainMismatch(f"degree span {hi - lo} exceeds cap {DEGREE_CAP}")
+        raise DomainMismatch(f"degree span {int_to_str(hi - lo)} exceeds cap {DEGREE_CAP}")
     coeffs = [degs.get(i, 0) for i in range(lo, hi + 1)]
     return coeffs, lo
 

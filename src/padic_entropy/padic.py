@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._util import require_prec, require_prime, vp_int
+from ._util import int_to_str, require_prec, require_prime, str_to_int, vp_int
 from .errors import (
     IndistinguishableAtPrecision,
     PrimeMismatch,
@@ -120,6 +120,10 @@ class Padic:
     @classmethod
     def from_rational(cls, num: int, den: int, p: int, prec: int) -> "Padic":
         """Embed num/den into Q_p with prec significant digits."""
+        if not (isinstance(num, int) and isinstance(den, int)):
+            raise TypeError(
+                f"num and den must be ints, not {type(num).__name__} and {type(den).__name__}"
+            )
         if den == 0:
             raise ZeroDenominator("denominator is zero")
         require_prime(p)
@@ -137,6 +141,8 @@ class Padic:
     @classmethod
     def from_int_mod(cls, c: int, p: int, abs_prec: int) -> "Padic":
         """A value known to equal the integer c modulo p^abs_prec."""
+        if not isinstance(c, int):
+            raise TypeError(f"c must be an int, not {type(c).__name__}")
         require_prime(p)
         require_prec(abs_prec)
         c %= p**abs_prec
@@ -310,9 +316,10 @@ class Padic:
     def __str__(self):
         if self.is_zero:
             return "0" if self.v == math.inf else f"O({self.p}^{self.v})"
+        u = int_to_str(self.u)
         if self.v == 0:
-            return f"{self.u} + O({self.p}^{self.prec})"
-        return f"{self.u}*{self.p}^{self.v} + O({self.p}^{self.v + self.prec})"
+            return f"{u} + O({self.p}^{self.prec})"
+        return f"{u}*{self.p}^{self.v} + O({self.p}^{self.v + self.prec})"
 
     __repr__ = __str__
 
@@ -322,7 +329,7 @@ class Padic:
         return {
             "p": self.p,
             "valuation": self.v,
-            "unit": str(self.u),
+            "unit": int_to_str(self.u),
             "precision": self.prec,
         }
 
@@ -331,7 +338,7 @@ class Padic:
         if doc.get("zero"):
             return cls.zero(doc["p"], doc["abs_precision"])
         return cls._nonzero(
-            doc["p"], doc["valuation"], int(doc["unit"]), doc["precision"]
+            doc["p"], doc["valuation"], str_to_int(doc["unit"]), doc["precision"]
         )
 
 
@@ -407,6 +414,8 @@ def padic_log(a: Padic) -> Padic:
     Since v_p(1 - y) >= k + 1, the series stops after about (n+k)/(k+1)
     terms instead of about n; the power costs about k log2(p) squarings.
     """
+    if not isinstance(a, Padic):
+        raise TypeError(f"a must be a Padic, not {type(a).__name__}")
     if a.is_zero:
         raise ZeroInput("log of (a value indistinguishable from) zero")
     p, n = a.p, a.prec

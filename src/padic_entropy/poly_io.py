@@ -9,12 +9,15 @@ Grammar (whitespace insignificant):
 
 Variables are t1..t9; t and x alias t1, y aliases t2, z aliases t3, so
 one-variable input reads naturally ("2*t^2-t+2") and so do the group
-generators x, y, z used for Heisenberg words.  The canonical printer sorts
-terms by descending exponent and round-trips through the parser bit-exactly.
+generators x, y, z used for Heisenberg words.  An integer literal, and the
+sum of one variable's exponents in a monomial, has at most 4300 digits.  The
+canonical printer sorts terms by descending exponent and round-trips through
+the parser bit-exactly.
 """
 
 from __future__ import annotations
 
+from ._util import int_to_str, str_to_int
 from .errors import DimensionInconsistent, PolySyntaxError
 from .groupring import LaurentPoly, RingMatrix
 
@@ -23,6 +26,11 @@ MAX_VARS = 9
 # ASCII only: str.isdigit() also holds for superscripts, which int() rejects,
 # and for other scripts' digits, which int() reads as 0-9.
 _DIGITS = "0123456789"
+# The interpreter's default limit on int <-> str conversion; a longer literal,
+# or a monomial whose exponents add up past it, is refused, whatever the
+# limit is set to.
+MAX_LITERAL_DIGITS = 4300
+_LITERAL_BITS = 14284  # 2**14284 < 10**4300: a shorter int has fewer digits
 
 
 def _tokenize(text: str):
@@ -37,7 +45,11 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            if j - i > MAX_LITERAL_DIGITS:
+                raise PolySyntaxError(
+                    f"integer literal of {j - i} digits exceeds {MAX_LITERAL_DIGITS}", i
+                )
+            tokens.append(("int", str_to_int(text[i:j]), i))
             i = j
             continue
         if ch in "txyz":
@@ -84,12 +96,15 @@ class _Parser:
     def parse_mono(self) -> dict[int, int]:
         exps: dict[int, int] = {}
         while self.peek()[0] == "var":
-            axis = self.take()[1]
+            _, axis, at = self.take()
             e = 1
             if self.peek()[0] == "^":
                 self.take()
                 e = self.parse_signed_int()
-            exps[axis] = exps.get(axis, 0) + e
+            e += exps.get(axis, 0)
+            if e.bit_length() > _LITERAL_BITS and abs(e) >= 10**MAX_LITERAL_DIGITS:
+                raise PolySyntaxError(f"exponent of more than {MAX_LITERAL_DIGITS} digits", at)
+            exps[axis] = e
             # optional '*' between factors ("x*y" as well as "xy")
             if self.peek()[0] == "*" and self.tokens[self.pos + 1][0] == "var":
                 self.take()
@@ -209,7 +224,7 @@ def _mono_str(exp, names) -> str:
     for e, name in zip(exp, names):
         if e == 0:
             continue
-        parts.append(name if e == 1 else f"{name}^{e}")
+        parts.append(name if e == 1 else f"{name}^{int_to_str(e)}")
     return "".join(parts)
 
 
@@ -233,11 +248,11 @@ def print_poly(f) -> str:
         mono = _mono_str(exp, names)
         mag = abs(c)
         if not mono:
-            body = str(mag)
+            body = int_to_str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            body = f"{int_to_str(mag)}*{mono}"
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")
         else:

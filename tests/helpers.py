@@ -14,6 +14,7 @@ import io
 import itertools
 import math
 import os
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -258,3 +259,14 @@ def cli_output_digest(argv: list) -> dict:
         "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
         "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest(),
     }
+
+
+@contextlib.contextmanager
+def int_str_limit(digits: int):
+    """Set the interpreter's int <-> str digit limit (0: none) for the block, then restore it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)

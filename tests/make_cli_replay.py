@@ -8,7 +8,8 @@ kernels and the Hensel lift, two trace logs the series cap refuses, the
 selftest battery at a few seeds, Heisenberg
 counts up to heis:16, a count on Z/243 at p = 3 (an index p divides),
 CLI paths no other job reaches (among them detlog
-on 7x7 to 9x9 matrices), refusals made before the run, argv whose first
+on 7x7 to 9x9 matrices), integers of more than 4300 digits, refusals made
+before the run, argv whose first
 token is not the command or with tokens left over after it, and help
 (``EDGE_ARGV``).  Each entry holds the
 argv, the exit status and the SHA-256 of stdout and of stderr of
@@ -111,6 +112,16 @@ EDGE_ARGV = [
     # the polynomial grammar reads ASCII digits only
     ["mahler", "--p", "3", "--poly=1+3*t²"],
     ["mahler", "--p", "3", "--poly=١+3*t"],
+    # Integers past the interpreter's 4300-digit limit on int <-> str: a
+    # count of 20480 digits in json, counts of 4328 and 4332 digits in csv,
+    # a p-adic unit of about 4600 digits, and literals of 4400 digits, which
+    # are refused
+    ["fixcount", "--p", "3", "--poly=1+99999*x+3*y", "--quotient", "64,64", "--no-crosscheck",
+     "--output", "json"],
+    ["entropy", "--p", "7919", "--poly=1+7919*t", "--family", "1110,1111", "--output", "csv"],
+    ["detlog", "--p", "1000000000000000003", "--prec", "256", "--poly=2+1000000000000000003*t"],
+    ["mahler", "--p", "3", f"--poly=1+{'3' * 4400}*t"],
+    ["mahler", "--p", "3", f"--poly=t^{'1' * 4400}"],
     # cli.main parses an argv whose first token names a command with that
     # command's parser alone, and any other argv with the parser of all six:
     # tokens before the command, an unknown command or none at all are

@@ -27,6 +27,7 @@ from padic_entropy.errors import (
     TooFewRecords,
     UsageError,
 )
+from padic_entropy.fixcount import quotient_det
 from padic_entropy.groupring import HeisenbergQuotient, ZdQuotient
 
 import helpers
@@ -86,6 +87,43 @@ def test_parse_reads_only_ascii_digits(text, position):
     with pytest.raises(PolySyntaxError, match="unexpected character") as exc:
         parse_poly(text)
     assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text", ["1+" + "3" * 4400 + "*t", "t^" + "1" * 4400])
+def test_parse_refuses_a_literal_past_the_digit_limit(text):
+    with pytest.raises(PolySyntaxError, match="integer literal of 4400 digits exceeds 4300") as exc:
+        parse_poly(text)
+    assert exc.value.position == 2
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("t^" + "9" * 4300 + "*t", 4303), ("x*t^" + "9" * 4300, 2), ("t^-" + "9" * 4300 + "*t^-1", 4304)],
+)
+def test_parse_refuses_a_monomial_whose_exponents_add_past_the_digit_limit(text, position):
+    with pytest.raises(PolySyntaxError, match="exponent of more than 4300 digits") as exc:
+        parse_poly(text)
+    assert exc.value.position == position
+
+
+def test_a_degree_span_past_the_digit_limit_is_refused_whole(capsys):
+    e = "9" * 4300
+    assert main(["mahler", "--p", "3", f"--poly=t^{e}+3*t^-{e}"]) == 1
+    with helpers.int_str_limit(0):
+        span = str(2 * int(e))
+    assert f"degree span {span} exceeds cap" in capsys.readouterr().out
+
+
+def test_parse_and_print_literals_at_the_digit_limit():
+    big = int("7" * 4300)
+    assert parse_poly("1+" + "7" * 4300 + "*t") == LaurentPoly(1, {(0,): 1, (1,): big})
+    # a sum of two such literals has 4301 digits, and so has an exponent
+    # sum; the printer writes both out
+    term = "7" * 4300 + "*t^" + "7" * 4300 + "*t^2"
+    f = parse_poly(term + "+" + term)
+    text = print_poly(f)
+    with helpers.int_str_limit(0):
+        assert text == f"{2 * big}*t^{big + 2}"
 
 
 def test_parse_dimension_inconsistent():
@@ -315,13 +353,48 @@ def test_replayed_jobs_keep_their_output_bytes():
     # p = 3, the refusals made before the run (non-ASCII digits in --poly
     # among them), argv whose first token is not the command or with tokens
     # left over after it, paths no other job reaches (the default family,
-    # unparsed family and quotient strings, 7x7 to 9x9 detlog matrices), and
-    # help at 80 columns, with the exit status and output digests recorded
-    # by tests/make_cli_replay.py
+    # unparsed family and quotient strings, 7x7 to 9x9 detlog matrices),
+    # integers of more than 4300 digits, and help at 80 columns, with the
+    # exit status and output digests recorded by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 412
+    assert len(jobs) == 417
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
+
+
+def test_counts_past_the_digit_limit_print_whole(capsys):
+    f = parse_poly("1+99999*x+3*y")
+    q = ZdQuotient((64, 64))
+    argv = ["fixcount", "--p", "3", "--poly=1+99999*x+3*y", "--quotient", "64,64", "--no-crosscheck"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    assert main(argv + ["--output", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)["record"]
+    with helpers.int_str_limit(0):
+        count = str(abs(quotient_det(f, q)))
+    assert len(count) == 20480
+    assert table.startswith(f"quotient Z/64xZ/64: |Fix| = {count}\n")
+    assert record["fix_count"] == count
+    argv = ["entropy", "--p", "7919", "--poly=1+7919*t", "--family", "1110,1111", "--output", "csv"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    f = parse_poly("1+7919*t")
+    with helpers.int_str_limit(0):
+        counts = [str(abs(quotient_det(f, ZdQuotient((n,))))) for n in (1110, 1111)]
+    assert [row.split(",")[2] for row in rows] == counts
+
+
+def test_a_unit_past_the_digit_limit_prints_whole(capsys):
+    p = 1000000000000000003
+    argv = ["detlog", "--p", str(p), "--prec", "256", f"--poly=2+{p}*t"]
+    assert main(argv + ["--output", "json"]) == 0
+    value = Padic.from_json(json.loads(capsys.readouterr().out)["value"])
+    assert (value.v, value.prec) == (1, 255) and value.u > 10**4300
+    assert main(argv) == 0
+    with helpers.int_str_limit(0):
+        text = f"{value.u}*{p}^1 + O({p}^256)"
+    assert str(value) == text
+    assert capsys.readouterr().out == f"log-determinant (scalar unit route): {text}\n"
 
 
 def test_cli_main_exit_codes():
@@ -532,6 +605,27 @@ def test_main_builds_the_options_of_the_first_command_token(monkeypatch, capsys)
     assert seen == ["mahler", None, "fixcount", None, None, None]
 
 
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The prog of every parser built from here on, from a cold cache.
+
+    The cache is cleared before and after, so the test neither finds warm
+    parsers nor leaves parsers of the counting class cached.
+    """
+    built = []
+
+    class Counting(cli._ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    # add_parser builds each subparser with the top-level parser's class
+    monkeypatch.setattr(cli, "_ArgumentParser", Counting)
+    build_argparser.cache_clear()
+    yield built
+    build_argparser.cache_clear()
+
+
 @pytest.mark.parametrize(
     "argv, parsers",
     [
@@ -547,20 +641,45 @@ def test_main_builds_the_options_of_the_first_command_token(monkeypatch, capsys)
         ([], 7),
     ],
 )
-def test_main_builds_one_subparser_for_a_command_first_argv(argv, parsers, monkeypatch, capsys):
-    built = []
-
-    class Counting(cli._ArgumentParser):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            super().__init__(*args, **kwargs)
-
-    # add_parser builds each subparser with the top-level parser's class
-    monkeypatch.setattr(cli, "_ArgumentParser", Counting)
+def test_main_builds_one_subparser_for_a_command_first_argv(argv, parsers, parser_builds, capsys):
     with contextlib.suppress(SystemExit):
         main(argv)
     capsys.readouterr()
-    assert len(built) == parsers, built
+    assert len(parser_builds) == parsers, parser_builds
+
+
+def test_main_builds_a_command_s_parser_once(parser_builds, capsys):
+    argv = ["mahler", "--p", "2", "--poly", "t-4"]
+    counts = []
+    for _ in range(2):
+        before = len(parser_builds)
+        assert main(argv) == 0
+        counts.append(len(parser_builds) - before)
+    capsys.readouterr()
+    assert counts == [2, 0]
+
+
+def test_a_warm_parser_wraps_help_at_the_current_width(monkeypatch, capsys):
+    ap = build_argparser("mahler")
+    texts = []
+    for columns in (50, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            main(["mahler", "-h"])
+        texts.append(capsys.readouterr().out)
+        assert build_argparser("mahler") is ap
+        # a parser built now, outside the cache, prints the same help
+        fresh = build_argparser.__wrapped__("mahler")
+        assert texts[-1] == _subparsers(fresh)["mahler"].format_help()
+    assert texts[0].count("\n") > texts[1].count("\n")
+
+
+def test_replayed_jobs_in_reverse_order_keep_their_output_bytes():
+    # one process, every parser warm: no job's argv leaves anything behind
+    # in a shared parser for the next
+    jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
+    for job in reversed(jobs):
+        assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 
 
 def _subparsers(ap):
@@ -587,10 +706,15 @@ def test_help_wraps_at_the_terminal_width(columns, monkeypatch):
     monkeypatch.setenv("COLUMNS", str(columns))
     parsers = [build_argparser()]
     parsers += [_subparsers(build_argparser(command))[command] for command in _COMMAND_NAMES]
-    for parser in parsers:
-        text = parser.format_help()
-        parser.formatter_class = argparse.HelpFormatter
-        assert parser.format_help() == text, parser.prog
+    # the same parsers built now, outside the cache; the shared ones are read,
+    # never changed
+    fresh = [build_argparser.__wrapped__()]
+    fresh += [
+        _subparsers(build_argparser.__wrapped__(command))[command] for command in _COMMAND_NAMES
+    ]
+    for parser, built_now in zip(parsers, fresh):
+        assert parser.formatter_class is argparse.HelpFormatter, parser.prog
+        assert parser.format_help() == built_now.format_help(), parser.prog
 
 
 # Run in a fresh interpreter: numpy, once imported, stays in sys.modules.

@@ -1,5 +1,6 @@
-"""Every public entry point that takes p refuses a p that is not prime, and
-every one that takes a precision refuses one that is not an int >= 1.
+"""Every public entry point that takes p refuses a p that is not prime,
+every one that takes a precision refuses one that is not an int >= 1, and
+a value of the wrong type raises a TypeError that names the argument.
 
 Each p call runs in a subprocess with a timeout, since at p = 1 a valuation
 loop never ends when nothing checks p first.
@@ -103,3 +104,25 @@ def test_a_precision_below_one_is_refused(name, prec):
 @pytest.mark.parametrize("name", PREC_CALLS)
 def test_a_precision_of_one_is_answered(name):
     PREC_CALLS[name](1)
+
+
+# The parent ended padic_log in AttributeError ('str' object has no attribute
+# 'is_zero'), and the two constructors in a TypeError about string formatting.
+WRONG_TYPE_CALLS = {
+    "padic_log-str": (lambda: padic.padic_log("x"), "a must be a Padic, not str"),
+    "padic_log-None": (lambda: padic.padic_log(None), "a must be a Padic, not NoneType"),
+    "from_rational": (
+        lambda: padic.Padic.from_rational("1", 1, 3, 8),
+        "num and den must be ints, not str and int",
+    ),
+    "from_int_mod": (lambda: padic.Padic.from_int_mod("5", 3, 4), "c must be an int, not str"),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_TYPE_CALLS)
+def test_a_wrong_type_raises_a_type_error_that_names_the_argument(name):
+    call, message = WRONG_TYPE_CALLS[name]
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert type(exc.value) is TypeError
+    assert str(exc.value) == message

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from padic_entropy import Padic, padic_log
 from padic_entropy import padic
+from padic_entropy._util import int_to_str, str_to_int
 from padic_entropy.padic import _ilog, _log_one_unit_int, log_series_cutoff, series_guard
 from padic_entropy.errors import (
     IndistinguishableAtPrecision,
@@ -431,3 +432,29 @@ def test_an_exact_scalar_divided_by_a_padic():
     assert str(Fraction(1, 3) / x) == "122*3^-2 + O(3^3)"
     with pytest.raises(ZeroInput):
         1 / Padic.zero(3, 4)
+
+
+def test_decimal_text_of_ints_of_any_size():
+    rng = random.Random(34)
+    values = [0, 1, -1, 10**640 - 1, 10**640, -(10**640), 10**9000, 7**20000]
+    values += [rng.getrandbits(rng.randrange(1, 40000)) for _ in range(40)]
+    values += [-v for v in values[-10:]]
+    with helpers.int_str_limit(0):
+        texts = [str(v) for v in values]
+    # 640 is the lowest limit the interpreter accepts
+    with helpers.int_str_limit(640):
+        assert [int_to_str(v) for v in values] == texts
+        assert [str_to_int(t) for t in texts if t[0] != "-"] == [v for v in values if v >= 0]
+
+
+def test_a_unit_past_the_digit_limit_round_trips_through_json():
+    p = 1000000000000000003
+    value = Padic.from_rational(2, 1, p, 256)
+    u = padic_log(value)
+    assert u.u > 10**4300
+    doc = u.to_json()
+    assert Padic.from_json(doc) == u
+    text = str(u)
+    with helpers.int_str_limit(0):
+        assert text == f"{u.u}*{p}^1 + O({p}^256)"
+        assert doc["unit"] == str(u.u)
