@@ -4,59 +4,64 @@ The count for a quotient G is |det rho(f)|, where rho is the regular
 representation of the reduced element; a vanishing determinant means the
 fixed-point set is infinite.  rho splits over irreducible representations,
 so ``quotient_det`` takes the determinant as a product of small blocks read
-straight from the Laurent exponents -- no group table, no |G| x |G| matrix:
+straight from the Laurent exponents -- no group table, no |G| x |G| matrix.
+``_block_families`` is the one place where a quotient turns into blocks: a
+list of families, each with one block size, one list of cells and one
+power, whose blocks are labelled by Galois orbits (below):
 
-* Z^d / (n_1, ..., n_d): one r x r block f(zeta^j) per character tuple j
-  (the character product of Lind-Schmidt-Ward);
+* Z^d / (n_1, ..., n_d): one family, an r x r block f(zeta^j) per character
+  tuple j (the character product of Lind-Schmidt-Ward);
 * the Heisenberg group mod n: A = {(0, b, c)} is an abelian normal subgroup
   with cyclic quotient, so rho is the sum over the n^2 characters
   chi_{beta,gamma} of A of the induced representations Ind chi, each of
-  degree n (Clifford theory): n^2 blocks of size rn.  Most of them are
-  isomorphic.  Conjugation by x sends chi_{beta,gamma} to
+  degree n (Clifford theory).  For gamma = 0, Ind chi_{beta,0} is the sum
+  over alpha of the characters psi_{alpha,beta} of G/Z = (Z/n)^2, so the
+  gamma = 0 blocks together are one family of r x r blocks: the characters
+  of (Z/n)^2 on f(x, y, 1), the coefficients of words with equal (a, b)
+  summed.  Conjugation by x sends chi_{beta,gamma} to
   chi_{beta-gamma,gamma}, so det Ind chi_{beta,gamma} depends only on
   (beta mod g, gamma), g = gcd(gamma, n), and each such class occurs n/g
-  times.  For gamma = 0, Ind chi_{beta,0} is the sum over alpha of the
-  characters psi_{alpha,beta} of G/Z = (Z/n)^2, so the gamma = 0 blocks
-  together are the Z^2 case for f(x, y, 1).  What is left is one block of
-  size rn per class with gamma != 0, Pillai(n) - n = sum_k gcd(k, n) - n
-  of them.
+  times.  So each divisor g < n gives one more family: a block of size rn
+  per class with gcd(gamma, n) = g, raised to the power n/g; in all
+  Pillai(n) - n = sum_k gcd(k, n) - n blocks of size rn.
 
-The blocks have entries in Z[zeta_L], L = lcm(n_i) or n, and every
-exponent of zeta_L in a block is linear in the block's label j (a character
-tuple, or (beta, gamma)).  So the Galois group (Z/L)^* acts on the labels
-by j -> u * j and sends block j to its conjugate block u * j (on the
-Heisenberg classes, by u * (beta, gamma) = (u beta mod g, u gamma)).  Over
-one orbit, whose label j has order m, the product of the block determinants
-is the norm from Q(zeta_m) to Q of det(block j): a rational integer.  An
-entry of a block is a sum of c * zeta^k over its cells, so Hadamard's
-inequality bounds the square of every conjugate determinant by
+The blocks have entries in Z[zeta_L], L = lcm(n_i) or n.  A cell
+(i, j, w, c) of a family adds c * zeta_L^(w . label) to entry (i, j) of the
+block with that label (a character tuple, or a pair), so every exponent is
+linear in the label.  The Galois group (Z/L)^* acts on the labels by
+label -> u * label and sends a block to its conjugate (on the Heisenberg
+classes, by u * (beta, gamma) = (u beta mod g, u gamma)).  Over one orbit,
+whose label has order m, the product of the block determinants is the norm
+from Q(zeta_m) to Q of the determinant of its first block: a rational
+integer.  An entry of a block is a sum of c * zeta^k over its cells, so
+Hadamard's inequality bounds the square of every conjugate determinant by
 H = prod_rows sum_cols (sum of |c| over the entry's cells)^2.  The cell
-positions do not depend on the label, so one H serves the whole quotient,
-and an orbit of phi(m) blocks has |norm| <= ceil(H^(phi(m)/2)); H = 0 (a
-row with no cell) proves every block singular.
-``quotient_det`` lists one label per orbit (``_galois_orbits`` walks the
-orbits coordinate by coordinate, so its work follows the number of orbits,
-not of labels), evaluates the orbit's norm in F_q with zeta_L of exact
-order L there, and multiplies the norms, stopping at the first that
-vanishes.  Each norm is rebuilt by CRT over as many primes as its bound
-needs, so a norm whose bound fits under the first prime q is that one
-residue lifted to the symmetric range.  The primes come from the pool of
-``primes_one_mod``: q = 1 mod M = lcm(L, lcm(1..22)), at least 2^59, so
-every quotient of a family whose L divides lcm(1..22) shares the same few
-primes, and zeta_L is a power of the one root of exact order M that the
-pool keeps for q.  Each block is thus evaluated once per prime its own
-orbit needs, not once per prime of the whole group's bound.  On Heisenberg
-the class orbits of one g run through that loop once, and their product is
-raised to the power n/g.  A 1 x 1 block (every character of Z^d when
-r = 1) is evaluated as its one entry, summed inline for each unit of its
-orbit, with no matrix.  A block of size n >= 3 whose cells all lie on the
-cyclic tridiagonal (a Heisenberg block of a scalar whose words have
-x-exponents in {-1, 0, 1}, and every 3 x 3 block) is taken in O(n) by a
-product of 2 x 2 transfer matrices, with no division; any other block goes
-through O(n^3) elimination.  The bounds multiply to at most the l1 bound
-of the dense rho matrix, prod_s (sum_t ||f_st||_1)^|G|, and to exactly
-that bound for r = 1 on Z^d; on Heisenberg they are smaller, so fewer
-primes are needed.
+positions do not depend on the label, so one H serves a whole family, and
+an orbit of phi(m) blocks has |norm| <= ceil(H^(phi(m)/2)); H = 0 (a row
+with no cell) proves every block of the family singular.
+``quotient_det`` is one loop over the families and their orbits, one label
+per orbit (``_galois_orbits`` walks the orbits coordinate by coordinate, so
+its work follows the number of orbits, not of labels).  It evaluates each
+orbit's norm in F_q with zeta_L of exact order L there, raises it to the
+family's power and multiplies, stopping at the first norm that vanishes.
+Each norm is rebuilt by CRT over as many primes as its bound needs, so a
+norm whose bound fits under the first prime q is that one residue lifted to
+the symmetric range.  The primes come from the pool of ``primes_one_mod``:
+q = 1 mod M = lcm(L, lcm(1..22)), at least 2^59, so every quotient of a
+family whose L divides lcm(1..22) shares the same few primes, and zeta_L is
+a power of the one root of exact order M that the pool keeps for q; one
+table of its powers per prime serves every family.  Each block is thus
+evaluated once per prime its own orbit needs, not once per prime of the
+whole group's bound.  A 1 x 1 block (every character of Z^d, and every
+gamma = 0 character, when r = 1) is evaluated as its one entry, summed
+inline for each unit of its orbit, with no matrix.  A block of size n >= 3
+whose cells all lie on the cyclic tridiagonal (a Heisenberg block of a
+scalar whose words have x-exponents in {-1, 0, 1}, and every 3 x 3 block)
+is taken in O(n) by a product of 2 x 2 transfer matrices, with no division;
+any other block goes through O(n^3) elimination.  The bounds multiply to at
+most the l1 bound of the dense rho matrix, prod_s (sum_t ||f_st||_1)^|G|,
+and to exactly that bound for r = 1 on Z^d; on Heisenberg they are smaller,
+so fewer primes are needed.
 
 DEFAULT_SIZE_CAP (from ``groupring``) bounds r * |G|, the size of the dense
 rho matrix.  The block route never builds that matrix, but the cap still
@@ -99,7 +104,7 @@ _BAREISS_MAX = 64
 
 def _det_bareiss(m) -> int:
     """Fraction-free elimination; every division below is exact."""
-    a = [[int(x) for x in row] for row in m]
+    a = [[operator.index(x) for x in row] for row in m]
     n = len(a)
     if n == 0:
         return 1
@@ -170,7 +175,7 @@ def _crt_signed(primes, bound: int, residue_fn) -> int:
 def _det_crt(m) -> int:
     import numpy as np
 
-    rows = [[int(x) for x in row] for row in m]
+    rows = [[operator.index(x) for x in row] for row in m]
     # Hadamard: det^2 <= prod of row square-sums, 0 when a row is zero
     square = math.prod(sum(x * x for x in row) for row in rows)
     if square == 0:
@@ -225,49 +230,6 @@ def _det_mod(m, q: int) -> int:
                 row[c + 1 :] = [(piv * x - k * y) % q for x, y in zip(row[c + 1 :], tail)]
                 scale = scale * piv % q
     return det * pow(scale, -1, q) % q
-
-
-def _character_blocks(F: RingMatrix, q):
-    """(L, labels, block) with det rho(F) = prod over j of det(block(j) at zeta_L).
-
-    The labels j run over (Z/labels[0]) x (Z/labels[1]) x ...; block(j) is
-    (size, cells), and a cell (i, j, k, c) adds c * zeta_L^k to entry (i, j).
-    Every k is linear in j, so block(u * j) is block(j) with zeta_L^u in
-    place of zeta_L.  Nothing here depends on the prime the blocks are
-    evaluated in.
-    """
-    as_quotient(q).check_fits(_laurent_dim(F))
-    cells = [
-        (s, t, e, c)
-        for s, row in enumerate(F.entries)
-        for t, entry in enumerate(row)
-        for e, c in entry.terms.items()
-    ]
-    r = F.r
-    if isinstance(q, ZdQuotient):
-        L = math.lcm(*q.moduli)
-        steps = [L // n for n in q.moduli]
-        weighted = [(s, t, [x * w for x, w in zip(e, steps)], c) for s, t, e, c in cells]
-
-        def character(jvec):
-            return r, [(s, t, sum(map(operator.mul, w, jvec)) % L, c) for s, t, w, c in weighted]
-
-        return L, q.moduli, character
-    n = q.n
-    words = [(s, t, *(tuple(e) + (0, 0))[:3], c) for s, t, e, c in cells]
-
-    # x^a y^b z^c is the group element (a, b, ab + c); on the basis
-    # x^k (x) v of Ind chi_{beta,gamma} it sends x^k to x^(a+k) times the
-    # element (0, b, c - kb) of A.
-    def induced(label):
-        beta, gamma = label
-        return r * n, [
-            (s * n + (a + k) % n, t * n + k, (beta * b + gamma * (cz - k * b)) % n, c)
-            for s, t, a, b, cz, c in words
-            for k in range(n)
-        ]
-
-    return n, (n, n), induced
 
 
 def _coordinate_minima(n: int, g: int) -> list[tuple[int, int]]:
@@ -478,33 +440,61 @@ def _class_orbits(n: int) -> list[tuple[int, list[tuple[tuple[int, int], list[in
     return groups
 
 
-def _at_central_one(F: RingMatrix) -> RingMatrix:
-    """F(x, y, 1) in two variables: the word x^a y^b z^c read as x^a y^b."""
+def _block_families(F: RingMatrix, q):
+    """(L, families) with det rho(F) = prod over the families (orbits, size,
+    cells, power) of (prod over (label, units) in orbits of the orbit's
+    norm) ** power.
 
-    def entry(poly: LaurentPoly) -> LaurentPoly:
-        terms: dict[tuple[int, int], int] = {}
-        for e, c in poly.terms.items():
-            ab = (e + (0,))[:2]
-            terms[ab] = terms.get(ab, 0) + c
-        return LaurentPoly(2, terms)
-
-    return RingMatrix([[entry(x) for x in row] for row in F.entries])
+    The orbit's norm is prod over u in units of det(block at zeta_L^u), where
+    the block is size x size and a cell (i, j, w, c) adds
+    c * zeta_L^(w . label) to entry (i, j).  Nothing here depends on the
+    prime the blocks are evaluated in.
+    """
+    as_quotient(q).check_fits(_laurent_dim(F))
+    words = [
+        (s, t, e, c)
+        for s, row in enumerate(F.entries)
+        for t, entry in enumerate(row)
+        for e, c in entry.terms.items()
+    ]
+    r = F.r
+    if isinstance(q, ZdQuotient):
+        L = math.lcm(*q.moduli)
+        steps = [L // n for n in q.moduli]
+        cells = [(s, t, [x * w for x, w in zip(e, steps)], c) for s, t, e, c in words]
+        return L, [(_galois_orbits(q.moduli), r, cells, 1)]
+    n = q.n
+    words = [(s, t, *(tuple(e) + (0, 0))[:3], c) for s, t, e, c in words]
+    # gamma = 0: the characters of (Z/n)^2 on F(x, y, 1), where x^a y^b z^c
+    # is x^a y^b, so words equal there share one cell and may cancel
+    central: dict[tuple[int, int, int, int], int] = {}
+    for s, t, a, b, _, c in words:
+        central[s, t, a, b] = central.get((s, t, a, b), 0) + c
+    cells = [(s, t, (a, b), c) for (s, t, a, b), c in central.items() if c]
+    # x^a y^b z^c is the group element (a, b, ab + c); on the basis
+    # x^k (x) v of Ind chi_{beta,gamma} it sends x^k to x^(a+k) times the
+    # element (0, b, c - kb) of A.
+    induced = [
+        (s * n + (a + k) % n, t * n + k, (b, cz - k * b), c)
+        for s, t, a, b, cz, c in words
+        for k in range(n)
+    ]
+    families = [(_galois_orbits((n, n)), r, cells, 1)]
+    return n, families + [(orbits, r * n, induced, n // g) for g, orbits in _class_orbits(n)]
 
 
 def quotient_det(f, q) -> int:
     """Signed integer det rho(f) for a ZdQuotient or a HeisenbergQuotient.
 
-    It is the product of the Galois-orbit norms of the blocks (see the
-    module docstring), or 0 at the first orbit that vanishes, so no block
-    after it is evaluated.  It equals det_exact(rho_matrix(...)) of the
-    reduced element, sign included.
+    It is the product of the Galois-orbit norms of the blocks, each raised
+    to its family's power (see the module docstring), or 0 at the first
+    family with a row of no cell or the first orbit that vanishes, so no
+    block after it is evaluated.  It equals det_exact(rho_matrix(...)) of
+    the reduced element, sign included.
     """
     F = RingMatrix.wrap(f)
     _require_integer_coeffs(F)
-    L, labels, block = _character_blocks(F, q)
-    square = _hadamard_square(*block((0,) * len(labels)))
-    if square == 0:
-        return 0
+    L, families = _block_families(F, q)
     powers = {}
 
     def zpow(prime: int) -> list:
@@ -516,28 +506,21 @@ def quotient_det(f, q) -> int:
             powers[prime] = table
         return powers[prime]
 
-    def orbit_norm(size: int, cells, units) -> int:
-        return _crt_signed(
-            primes_one_mod(L),
-            _norm_bound(square, len(units)),
-            lambda prime: _orbit_residue(size, cells, zpow(prime), units, L, prime),
-        )
-
-    def orbit_product(orbits) -> int:
-        det = 1
-        for j, units in orbits:
-            det *= orbit_norm(*block(j), units)
+    det = 1
+    for orbits, size, cells, power in families:
+        square = _hadamard_square(size, cells)
+        if square == 0:
+            return 0
+        for label, units in orbits:
+            block = [(i, j, sum(map(operator.mul, w, label)) % L, c) for i, j, w, c in cells]
+            norm = _crt_signed(
+                primes_one_mod(L),
+                _norm_bound(square, len(units)),
+                lambda prime: _orbit_residue(size, block, zpow(prime), units, L, prime),
+            )
+            det *= norm**power
             if det == 0:
                 return 0
-        return det
-
-    if isinstance(q, ZdQuotient):
-        return orbit_product(_galois_orbits(labels))
-    det = quotient_det(_at_central_one(F), ZdQuotient((q.n, q.n)))
-    for g, orbits in _class_orbits(q.n):
-        if det == 0:
-            break
-        det *= orbit_product(orbits) ** (q.n // g)
     return det
 
 

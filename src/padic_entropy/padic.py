@@ -105,6 +105,8 @@ class Padic:
     @classmethod
     def zero(cls, p: int, zprec: int | None = None) -> "Padic":
         """Zero to precision p^-zprec; zprec None means exactly zero."""
+        if not (zprec is None or isinstance(zprec, int)):
+            raise TypeError(f"zprec must be an int or None, not {type(zprec).__name__}")
         return cls(p, math.inf if zprec is None else zprec, 0, 0)
 
     @classmethod
@@ -136,7 +138,7 @@ class Padic:
     def from_fraction(cls, x: Fraction | int, p: int, prec: int) -> "Padic":
         if isinstance(x, Fraction):
             return cls.from_rational(x.numerator, x.denominator, p, prec)
-        return cls.from_rational(int(x), 1, p, prec)
+        return cls.from_rational(x, 1, p, prec)
 
     @classmethod
     def from_int_mod(cls, c: int, p: int, abs_prec: int) -> "Padic":

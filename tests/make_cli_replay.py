@@ -77,6 +77,14 @@ EDGE_ARGV = [
     ["entropy", "--p", "3", "--prec", "6", "--poly=1+3*x+3*y+3*x^-1*y^-1", "--family", "heis:9..16",
      "--output", "json"],
     ["fixcount", "--p", "3", "--prec", "6", "--poly=1+3*x^2+3*y+3*x^-1*y^-1", "--quotient", "heis:7"],
+    # the gamma = 0 characters of a Heisenberg count read the words at z = 1:
+    # words that cancel there (a zero count), a scalar in t alone, and a
+    # 2 x 2 matrix with z-words in its entries
+    ["fixcount", "--p", "3", "--poly=2+x+z-z^-1", "--quotient", "heis:6"],
+    ["fixcount", "--p", "3", "--poly=z-z^-1", "--quotient", "heis:5"],
+    ["entropy", "--p", "3", "--prec", "6", "--poly=1+3*t", "--family", "heis:2..5"],
+    ["fixcount", "--p", "5", "--poly=[[1+5*x,5*z],[5*y^-1,1-5*z^-1]]", "--quotient", "heis:4",
+     "--output", "json"],
     # an index that p divides: dividing the unit log by the exact index 3^5
     # keeps all 8 proven digits
     ["fixcount", "--p", "3", "--prec", "8", "--poly=2*t^2-t+2", "--quotient", "243"],

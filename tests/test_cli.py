@@ -349,15 +349,15 @@ def test_replayed_jobs_keep_their_output_bytes():
     # the README command lines, the benchmark jobs at seed 3, the series and
     # lift edge jobs, high-precision trace logs on both Z^d routes, two that
     # the series cap refuses with its estimate, three
-    # selftest seeds, Heisenberg counts up to heis:16, a count on Z/243 at
-    # p = 3, the refusals made before the run (non-ASCII digits in --poly
+    # selftest seeds, Heisenberg counts up to heis:16 (among them words that
+    # cancel at z = 1), a count on Z/243 at p = 3, the refusals made before the run (non-ASCII digits in --poly
     # among them), argv whose first token is not the command or with tokens
     # left over after it, paths no other job reaches (the default family,
     # unparsed family and quotient strings, 7x7 to 9x9 detlog matrices),
     # integers of more than 4300 digits, and help at 80 columns, with the
     # exit status and output digests recorded by tests/make_cli_replay.py
     jobs = json.loads(Path(__file__).with_name("cli_replay.json").read_text(encoding="utf-8"))
-    assert len(jobs) == 417
+    assert len(jobs) == 421
     for job in jobs:
         assert helpers.cli_output_digest(job["argv"]) == job, job["argv"]
 

@@ -116,6 +116,16 @@ WRONG_TYPE_CALLS = {
         "num and den must be ints, not str and int",
     ),
     "from_int_mod": (lambda: padic.Padic.from_int_mod("5", 3, 4), "c must be an int, not str"),
+    # from_fraction read 2.5 as 2 and "7" as 7, and zero answered O(3^x)
+    "from_fraction-float": (
+        lambda: padic.Padic.from_fraction(2.5, 3, 8),
+        "num and den must be ints, not float and int",
+    ),
+    "from_fraction-str": (
+        lambda: padic.Padic.from_fraction("7", 3, 8),
+        "num and den must be ints, not str and int",
+    ),
+    "zero": (lambda: padic.Padic.zero(3, "x"), "zprec must be an int or None, not str"),
 }
 
 

@@ -1,7 +1,9 @@
 import itertools
 import math
+import operator
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +87,18 @@ def test_fix_count_matches_resultant_oracle():
         res = helpers.sylvester_resultant(cyc, [2, -1, 2])
         rec = fix_count(F_EXAMPLE, ZdQuotient((n,)), p=2, prec=6)
         assert rec.fix_count == abs(int(res))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[[1.5]], [[Fraction(1, 2)]], [[Fraction(3, 2) if i == j else 0 for j in range(64)] for i in range(64)]],
+    ids=["bareiss-float", "bareiss-fraction", "crt-fraction"],
+)
+def test_det_exact_refuses_entries_that_are_not_integers(m):
+    # both branches read 1.5 as 1, Fraction(1, 2) as 0 and the 64 x 64
+    # diagonal of Fraction(3, 2) as the identity
+    with pytest.raises(TypeError):
+        det_exact(m)
 
 
 @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4, 5]], [[1, 2]]])
@@ -375,11 +389,28 @@ def _l1_bound(F, order):
     return max(per_point, 2) ** order
 
 
+def _block_at(L, size, cells, label):
+    """(size, cells) of a family's block with that label: the cell (i, j, w, c)
+    adds c * zeta_L^(w . label) to entry (i, j)."""
+    return size, [(i, j, sum(map(operator.mul, w, label)) % L, c) for i, j, w, c in cells]
+
+
+def _every_block(F, q):
+    """(L, labels, block) from the last family of _block_families, with the
+    labels of every block of rho: on Z^d the character tuples, and on heis(n)
+    all n^2 characters (beta, gamma) of A, whose blocks are Ind chi_{beta,gamma}
+    (on heis(1) the one family, of F(x, y, 1), is all of rho)."""
+    L, families = fixcount._block_families(F, q)
+    _, size, cells, _ = families[-1]
+    labels = q.moduli if isinstance(q, ZdQuotient) else (q.n, q.n)
+    return L, labels, lambda label: _block_at(L, size, cells, label)
+
+
 def _single_crt_quotient_det(f, q):
     """The route before Galois orbits: every block modulo every prime of one CRT
     under the bound for the whole group."""
     F = RingMatrix.wrap(f)
-    L, labels, block = fixcount._character_blocks(F, q)
+    L, labels, block = _every_block(F, q)
     blocks = [block(j) for j in itertools.product(*(range(n) for n in labels))]
 
     def residue(prime):
@@ -399,6 +430,7 @@ def _single_crt_quotient_det(f, q):
 
 
 Z3Y = LaurentPoly.monomial((0, 1, 0))
+Z3_INV = LaurentPoly.monomial((0, 0, -1))
 W = LaurentPoly.monomial((1,))
 ONE = {d: LaurentPoly.one(d) for d in (1, 2, 3)}
 
@@ -460,20 +492,23 @@ def test_galois_orbits_partition_the_labels(labels):
 def test_vanishing_on_a_middle_orbit(f, q, monkeypatch):
     # f vanishes where x (on Z^d) or the central character (on Heisenberg)
     # has order 3, that is where that label coordinate is 2 or 4 mod 6
+    families = fixcount._block_families(RingMatrix.wrap(f), q)[1]
     if isinstance(q, ZdQuotient):
-        labels = fixcount._character_blocks(RingMatrix.wrap(f), q)[1]
-        orbits, coordinate, size = fixcount._galois_orbits(labels), 0, 1
-    else:  # the classes with gamma != 0; the gamma = 0 part is 3 at every label
-        groups = fixcount._class_orbits(q.n)
-        orbits, coordinate, size = [o for _, group in groups for o in group], 1, q.n
+        coordinate = 0
+    else:  # the class families; the gamma = 0 family is 3 at every label
+        coordinate, families = 1, families[1:]
+    orbits = [o for family in families for o in family[0]]
+    size = families[0][1]
     vanishes = [j[coordinate] in (2, 4) for j, units in orbits]
     assert any(vanishes) and not vanishes[0] and not vanishes[-1]
     calls = _counting_block_evaluations(monkeypatch)
     assert quotient_det(f, q) == 0
     # each orbit up to the first vanishing one is evaluated under one prime,
-    # and nothing after it
+    # and nothing after it; on Heisenberg every gamma = 0 character first
     first = vanishes.index(True)
     assert calls.count(size) == sum(len(units) for _, units in orbits[: first + 1])
+    if isinstance(q, HeisenbergQuotient):
+        assert calls.count(1) == q.n**2
     with pytest.raises(InfiniteFixedPointSet) as exc:
         fix_count(f, q, p=3, prec=4)
     assert exc.value.quotient == q and q.label() in str(exc.value)
@@ -527,11 +562,10 @@ def test_orbits_of_the_square_are_its_cyclic_subgroups(n):
     assert len(fixcount._galois_orbits((n, n))) == cyclic
 
 
-def _orbit_norm(F, q, labels, block, j, units):
+def _orbit_norm(F, L, size, cells, j, units):
     """The integer product of det block(u * j) over u in units, each conjugate
     block built from its own label, rebuilt by CRT under the l1 bound."""
-    L = math.lcm(*labels)
-    conjugates = [block(tuple(u * x % n for x, n in zip(j, labels))) for u in units]
+    conjugates = [_block_at(L, size, cells, [u * x for x in j]) for u in units]
 
     def residue(prime):
         z = pool_root(prime, L)
@@ -543,7 +577,6 @@ def _orbit_norm(F, q, labels, block, j, units):
             total = total * fixcount._det_mod(m, prime) % prime
         return total
 
-    size = conjugates[0][0]
     generous = _l1_bound(F, len(units) * size // F.r)
     return fixcount._crt_signed(primes_one_mod(L), generous, residue)
 
@@ -578,13 +611,19 @@ def test_hadamard_bound_holds_for_every_orbit_norm(q):
     d = 3 if isinstance(q, HeisenbergQuotient) else 2
     for r in (1, 2) if q.index <= 216 else (1,):
         F = RingMatrix.wrap(_random_bound_input(rng, r, d))
-        L, labels, block = fixcount._character_blocks(F, q)
-        square = fixcount._hadamard_square(*block((0,) * len(labels)))
-        for j, units in fixcount._galois_orbits(labels):
-            assert fixcount._hadamard_square(*block(j)) == square
-            norm = _orbit_norm(F, q, labels, block, j, units)
-            assert abs(norm) <= fixcount._norm_bound(square, len(units))
-        if square == 0:
+        L, families = fixcount._block_families(F, q)
+        det, squares = 1, []
+        for orbits, size, cells, power in families:
+            square = fixcount._hadamard_square(size, cells)
+            squares.append(square)
+            for j, units in orbits:
+                assert fixcount._hadamard_square(*_block_at(L, size, cells, j)) == square
+                norm = _orbit_norm(F, L, size, cells, j, units)
+                assert abs(norm) <= fixcount._norm_bound(square, len(units))
+                det *= norm**power
+        # the norms, each to its family's power, are the whole determinant
+        assert det == _single_crt_quotient_det(F, q)
+        if 0 in squares:
             assert quotient_det(F, q) == 0
 
 
@@ -617,13 +656,21 @@ def test_conjugate_characters_give_equal_block_determinants(n):
     nonzero = 0
     for r in (1, 2):
         F = RingMatrix.wrap(_random_input(rng, r, 3))
-        block = fixcount._character_blocks(F, HeisenbergQuotient(n))[2]
+        block = _every_block(F, HeisenbergQuotient(n))[2]
         for beta, gamma in itertools.product(range(n), repeat=2):
             here = fixcount._orbit_residue(*block((beta, gamma)), zp, (1,), n, prime)
             conjugate = block(((beta + gamma) % n, gamma))
             there = fixcount._orbit_residue(*conjugate, zp, (1,), n, prime)
             assert here == there, (r, beta, gamma)
             nonzero += here != 0
+        # so the class of chi_{beta,gamma}, n/g characters with g = gcd(gamma,
+        # n), is one block to the power n/g; gamma = 0 keeps its r x r blocks
+        gamma_zero, *classes = fixcount._block_families(F, HeisenbergQuotient(n))[1]
+        assert gamma_zero[1:4:2] == (r, 1)
+        for orbits, size, _, power in classes:
+            for (beta, gamma), _ in orbits:
+                members = {((beta + k * gamma) % n, gamma) for k in range(n)}
+                assert (size, power) == (r * n, len(members)), (r, beta, gamma)
     assert nonzero
 
 
@@ -631,7 +678,7 @@ def _full_label_heisenberg_det(f, q):
     """The former Heisenberg route: one Clifford block per Galois orbit of all
     n^2 labels (beta, gamma), batched under the Hadamard budget."""
     F = RingMatrix.wrap(f)
-    L, labels, block = fixcount._character_blocks(F, q)
+    L, labels, block = _every_block(F, q)
     square = fixcount._hadamard_square(*block((0, 0)))
     if square == 0:
         return 0
@@ -668,13 +715,19 @@ def test_class_route_matches_the_full_label_route(n):
     inputs = [_random_bound_input(rng, r, 3) for r in (1, 1, 2)]
     inputs += [
         1 + Z3 + Z3**2,  # vanishes where gamma has order 3
+        2 + X3 + Z3 - Z3_INV,  # the z-words cancel at z = 1
+        3 + W - 2 * LaurentPoly.monomial((-1,)),  # a scalar in one variable
+        RingMatrix([[2 + X3 * Z3, Z3Y - Z3_INV], [Z3**2, 1 - X3 + Z3]]),  # z-words in a matrix
+        Z3 - Z3_INV,  # every gamma = 0 block is 0
         RingMatrix([[1 + X3, Z3], [1 + X3, Z3]]),  # equal rows
         RingMatrix([[2 - X3, Z3Y], [LaurentPoly(3, {}), LaurentPoly(3, {})]]),  # zero row
     ]
     values = [quotient_det(f, q) for f in inputs]
     assert values == [_full_label_heisenberg_det(f, q) for f in inputs]
-    assert any(values[:3]) and values[-2:] == [0, 0]
+    assert any(values[:3]) and all(values[4:7]) and values[-3:] == [0, 0, 0]
     assert (values[3] == 0) == (n % 3 == 0)
+    if n <= 4:
+        assert values[3:] == [_dense_det(f, q) for f in inputs[3:]]
 
 
 def _at_z_equal_one(F):
@@ -701,7 +754,8 @@ def test_gamma_zero_blocks_are_the_characters_of_the_abelianization(n):
     rng = random.Random(f"gamma0:{n}")
     for r in (1, 2):
         F = RingMatrix.wrap(_random_input(rng, r, 3))
-        block = fixcount._character_blocks(F, HeisenbergQuotient(n))[2]
+        L, families = fixcount._block_families(F, HeisenbergQuotient(n))
+        block = _every_block(F, HeisenbergQuotient(n))[2]
         blocks = [block((beta, 0)) for beta in range(n)]
 
         def residue(prime):
@@ -714,6 +768,11 @@ def test_gamma_zero_blocks_are_the_characters_of_the_abelianization(n):
         bound = fixcount._norm_bound(fixcount._hadamard_square(*blocks[0]), n)
         product = fixcount._crt_signed(primes_one_mod(n), bound, residue)
         assert product == quotient_det(_at_z_equal_one(F), ZdQuotient((n, n)))
+        # and so are the blocks of the first family, one per character of (Z/n)^2
+        orbits, size, cells, power = families[0]
+        assert (size, power) == (r, 1)
+        norms = [_orbit_norm(F, L, size, cells, j, units) for j, units in orbits]
+        assert math.prod(norms) == product
 
 
 @pytest.mark.parametrize("n", range(1, 25))
